@@ -164,3 +164,51 @@ class TestEmitCsv:
     def test_byte_stability(self):
         rows = run_experiment(load_config(SMALL))
         assert emit_csv(rows) == emit_csv(rows)
+
+
+# every numeric key, with a value just below its lower bound (None: unbounded)
+BELOW_BOUND = {
+    "hops": "0",
+    "loss_rates": "-0.5",
+    "seeds": None,
+    "duration": "0",
+    "bandwidth_bps": "0",
+    "prop_delay_s": "-0.001",
+    "queue_capacity": "0",
+    "mss_bytes": "0",
+    "ack_bytes": "0",
+    "interference_range": "-1",
+    "rto_min_s": "0",
+    "rto_max_s": "0",
+    "app_limit": "0",
+    "warmup_s": "-1",
+}
+
+
+def config_with(key, raw):
+    """BASIC with ``key = raw`` in place or appended, and its line number."""
+    lines = BASIC.splitlines()
+    keys = [line.partition("=")[0].strip() for line in lines]
+    if key in keys:
+        lineno = keys.index(key) + 1
+        lines[lineno - 1] = f"{key} = {raw}"
+    else:
+        lines.append(f"{key} = {raw}")
+        lineno = len(lines)
+    return "\n".join(lines) + "\n", lineno
+
+
+class TestNumericKeys:
+    @pytest.mark.parametrize("key", sorted(BELOW_BOUND))
+    def test_non_number_names_key_and_line(self, key):
+        text, lineno = config_with(key, "abc")
+        with pytest.raises(ConfigError, match=f"line {lineno}: {key} must be"):
+            load_config(text)
+
+    @pytest.mark.parametrize(
+        "key", sorted(k for k, raw in BELOW_BOUND.items() if raw is not None)
+    )
+    def test_below_bound_names_key_and_line(self, key):
+        text, lineno = config_with(key, BELOW_BOUND[key])
+        with pytest.raises(ConfigError, match=f"line {lineno}: {key} must be >"):
+            load_config(text)
