@@ -56,26 +56,17 @@ class CcPhase(Enum):
 
 class ActionKind(Enum):
     RETRANSMIT = "retransmit"
-    SEND_ALLOWED = "send_allowed"
-    ENTER_PHASE = "enter_phase"
     RESTART_RTO_TIMER = "restart_rto_timer"
-    NONE = "none"
 
 
 @dataclass(frozen=True)
 class CcAction:
     kind: ActionKind
     seq: int | None = None
-    window: int | None = None
-    phase: CcPhase | None = None
 
 
 def _retransmit(seq: int) -> CcAction:
     return CcAction(ActionKind.RETRANSMIT, seq=seq)
-
-
-def _enter(phase: CcPhase) -> CcAction:
-    return CcAction(ActionKind.ENTER_PHASE, phase=phase)
 
 
 _RESTART_TIMER = CcAction(ActionKind.RESTART_RTO_TIMER)
@@ -163,7 +154,6 @@ def on_new_ack(
     cc: CcVars,
     ack_seq: int,
     rtt_sample: float | None = None,
-    now: float = 0.0,
     sack_blocks: tuple[tuple[int, int], ...] = (),
 ) -> tuple[CcVars, list[CcAction]]:
     """Process an advancing cumulative ACK."""
@@ -194,8 +184,10 @@ def on_new_ack(
         last_rtt = rtt_sample
 
     if phase is CcPhase.FRR:
-        if high_seq is not None and ack_seq >= high_seq:
-            # Full ACK: the recovery point is covered, recovery is over.
+        full_ack = high_seq is not None and ack_seq >= high_seq
+        if full_ack or cc.flavor in (Flavor.RENO, Flavor.VEGAS):
+            # The recovery point is covered, or the flavor is Reno-style
+            # and any advancing ACK ends recovery.
             phase = CcPhase.CA
             cwnd = cc.ssthresh
             high_seq = None
@@ -203,17 +195,6 @@ def on_new_ack(
             add_dupacks = 0
             acc = 0
             sack_retx = frozenset()
-            actions.append(_enter(CcPhase.CA))
-        elif cc.flavor in (Flavor.RENO, Flavor.VEGAS):
-            # Reno-style: any advancing ACK ends recovery.
-            phase = CcPhase.CA
-            cwnd = cc.ssthresh
-            high_seq = None
-            rlp = None
-            add_dupacks = 0
-            acc = 0
-            sack_retx = frozenset()
-            actions.append(_enter(CcPhase.CA))
         else:
             # Partial ACK: plug the next hole, deflate, stay in recovery.
             if cc.flavor is Flavor.SACK:
@@ -262,7 +243,6 @@ def on_dupack(
     cc: CcVars,
     ack_seq: int,
     high_sent: int,
-    now: float = 0.0,
     sack_blocks: tuple[tuple[int, int], ...] = (),
 ) -> tuple[CcVars, list[CcAction]]:
     """Process a duplicate ACK (same cumulative value as the last one)."""
@@ -303,7 +283,6 @@ def on_dupack(
                 sack_retx = frozenset({ack_seq})
             phase = CcPhase.FRR
             actions.append(_retransmit(ack_seq))
-            actions.append(_enter(CcPhase.FRR))
     else:
         cwnd += 1  # window inflation: one segment has left the network
         if cc.flavor is Flavor.SAC:
@@ -341,7 +320,7 @@ def on_timeout(cc: CcVars, high_sent: int) -> tuple[CcVars, list[CcAction]]:
     """Retransmission timeout: collapse to one segment and restart slow start."""
     flight = high_sent - cc.last_ack
     ssthresh = max(flight // 2, MIN_SSTHRESH)
-    actions = [_retransmit(cc.last_ack), _enter(CcPhase.SS)]
+    actions = [_retransmit(cc.last_ack)]
     new = replace(
         cc,
         phase=CcPhase.SS,

@@ -14,10 +14,12 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 from statistics import mean
 
 from .cc import Flavor
+from .engine import TraceKind
 from .errors import ConfigError, ContractError
 from .experiment import (
     ExperimentSpec,
@@ -123,10 +125,19 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         raise ConfigError(
             f"hops must be in 1..{max(spec.hop_counts)} for this config"
         )
-    trace, summary = run_single(spec, flavor, args.hops, spec.loss_rates[0], args.seed)
+    if len(spec.loss_rates) != 1:
+        raise ConfigError(
+            f"trace runs one loss rate but the config lists {len(spec.loss_rates)}; "
+            "pick one with --override loss_rates=<rate>"
+        )
+    trace, _ = run_single(spec, flavor, args.hops, spec.loss_rates[0], args.seed)
     out = _outdir(args)
     (out / "trace.tsv").write_text(trace.export())
-    cwnd_lines = [f"{t:.9f}\t{v}" for t, v in summary.cwnd_series]
+    cwnd_lines = [
+        f"{r.time:.9f}\t{r.value}"
+        for r in trace
+        if r.kind is TraceKind.CWND_SAMPLE and r.time >= spec.warmup_s
+    ]
     (out / "cwnd.tsv").write_text("\n".join(cwnd_lines) + ("\n" if cwnd_lines else ""))
     return EXIT_OK
 
@@ -135,37 +146,36 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     spec = _load_spec(args)
     baseline = _flavor(args.baseline)
     candidate = _flavor(args.candidate)
-    rows = []
-    for hops in sorted(spec.hop_counts):
-        for rate in sorted(spec.loss_rates):
-            for seed in sorted(spec.seeds):
-                _, base = run_single(spec, baseline, hops, rate, seed)
-                _, cand = run_single(spec, candidate, hops, rate, seed)
-                if base.throughput is None or cand.throughput is None:
-                    raise ConfigError(
-                        "comparison undefined: a run produced no measurable throughput"
-                    )
-                rows.append((hops, rate, seed, base, cand))
+    # both sweeps visit the (hops, loss_rate, seed) points in the same order
+    pairs = list(
+        zip(
+            run_experiment(replace(spec, flavors=(baseline,))),
+            run_experiment(replace(spec, flavors=(candidate,))),
+        )
+    )
+    if any(row.throughput is None for pair in pairs for row in pair):
+        raise ConfigError("comparison undefined: a run produced no measurable throughput")
     out = _outdir(args)
     lines = [
         "hops,loss_rate,seed,baseline_throughput,candidate_throughput,"
         "throughput_delta,baseline_rto_count,candidate_rto_count,rto_count_delta"
     ]
-    for hops, rate, seed, base, cand in rows:
+    for base, cand in pairs:
         lines.append(
-            f"{hops},{rate:.6f},{seed},{base.throughput:.6f},{cand.throughput:.6f},"
+            f"{base.hops},{base.loss_rate:.6f},{base.seed},"
+            f"{base.throughput:.6f},{cand.throughput:.6f},"
             f"{cand.throughput - base.throughput:.6f},"
             f"{base.rto_count},{cand.rto_count},{cand.rto_count - base.rto_count}"
         )
     (out / "compare.csv").write_text("\n".join(lines) + "\n")
 
-    tp_delta = mean(cand.throughput - base.throughput for _, _, _, base, cand in rows)
-    rto_delta = mean(cand.rto_count - base.rto_count for _, _, _, base, cand in rows)
+    tp_delta = mean(cand.throughput - base.throughput for base, cand in pairs)
+    rto_delta = mean(cand.rto_count - base.rto_count for base, cand in pairs)
     verdict_ok = tp_delta >= 0  # candidate mean throughput >= baseline mean
     summary_lines = [
         f"baseline={baseline.value}",
         f"candidate={candidate.value}",
-        f"pairs={len(rows)}",
+        f"pairs={len(pairs)}",
         f"mean_throughput_delta={tp_delta:.6f}",
         f"mean_rto_count_delta={rto_delta:.6f}",
         f"verdict={'pass' if verdict_ok else 'fail'}",

@@ -57,7 +57,6 @@ class RttEstimator:
     rttvar: float = 0.0
     rto: float = INITIAL_RTO_S
     has_sample: bool = False
-    backoff_exponent: int = 0
 
     def update(self, sample: float) -> None:
         if sample <= 0:
@@ -70,10 +69,8 @@ class RttEstimator:
             self.rttvar = 0.75 * self.rttvar + 0.25 * abs(self.srtt - sample)
             self.srtt = 0.875 * self.srtt + 0.125 * sample
         self.rto = min(max(self.srtt + 4 * self.rttvar, self.rto_min), self.rto_max)
-        self.backoff_exponent = 0
 
     def back_off(self) -> None:
-        self.backoff_exponent += 1
         self.rto = min(self.rto * 2, self.rto_max)
 
 
@@ -196,14 +193,14 @@ class SenderEndpoint:
         blocks = ack.sack if self.cc.flavor is Flavor.SACK else ()
         if ack.seq == self.cc.last_ack:
             self.cc, actions = cc_ops.on_dupack(
-                self.cc, ack.seq, self.high_sent, now, sack_blocks=blocks
+                self.cc, ack.seq, self.high_sent, sack_blocks=blocks
             )
         else:
             sample = self._rtt_sample(ack.seq, now)
             if sample is not None and sample > 0:
                 self.rtt_est.update(sample)
             self.cc, actions = cc_ops.on_new_ack(
-                self.cc, ack.seq, sample, now, sack_blocks=blocks
+                self.cc, ack.seq, sample, sack_blocks=blocks
             )
             self._prune_below(ack.seq)
             if self.outstanding > 0:
@@ -238,10 +235,8 @@ class ReceiverEndpoint:
     peer: int
     ack_bytes: int = 40
     sack_enabled: bool = False
-    delayed_ack: bool = False
     rcv_next: int = 0
     ooo_buffer: set[int] = field(default_factory=set)
-    _delack_pending: int = 0
 
     def _sack_blocks(self, trigger: int | None) -> tuple[tuple[int, int], ...]:
         if not self.sack_enabled or not self.ooo_buffer:
@@ -271,9 +266,8 @@ class ReceiverEndpoint:
             sack=self._sack_blocks(trigger),
         )
 
-    def on_data(self, seg: Segment, now: float) -> Segment | None:
-        """Consume one data segment and produce the ACK for it (or none,
-        when delayed ACKs are enabled and this arrival is suppressed)."""
+    def on_data(self, seg: Segment, now: float) -> Segment:
+        """Consume one data segment and produce the ACK for it."""
         if seg.kind is not SegmentKind.DATA:
             raise ContractError("receiver got a non-data segment")
         if seg.seq == self.rcv_next:
@@ -281,14 +275,7 @@ class ReceiverEndpoint:
             while self.rcv_next in self.ooo_buffer:
                 self.ooo_buffer.remove(self.rcv_next)
                 self.rcv_next += 1
-            if self.delayed_ack:
-                self._delack_pending += 1
-                if self._delack_pending < 2:
-                    return None
-                self._delack_pending = 0
             return self._ack(None)
         if seg.seq > self.rcv_next:
             self.ooo_buffer.add(seg.seq)
-        # out-of-order or below-window arrivals always ACK immediately
-        self._delack_pending = 0
         return self._ack(seg.seq if seg.seq > self.rcv_next else None)

@@ -18,7 +18,6 @@ class EventKind(Enum):
     TIMER_EXPIRY = "timer_expiry"
     CHANNEL_FREE = "channel_free"
     APP_TICK = "app_tick"
-    SAMPLE_TICK = "sample_tick"
 
 
 class EventQueue:

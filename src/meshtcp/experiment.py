@@ -10,7 +10,7 @@ see identical loss-instant sequences and comparisons are paired.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping
 
 from .cc import Flavor
@@ -33,22 +33,26 @@ from .world import FlowConfig, MeshWorld
 from .endpoint import DEFAULT_RTO_MAX_S, DEFAULT_RTO_MIN_S
 
 _REQUIRED_KEYS = ("flavors", "hops", "loss_rates", "seeds", "duration")
-_KNOWN_KEYS = frozenset(
-    _REQUIRED_KEYS
-    + (
-        "bandwidth_bps",
-        "prop_delay_s",
-        "queue_capacity",
-        "mss_bytes",
-        "ack_bytes",
-        "interference_range",
-        "rto_min_s",
-        "rto_max_s",
-        "app_limit",
-        "scripted_drops",
-        "warmup_s",
-    )
-)
+# key: (ExperimentSpec field, value type, lower bound, bound is strict,
+# comma-separated list). Keys are parsed, and errors raised, in this order.
+_SCHEMA: dict[str, tuple[str, type, float | None, bool, bool]] = {
+    "flavors": ("flavors", Flavor, None, False, True),
+    "hops": ("hop_counts", int, 1, False, True),
+    "loss_rates": ("loss_rates", float, 0.0, False, True),
+    "seeds": ("seeds", int, None, False, True),
+    "duration": ("duration", float, 0.0, True, False),
+    "bandwidth_bps": ("bandwidth_bps", float, 0.0, True, False),
+    "prop_delay_s": ("prop_delay_s", float, 0.0, False, False),
+    "queue_capacity": ("queue_capacity", int, 1, False, False),
+    "mss_bytes": ("mss_bytes", int, 1, False, False),
+    "ack_bytes": ("ack_bytes", int, 1, False, False),
+    "interference_range": ("interference_range", int, 0, False, False),
+    "rto_min_s": ("rto_min_s", float, 0.0, True, False),
+    "rto_max_s": ("rto_max_s", float, 0.0, True, False),
+    "app_limit": ("app_limit", int, 1, False, False),
+    "scripted_drops": ("scripted_drops", DropDirective, None, False, False),
+    "warmup_s": ("warmup_s", float, 0.0, False, False),
+}
 
 CSV_HEADER = (
     "flavor,hops,loss_rate,seed,throughput,goodput,plr,mean_delay,"
@@ -91,18 +95,13 @@ class ExperimentSpec:
 
 
 @dataclass(frozen=True)
-class ResultRow:
+class ResultRow(MetricsSummary):
+    """The metrics of one sweep point, with the point itself."""
+
     flavor: Flavor
     hops: int
     loss_rate: float
     seed: int
-    throughput: float | None
-    goodput: float | None
-    plr: float | None
-    mean_delay: float | None
-    rto_count: int
-    retransmit_count: int
-    delivered_count: int
 
 
 def _parse_lines(text: str) -> dict[str, tuple[str, str]]:
@@ -118,7 +117,7 @@ def _parse_lines(text: str) -> dict[str, tuple[str, str]]:
         key = key.strip()
         raw = raw.strip()
         where = f"line {lineno}"
-        if key not in _KNOWN_KEYS:
+        if key not in _SCHEMA:
             raise ConfigError(f"{where}: unknown key {key!r}")
         if key in mapping:
             raise ConfigError(f"{where}: duplicate key {key!r}")
@@ -135,36 +134,25 @@ def _split_list(raw: str, where: str, key: str) -> list[str]:
     return items
 
 
-def _parse_flavors(raw: str, where: str) -> tuple[Flavor, ...]:
-    flavors = []
-    for name in _split_list(raw, where, "flavors"):
-        try:
-            flavors.append(Flavor(name))
-        except ValueError:
+def _parse_value(
+    raw: str,
+    where: str,
+    key: str,
+    kind: type,
+    minimum: float | None = None,
+    strict: bool = False,
+):
+    """One value of type ``kind``, at least ``minimum`` (above it if strict)."""
+    if kind is DropDirective:
+        return _parse_scripted(raw, where)
+    try:
+        value = kind(raw)
+    except ValueError:
+        if kind is Flavor:
             known = ", ".join(f.value for f in Flavor)
-            raise ConfigError(
-                f"{where}: unknown flavor {name!r} (known: {known})"
-            ) from None
-    return tuple(flavors)
-
-
-def _parse_int(raw: str, where: str, key: str, minimum: int | None = None) -> int:
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigError(f"{where}: {key} must be an integer, got {raw!r}") from None
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{where}: {key} must be >= {minimum}, got {value}")
-    return value
-
-
-def _parse_float(
-    raw: str, where: str, key: str, minimum: float | None = None, strict: bool = False
-) -> float:
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ConfigError(f"{where}: {key} must be a number, got {raw!r}") from None
+            raise ConfigError(f"{where}: unknown flavor {raw!r} (known: {known})") from None
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{where}: {key} must be {noun}, got {raw!r}") from None
     if minimum is not None and (value < minimum or (strict and value <= minimum)):
         op = ">" if strict else ">="
         raise ConfigError(f"{where}: {key} must be {op} {minimum}, got {value}")
@@ -182,7 +170,7 @@ def _parse_scripted(raw: str, where: str) -> tuple[DropDirective, ...]:
             raise ConfigError(
                 f"{where}: scripted_drops entries are 'link:seq:nth', got {part!r}"
             )
-        hop, seq, nth = (_parse_int(p, where, "scripted_drops") for p in pieces)
+        hop, seq, nth = (_parse_value(p, where, "scripted_drops", int) for p in pieces)
         directives.append(DropDirective(hop, seq, nth))
     if not directives:
         raise ConfigError(f"{where}: scripted_drops is empty")
@@ -193,7 +181,7 @@ def load_config(text: str, overrides: Mapping[str, str] | None = None) -> Experi
     """Parse and validate a config, applying overrides on top."""
     mapping = _parse_lines(text)
     for key, raw in (overrides or {}).items():
-        if key not in _KNOWN_KEYS:
+        if key not in _SCHEMA:
             raise ConfigError(f"override: unknown key {key!r}")
         mapping[key] = (str(raw), "override")
 
@@ -201,60 +189,17 @@ def load_config(text: str, overrides: Mapping[str, str] | None = None) -> Experi
     if missing:
         raise ConfigError(f"missing required keys: {', '.join(missing)}")
 
-    raw, where = mapping["flavors"]
-    flavors = _parse_flavors(raw, where)
-    raw, where = mapping["hops"]
-    hop_counts = tuple(_parse_int(p, where, "hops", 1) for p in _split_list(raw, where, "hops"))
-    raw, where = mapping["loss_rates"]
-    loss_rates = tuple(
-        _parse_float(p, where, "loss_rates", 0.0) for p in _split_list(raw, where, "loss_rates")
-    )
-    raw, where = mapping["seeds"]
-    seeds = tuple(_parse_int(p, where, "seeds") for p in _split_list(raw, where, "seeds"))
-    raw, where = mapping["duration"]
-    duration = _parse_float(raw, where, "duration", 0.0, strict=True)
-
-    spec = ExperimentSpec(
-        flavors=flavors,
-        hop_counts=hop_counts,
-        loss_rates=loss_rates,
-        seeds=seeds,
-        duration=duration,
-    )
-    if "bandwidth_bps" in mapping:
-        raw, where = mapping["bandwidth_bps"]
-        spec = replace(spec, bandwidth_bps=_parse_float(raw, where, "bandwidth_bps", 0.0, strict=True))
-    if "prop_delay_s" in mapping:
-        raw, where = mapping["prop_delay_s"]
-        spec = replace(spec, prop_delay_s=_parse_float(raw, where, "prop_delay_s", 0.0))
-    if "queue_capacity" in mapping:
-        raw, where = mapping["queue_capacity"]
-        spec = replace(spec, queue_capacity=_parse_int(raw, where, "queue_capacity", 1))
-    if "mss_bytes" in mapping:
-        raw, where = mapping["mss_bytes"]
-        spec = replace(spec, mss_bytes=_parse_int(raw, where, "mss_bytes", 1))
-    if "ack_bytes" in mapping:
-        raw, where = mapping["ack_bytes"]
-        spec = replace(spec, ack_bytes=_parse_int(raw, where, "ack_bytes", 1))
-    if "interference_range" in mapping:
-        raw, where = mapping["interference_range"]
-        spec = replace(spec, interference_range=_parse_int(raw, where, "interference_range", 0))
-    if "rto_min_s" in mapping:
-        raw, where = mapping["rto_min_s"]
-        spec = replace(spec, rto_min_s=_parse_float(raw, where, "rto_min_s", 0.0, strict=True))
-    if "rto_max_s" in mapping:
-        raw, where = mapping["rto_max_s"]
-        spec = replace(spec, rto_max_s=_parse_float(raw, where, "rto_max_s", 0.0, strict=True))
-    if "app_limit" in mapping:
-        raw, where = mapping["app_limit"]
-        if raw != "unbounded":
-            spec = replace(spec, app_limit=_parse_int(raw, where, "app_limit", 1))
-    if "scripted_drops" in mapping:
-        raw, where = mapping["scripted_drops"]
-        spec = replace(spec, scripted_drops=_parse_scripted(raw, where))
-    if "warmup_s" in mapping:
-        raw, where = mapping["warmup_s"]
-        spec = replace(spec, warmup_s=_parse_float(raw, where, "warmup_s", 0.0))
+    fields = {}
+    for key, (field, kind, minimum, strict, is_list) in _SCHEMA.items():
+        if key not in mapping:
+            continue
+        raw, where = mapping[key]
+        if key == "app_limit" and raw == "unbounded":
+            continue
+        items = _split_list(raw, where, key) if is_list else [raw]
+        values = tuple(_parse_value(v, where, key, kind, minimum, strict) for v in items)
+        fields[field] = values if is_list else values[0]
+    spec = ExperimentSpec(**fields)
 
     if spec.rto_max_s < spec.rto_min_s:
         raise ConfigError("rto_max_s must be >= rto_min_s")
@@ -277,9 +222,8 @@ def build_world(
         prop_delay_s=spec.prop_delay_s,
         queue_capacity=spec.queue_capacity,
         loss_rate=loss_rate,
-        interference_range=spec.interference_range,
     )
-    topology = build_chain(spec.n_nodes, link)
+    topology = build_chain(spec.n_nodes, link, spec.interference_range)
     scripted = ScriptedDrops(spec.scripted_drops) if spec.scripted_drops else None
     return MeshWorld(
         topology,
@@ -313,21 +257,7 @@ def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
                 f"combination flavor={flavor.value} hops={hops} "
                 f"loss_rate={rate} seed={seed} aborted: {exc}"
             ) from exc
-        rows.append(
-            ResultRow(
-                flavor=flavor,
-                hops=hops,
-                loss_rate=rate,
-                seed=seed,
-                throughput=summary.throughput,
-                goodput=summary.goodput,
-                plr=summary.plr,
-                mean_delay=summary.mean_delay,
-                rto_count=summary.rto_count,
-                retransmit_count=summary.retransmit_count,
-                delivered_count=summary.delivered_count,
-            )
-        )
+        rows.append(ResultRow(**vars(summary), flavor=flavor, hops=hops, loss_rate=rate, seed=seed))
     return rows
 
 

@@ -12,7 +12,7 @@ exact loss scenarios.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 
 from .endpoint import Segment, SegmentKind
@@ -36,7 +36,6 @@ class LinkModel:
     prop_delay_s: float = DEFAULT_PROP_DELAY_S
     queue_capacity: int = DEFAULT_QUEUE_CAPACITY
     loss_rate: float = 0.0
-    interference_range: int = DEFAULT_INTERFERENCE_RANGE
 
     def __post_init__(self) -> None:
         if self.bandwidth_bps <= 0:
@@ -45,18 +44,15 @@ class LinkModel:
             raise ConfigError(f"queue capacity must be >= 1, got {self.queue_capacity}")
         if self.loss_rate < 0:
             raise ConfigError(f"loss rate must be >= 0, got {self.loss_rate}")
-        if self.interference_range < 0:
-            raise ConfigError(
-                f"interference range must be >= 0, got {self.interference_range}"
-            )
 
 
 @dataclass(frozen=True)
 class ChainTopology:
-    """Nodes 1..n in a line; hop h is the link between nodes h and h+1."""
+    """Nodes 1..n in a line; hop h is the link between nodes h and h+1.
+    Every hop has the same ``link`` parameters."""
 
     n_nodes: int
-    links: tuple[LinkModel, ...]
+    link: LinkModel
     interference_range: int
 
     @property
@@ -74,35 +70,15 @@ class ChainTopology:
 def build_chain(
     n_nodes: int,
     link: LinkModel,
-    per_hop_loss: tuple[float, ...] | None = None,
+    interference_range: int = DEFAULT_INTERFERENCE_RANGE,
 ) -> ChainTopology:
-    """Uniform chain of n_nodes; per_hop_loss overrides the loss rate of
-    individual hops when the error model should not be uniform."""
+    """Uniform chain of n_nodes whose interference groups span
+    ``interference_range + 1`` consecutive hops."""
     if n_nodes < 2:
         raise ConfigError(f"a chain needs at least 2 nodes, got {n_nodes}")
-    models = []
-    for hop in range(1, n_nodes):
-        if per_hop_loss is not None:
-            if len(per_hop_loss) != n_nodes - 1:
-                raise ConfigError(
-                    f"per_hop_loss needs {n_nodes - 1} entries, got {len(per_hop_loss)}"
-                )
-            models.append(
-                LinkModel(
-                    bandwidth_bps=link.bandwidth_bps,
-                    prop_delay_s=link.prop_delay_s,
-                    queue_capacity=link.queue_capacity,
-                    loss_rate=per_hop_loss[hop - 1],
-                    interference_range=link.interference_range,
-                )
-            )
-        else:
-            models.append(link)
-    return ChainTopology(
-        n_nodes=n_nodes,
-        links=tuple(models),
-        interference_range=link.interference_range,
-    )
+    if interference_range < 0:
+        raise ConfigError(f"interference range must be >= 0, got {interference_range}")
+    return ChainTopology(n_nodes, link, interference_range)
 
 
 class LossProcess:
@@ -193,6 +169,8 @@ class MeshNetwork:
 
     Owns link queues, channel arbitration and the error model; deliveries
     are reported by scheduling SEGMENT_ARRIVAL events for the next node.
+    It is the only writer of the per-flow in-flight count ``carried``:
+    ``send`` adds a segment, and its delivery or drop removes it.
     """
 
     def __init__(
@@ -208,15 +186,15 @@ class MeshNetwork:
         self.events = events
         self.trace = trace
         self.scripted = scripted
-        self.carried: dict[int, int] = {}
+        self.carried: Counter[int] = Counter()
         # transmission intervals per group, for exclusivity checks
         self.tx_log: list[tuple[int, float, float]] = []
 
         self.groups = [_Group(i) for i in range(topology.n_groups)]
         self._links: dict[tuple[int, int], _Link] = {}
         root = RngStream(seed)
+        model = topology.link
         for hop in range(1, topology.n_nodes):
-            model = topology.links[hop - 1]
             group = self.groups[topology.group_of(hop)]
             for forward in (True, False):
                 src, dst = (hop, hop + 1) if forward else (hop + 1, hop)
@@ -226,6 +204,24 @@ class MeshNetwork:
 
     def link(self, src: int, dst: int) -> _Link:
         return self._links[(src, dst)]
+
+    def send(self, seg: Segment, now: float) -> None:
+        """Originate a segment at its source node: record its SEND or RETX
+        and count it in flight."""
+        kind = TraceKind.RETX if seg.retx else TraceKind.SEND
+        self.trace.add(now, kind, seg.flow_id, seg.seq, seg.kind.value)
+        self.carried[seg.flow_id] += 1
+        self.forward(seg.src, seg, now)
+
+    def arrive(self, node: int, seg: Segment, now: float) -> bool:
+        """A segment reached ``node``. Forward it, or, at its destination,
+        record the delivery and return True."""
+        if seg.dst != node:
+            self.forward(node, seg, now)
+            return False
+        self.trace.add(now, TraceKind.DELIVER, seg.flow_id, seg.seq, seg.kind.value)
+        self.carried[seg.flow_id] -= 1
+        return True
 
     def forward(self, node: int, seg: Segment, now: float) -> None:
         """Route one segment a single hop toward its destination."""
@@ -238,7 +234,7 @@ class MeshNetwork:
         """Drop-tail FIFO; the segment being transmitted occupies a slot."""
         if len(link.queue) >= link.model.queue_capacity:
             self.trace.add(now, TraceKind.DROP_QUEUE, seg.flow_id, seg.seq, seg.kind.value)
-            self.carried[seg.flow_id] = self.carried.get(seg.flow_id, 0) - 1
+            self.carried[seg.flow_id] -= 1
             return False
         link.queue.append(seg)
         if link.state == _IDLE:
@@ -268,7 +264,7 @@ class MeshNetwork:
             self.trace.add(
                 now, TraceKind.DROP_WIRELESS, seg.flow_id, seg.seq, seg.kind.value
             )
-            self.carried[seg.flow_id] = self.carried.get(seg.flow_id, 0) - 1
+            self.carried[seg.flow_id] -= 1
         else:
             self.events.push(
                 now + tx_time + link.model.prop_delay_s,

@@ -11,7 +11,7 @@ in the delay figure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .engine import RunTrace, TraceKind, TraceRecord
 from .errors import MetricUndefinedError
@@ -29,8 +29,6 @@ class MetricsSummary:
     rto_count: int
     retransmit_count: int
     delivered_count: int
-    cwnd_series: tuple[tuple[float, int], ...] = field(default=())
-    phase_series: tuple[tuple[float, str], ...] = field(default=())
 
 
 def _records(trace: RunTrace | list[TraceRecord]) -> list[TraceRecord]:
@@ -139,16 +137,6 @@ def summarize(
         if r.flow_id == flow_id and r.kind is TraceKind.RETX and r.value == _DATA
     )
     delivered_count = len(_data_deliveries(records, flow_id))
-    cwnd_series = tuple(
-        (r.time, r.value)
-        for r in records
-        if r.flow_id == flow_id and r.kind is TraceKind.CWND_SAMPLE
-    )
-    phase_series = tuple(
-        (r.time, r.value)
-        for r in records
-        if r.flow_id == flow_id and r.kind is TraceKind.PHASE_CHANGE
-    )
     return MetricsSummary(
         throughput=_maybe(throughput),
         goodput=_maybe(goodput),
@@ -157,6 +145,4 @@ def summarize(
         rto_count=rto_count,
         retransmit_count=retransmit_count,
         delivered_count=delivered_count,
-        cwnd_series=cwnd_series,
-        phase_series=phase_series,
     )

@@ -101,7 +101,6 @@ class MeshWorld:
                 sack_enabled=config.flavor is Flavor.SACK,
             )
             self.flows[flow_id] = _Flow(flow_id, src, dst, sender, receiver)
-            self.net.carried[flow_id] = 0
             self.events.push(0.0, EventKind.APP_TICK, flow_id)
 
     def in_flight(self, flow_id: int) -> int:
@@ -111,35 +110,25 @@ class MeshWorld:
     def handle(self, time: float, kind: EventKind, payload) -> None:
         if kind is EventKind.SEGMENT_ARRIVAL:
             node, seg = payload
-            self._on_arrival(time, node, seg)
+            if self.net.arrive(node, seg, time):
+                self._on_delivery(time, seg)
         elif kind is EventKind.CHANNEL_FREE:
             self.net.on_channel_free(payload, time)
         elif kind is EventKind.TIMER_EXPIRY:
             self._on_timer(time, *payload)
         elif kind is EventKind.APP_TICK:
             self._on_app_tick(time, payload)
-        elif kind is EventKind.SAMPLE_TICK:
-            pass
         else:  # pragma: no cover - enum is closed
             raise ContractError(f"unknown event kind {kind}")
 
-    def _on_arrival(self, time: float, node: int, seg: Segment) -> None:
-        if seg.dst != node:
-            self.net.forward(node, seg, time)
-            return
+    def _on_delivery(self, time: float, seg: Segment) -> None:
         flow = self.flows[seg.flow_id]
-        self.trace.add(time, TraceKind.DELIVER, flow.flow_id, seg.seq, seg.kind.value)
-        self.net.carried[flow.flow_id] -= 1
         if seg.kind is SegmentKind.DATA:
-            ack = flow.receiver.on_data(seg, time)
-            if ack is not None:
-                self.trace.add(time, TraceKind.SEND, flow.flow_id, ack.seq, "ack")
-                self.net.carried[flow.flow_id] += 1
-                self.net.forward(ack.src, ack, time)
+            self.net.send(flow.receiver.on_data(seg, time), time)
         else:
             emissions = flow.sender.on_ack_segment(seg, time)
             self._record_cc(flow, time)
-            self._originate(flow, emissions, time)
+            self._send_all(emissions, time)
             self._sync_timer(flow)
 
     def _on_timer(self, time: float, flow_id: int, epoch: int) -> None:
@@ -148,22 +137,19 @@ class MeshWorld:
             return  # superseded timer
         emissions = flow.sender.on_rto(time)
         self._record_cc(flow, time)
-        self._originate(flow, emissions, time)
+        self._send_all(emissions, time)
         self._sync_timer(flow)
 
     def _on_app_tick(self, time: float, flow_id: int) -> None:
         flow = self.flows[flow_id]
         self._record_cc(flow, time, force=True)
         emissions = flow.sender.fill_window(time)
-        self._originate(flow, emissions, time)
+        self._send_all(emissions, time)
         self._sync_timer(flow)
 
-    def _originate(self, flow: _Flow, segments: list[Segment], time: float) -> None:
+    def _send_all(self, segments: list[Segment], time: float) -> None:
         for seg in segments:
-            kind = TraceKind.RETX if seg.retx else TraceKind.SEND
-            self.trace.add(time, kind, flow.flow_id, seg.seq, seg.kind.value)
-            self.net.carried[flow.flow_id] += 1
-            self.net.forward(seg.src, seg, time)
+            self.net.send(seg, time)
 
     def _sync_timer(self, flow: _Flow) -> None:
         sender = flow.sender

@@ -4,6 +4,8 @@ import pytest
 
 from meshtcp.cli import main
 
+LOSS_SWEEP = str(Path(__file__).resolve().parent.parent / "configs" / "loss_sweep.cfg")
+
 GOOD = """\
 flavors = sac,newreno
 hops = 1
@@ -113,6 +115,18 @@ def test_trace_rejects_bad_flavor_and_hops(tmp_path):
                  "--seed", "1", "--out", out]) == 2
     assert main(["trace", "--config", cfg, "--flavor", "sac", "--hops", "7",
                  "--seed", "1", "--out", out]) == 2
+
+
+def test_trace_needs_exactly_one_loss_rate(tmp_path, capsys):
+    # the README example: loss_sweep.cfg lists four loss rates
+    argv = ["trace", "--config", LOSS_SWEEP, "--flavor", "sac", "--hops", "4",
+            "--seed", "1"]
+    assert main(argv + ["--out", str(tmp_path / "t")]) == 2
+    assert "--override loss_rates=<rate>" in capsys.readouterr().err
+    out = tmp_path / "t2"
+    assert main(argv + ["--override", "loss_rates=0.5", "--out", str(out)]) == 0
+    kinds = [line.split("\t")[1] for line in (out / "trace.tsv").read_text().splitlines()]
+    assert "DROP_WIRELESS" in kinds
 
 
 def test_compare_sac_beats_newreno_on_retransmission_loss_script(tmp_path):

@@ -40,7 +40,7 @@ class TestBuildChain:
     def test_five_nodes_four_hops(self):
         topo = build_chain(5, LinkModel())
         assert topo.n_hops == 4
-        assert len(topo.links) == 4
+        assert topo.link == LinkModel()
 
     def test_minimal_chain_single_group(self):
         topo = build_chain(2, LinkModel())
@@ -52,19 +52,16 @@ class TestBuildChain:
             build_chain(1, LinkModel())
 
     def test_interference_partition_range_two(self):
-        topo = build_chain(8, LinkModel(interference_range=2))
+        topo = build_chain(8, LinkModel(), interference_range=2)
         assert [topo.group_of(h) for h in range(1, 8)] == [0, 0, 0, 1, 1, 1, 2]
 
     def test_interference_partition_range_zero(self):
-        topo = build_chain(4, LinkModel(interference_range=0))
+        topo = build_chain(4, LinkModel(), interference_range=0)
         assert [topo.group_of(h) for h in range(1, 4)] == [0, 1, 2]
 
-    def test_per_hop_loss_override(self):
-        topo = build_chain(3, LinkModel(loss_rate=0.5), per_hop_loss=(0.0, 1.0))
-        assert topo.links[0].loss_rate == 0.0
-        assert topo.links[1].loss_rate == 1.0
-        with pytest.raises(ConfigError):
-            build_chain(3, LinkModel(), per_hop_loss=(0.1,))
+    def test_negative_interference_range_rejected(self):
+        with pytest.raises(ConfigError, match="interference range"):
+            build_chain(3, LinkModel(), interference_range=-1)
 
     def test_link_model_validation(self):
         with pytest.raises(ConfigError):

@@ -109,7 +109,8 @@ def test_summarize_lossless_run():
     assert s.rto_count == 0
     assert s.retransmit_count == 0
     assert s.delivered_count == 50
-    assert s.cwnd_series[0] == (0.0, 1)
+    first = next(r for r in trace if r.kind is TraceKind.CWND_SAMPLE)
+    assert (first.time, first.value) == (0.0, 1)
     assert s.goodput <= s.throughput
 
 

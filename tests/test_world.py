@@ -40,7 +40,8 @@ def test_lossless_run_clean_metrics():
     s = summarize(trace)
     assert s.plr == 0.0
     assert s.rto_count == 0
-    assert s.cwnd_series[0] == (0.0, 1)
+    first = next(r for r in trace if r.kind is TraceKind.CWND_SAMPLE)
+    assert (first.time, first.value) == (0.0, 1)
 
 
 def test_double_drop_script_newreno_times_out_sac_does_not():
