@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meshtcp.cc import Flavor
 from meshtcp.engine import RunTrace, TraceKind, run_until
@@ -147,3 +149,68 @@ def test_warmup_slices_records():
     records.sort(key=lambda r: r[0])
     s = summarize(trace_of(records), warmup=5.0)
     assert s.delivered_count == 5  # deliveries at 5.5 .. 9.5
+
+
+_TIME = st.integers(0, 12).map(lambda k: k * 0.5)  # coarse grid: many equal times
+_SEQ = st.integers(0, 3)  # few seqs: duplicate sends and deliveries
+_ANY_RECORD = st.tuples(
+    _TIME,
+    st.sampled_from(list(TraceKind)),
+    st.sampled_from([0, 1]),
+    _SEQ,
+    st.sampled_from(["data", "ack", 0.4]),
+)
+_DATA_RECORD = st.tuples(
+    _TIME,
+    st.sampled_from([TraceKind.SEND, TraceKind.RETX, TraceKind.DELIVER]),
+    st.just(0),
+    _SEQ,
+    st.just("data"),
+)
+# about half the records are flow-0 data segments, so the same seq is often
+# sent, resent and delivered more than once inside the window
+_RECORD = st.one_of(_DATA_RECORD, _ANY_RECORD)
+
+
+def _recount(records, flow_id, warmup):
+    """Every MetricsSummary field, recounted with plain list filters."""
+    window = [r for r in records if r.flow_id == flow_id and r.time >= warmup]
+    data = [r for r in window if r.value == "data"]
+    txs = [r for r in data if r.kind in (TraceKind.SEND, TraceKind.RETX)]
+    delivers = [r for r in data if r.kind is TraceKind.DELIVER]
+    retx = sum(1 for r in data if r.kind is TraceKind.RETX)
+    span = txs[-1].time - txs[0].time if len(txs) >= 2 else 0.0
+    first_sent, first_delivered = {}, {}
+    for r in txs:
+        first_sent.setdefault(r.seq, r.time)
+    for r in delivers:
+        first_delivered.setdefault(r.seq, r.time)
+    delays = [t - first_sent[s] for s, t in first_delivered.items() if s in first_sent]
+    return {
+        "throughput": len(txs) / span if span > 0 else None,
+        "goodput": len({r.seq for r in delivers}) / span if span > 0 else None,
+        "plr": retx / len(delivers) if delivers else None,
+        "mean_delay": sum(delays) / len(delays) if delays else None,
+        "rto_count": sum(1 for r in window if r.kind is TraceKind.RTO),
+        "retransmit_count": retx,
+        "delivered_count": len(delivers),
+    }
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(_RECORD, min_size=2, max_size=40),
+    st.sampled_from([0, 1]),
+    st.one_of(_TIME, st.just(1.25)),
+)
+def test_summarize_matches_recount(raw, flow_id, warmup):
+    trace = RunTrace()
+    for time, kind, flow, seq, value in sorted(raw, key=lambda r: r[0]):
+        trace.add(time, kind, flow, seq, value)
+    got = summarize(trace, flow_id, warmup=warmup)
+    want = _recount(trace.records, flow_id, warmup)
+    for name, value in want.items():
+        if name == "mean_delay" and value is not None:
+            assert got.mean_delay == pytest.approx(value, rel=1e-12, abs=0.0)
+        else:
+            assert getattr(got, name) == value, name
