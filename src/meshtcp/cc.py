@@ -17,8 +17,8 @@ and in what they do when a retransmission itself is lost:
 * ``vegas``   -- Reno recovery plus RTT-based window adjustment in CA.
 
 Every operation is pure: it takes a ``CcVars`` value and returns a new one
-together with the actions the caller must carry out. Window arithmetic is
-done in whole segments so traces are integer-exact.
+together with the sequence numbers the caller must retransmit. Window
+arithmetic is done in whole segments so traces are integer-exact.
 """
 
 from __future__ import annotations
@@ -52,24 +52,6 @@ class CcPhase(Enum):
     SS = "SS"
     CA = "CA"
     FRR = "FRR"
-
-
-class ActionKind(Enum):
-    RETRANSMIT = "retransmit"
-    RESTART_RTO_TIMER = "restart_rto_timer"
-
-
-@dataclass(frozen=True)
-class CcAction:
-    kind: ActionKind
-    seq: int | None = None
-
-
-def _retransmit(seq: int) -> CcAction:
-    return CcAction(ActionKind.RETRANSMIT, seq=seq)
-
-
-_RESTART_TIMER = CcAction(ActionKind.RESTART_RTO_TIMER)
 
 
 @dataclass(frozen=True)
@@ -155,14 +137,14 @@ def on_new_ack(
     ack_seq: int,
     rtt_sample: float | None = None,
     sack_blocks: tuple[tuple[int, int], ...] = (),
-) -> tuple[CcVars, list[CcAction]]:
+) -> tuple[CcVars, list[int]]:
     """Process an advancing cumulative ACK."""
     if ack_seq <= cc.last_ack:
         raise ContractError(
             f"on_new_ack requires an advancing ACK: {ack_seq} <= {cc.last_ack}"
         )
     newly_acked = ack_seq - cc.last_ack
-    actions: list[CcAction] = []
+    retransmit: list[int] = []
 
     phase = cc.phase
     cwnd = cc.cwnd
@@ -200,10 +182,10 @@ def on_new_ack(
             if cc.flavor is Flavor.SACK:
                 hole = _lowest_hole(ack_seq, high_seq, scoreboard, sack_retx)
                 if hole is not None:
-                    actions.append(_retransmit(hole))
+                    retransmit.append(hole)
                     sack_retx = sack_retx | {hole}
             else:
-                actions.append(_retransmit(ack_seq))
+                retransmit.append(ack_seq)
             cwnd = max(cwnd - newly_acked + 1, 1)
             if cc.flavor is Flavor.SAC:
                 add_dupacks = 0
@@ -236,7 +218,7 @@ def on_new_ack(
         sack_scoreboard=scoreboard,
         sack_retx=sack_retx,
     )
-    return new, actions
+    return new, retransmit
 
 
 def on_dupack(
@@ -244,7 +226,7 @@ def on_dupack(
     ack_seq: int,
     high_sent: int,
     sack_blocks: tuple[tuple[int, int], ...] = (),
-) -> tuple[CcVars, list[CcAction]]:
+) -> tuple[CcVars, list[int]]:
     """Process a duplicate ACK (same cumulative value as the last one)."""
     if ack_seq != cc.last_ack:
         raise ContractError(
@@ -253,7 +235,7 @@ def on_dupack(
     if high_sent < ack_seq:
         raise ContractError(f"high_sent {high_sent} below ack {ack_seq}")
 
-    actions: list[CcAction] = []
+    retransmit: list[int] = []
     dupacks = cc.dupacks + 1
     phase = cc.phase
     cwnd = cc.cwnd
@@ -282,7 +264,7 @@ def on_dupack(
             if cc.flavor is Flavor.SACK:
                 sack_retx = frozenset({ack_seq})
             phase = CcPhase.FRR
-            actions.append(_retransmit(ack_seq))
+            retransmit.append(ack_seq)
     else:
         cwnd += 1  # window inflation: one segment has left the network
         if cc.flavor is Flavor.SAC:
@@ -290,14 +272,13 @@ def on_dupack(
             if rlp is not None and add_dupacks >= rlp - 1:
                 # Enough dupacks arrived to prove the retransmission was
                 # lost too; resend it now instead of waiting for the RTO.
-                actions.append(_retransmit(ack_seq))
+                retransmit.append(ack_seq)
                 cwnd = max(cwnd // 2, 1)
                 add_dupacks = 0
-                actions.append(_RESTART_TIMER)
         elif cc.flavor is Flavor.SACK:
             hole = _lowest_hole(ack_seq, high_seq, scoreboard, sack_retx)
             if hole is not None:
-                actions.append(_retransmit(hole))
+                retransmit.append(hole)
                 sack_retx = sack_retx | {hole}
 
     new = replace(
@@ -313,14 +294,13 @@ def on_dupack(
         sack_scoreboard=scoreboard,
         sack_retx=sack_retx,
     )
-    return new, actions
+    return new, retransmit
 
 
-def on_timeout(cc: CcVars, high_sent: int) -> tuple[CcVars, list[CcAction]]:
+def on_timeout(cc: CcVars, high_sent: int) -> tuple[CcVars, list[int]]:
     """Retransmission timeout: collapse to one segment and restart slow start."""
     flight = high_sent - cc.last_ack
     ssthresh = max(flight // 2, MIN_SSTHRESH)
-    actions = [_retransmit(cc.last_ack)]
     new = replace(
         cc,
         phase=CcPhase.SS,
@@ -333,7 +313,7 @@ def on_timeout(cc: CcVars, high_sent: int) -> tuple[CcVars, list[CcAction]]:
         ca_accumulator=0,
         sack_retx=frozenset(),
     )
-    return new, actions
+    return new, [cc.last_ack]
 
 
 def effective_window(cc: CcVars, receiver_window: int) -> int:

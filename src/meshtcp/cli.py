@@ -106,14 +106,17 @@ def _flavor(name: str) -> Flavor:
 
 def _outdir(args: argparse.Namespace) -> Path:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out}: {exc}") from None
     return out
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
     spec = _load_spec(args)
-    rows = run_experiment(spec)
     out = _outdir(args)
+    rows = run_experiment(spec)
     (out / "results.csv").write_text(emit_csv(rows))
     return EXIT_OK
 
@@ -130,8 +133,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             f"trace runs one loss rate but the config lists {len(spec.loss_rates)}; "
             "pick one with --override loss_rates=<rate>"
         )
-    trace, _ = run_single(spec, flavor, args.hops, spec.loss_rates[0], args.seed)
     out = _outdir(args)
+    trace, _ = run_single(spec, flavor, args.hops, spec.loss_rates[0], args.seed)
     (out / "trace.tsv").write_text(trace.export())
     cwnd_lines = [
         f"{r.time:.9f}\t{r.value}"
@@ -146,6 +149,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     spec = _load_spec(args)
     baseline = _flavor(args.baseline)
     candidate = _flavor(args.candidate)
+    out = _outdir(args)
     # both sweeps visit the (hops, loss_rate, seed) points in the same order
     pairs = list(
         zip(
@@ -155,7 +159,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     )
     if any(row.throughput is None for pair in pairs for row in pair):
         raise ConfigError("comparison undefined: a run produced no measurable throughput")
-    out = _outdir(args)
     lines = [
         "hops,loss_rate,seed,baseline_throughput,candidate_throughput,"
         "throughput_delta,baseline_rto_count,candidate_rto_count,rto_count_delta"

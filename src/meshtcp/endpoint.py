@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from . import cc as cc_ops
-from .cc import ActionKind, CcVars, Flavor, effective_window, init_sender
+from .cc import CcVars, Flavor, effective_window, init_sender
 from .engine import RunTrace, TraceKind
 from .errors import ContractError
 
@@ -136,10 +136,6 @@ class SenderEndpoint:
             retx=retx,
         )
 
-    def _retransmission(self, seq: int) -> Segment:
-        self.retransmit_flags.add(seq)
-        return self._data_segment(seq, retx=True)
-
     def _rtt_sample(self, ack_seq: int, now: float) -> float | None:
         """Karn's rule: never sample a segment that was retransmitted."""
         seq = ack_seq - 1
@@ -169,17 +165,13 @@ class SenderEndpoint:
             self._arm_timer(now + self.rtt_est.rto)
         return out
 
-    def _apply_actions(self, actions, now: float) -> list[Segment]:
-        out: list[Segment] = []
-        for action in actions:
-            if action.kind is ActionKind.RETRANSMIT:
-                out.append(self._retransmission(action.seq))
-                # classic single-timer behavior: sending a retransmission
-                # restarts the clock covering the oldest outstanding segment
-                self._arm_timer(now + self.rtt_est.rto)
-            elif action.kind is ActionKind.RESTART_RTO_TIMER:
-                self._arm_timer(now + self.rtt_est.rto)
-        return out
+    def _retransmit(self, seqs: list[int], now: float) -> list[Segment]:
+        if seqs:
+            self.retransmit_flags.update(seqs)
+            # classic single-timer behavior: sending a retransmission
+            # restarts the clock covering the oldest outstanding segment
+            self._arm_timer(now + self.rtt_est.rto)
+        return [self._data_segment(seq, retx=True) for seq in seqs]
 
     def on_ack_segment(self, ack: Segment, now: float) -> list[Segment]:
         """Classify an arriving ACK, run the congestion machine, and return
@@ -192,14 +184,14 @@ class SenderEndpoint:
 
         blocks = ack.sack if self.cc.flavor is Flavor.SACK else ()
         if ack.seq == self.cc.last_ack:
-            self.cc, actions = cc_ops.on_dupack(
+            self.cc, retransmit = cc_ops.on_dupack(
                 self.cc, ack.seq, self.high_sent, sack_blocks=blocks
             )
         else:
             sample = self._rtt_sample(ack.seq, now)
             if sample is not None and sample > 0:
                 self.rtt_est.update(sample)
-            self.cc, actions = cc_ops.on_new_ack(
+            self.cc, retransmit = cc_ops.on_new_ack(
                 self.cc, ack.seq, sample, sack_blocks=blocks
             )
             self._prune_below(ack.seq)
@@ -208,7 +200,7 @@ class SenderEndpoint:
             else:
                 self._cancel_timer()
 
-        out = self._apply_actions(actions, now)
+        out = self._retransmit(retransmit, now)
         out.extend(self.fill_window(now))
         return out
 
@@ -220,8 +212,8 @@ class SenderEndpoint:
             return []
         self.rtt_est.back_off()
         self._record(now, TraceKind.RTO, self.cc.last_ack, self.rtt_est.rto)
-        self.cc, actions = cc_ops.on_timeout(self.cc, self.high_sent)
-        out = self._apply_actions(actions, now)
+        self.cc, retransmit = cc_ops.on_timeout(self.cc, self.high_sent)
+        out = self._retransmit(retransmit, now)
         self._arm_timer(now + self.rtt_est.rto)
         return out
 

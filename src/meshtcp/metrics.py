@@ -1,4 +1,4 @@
-"""Performance metrics computed from a run trace.
+"""Performance metrics computed from a run trace in one pass.
 
 ``throughput`` counts every data transmission (originals plus
 retransmissions) over the span between the first and last of them;
@@ -12,12 +12,16 @@ in the delay figure.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
-from .engine import RunTrace, TraceKind, TraceRecord
+from .engine import TraceKind, TraceRecord
 from .errors import MetricUndefinedError
 
 _DATA = "data"
-_TX_KINDS = (TraceKind.SEND, TraceKind.RETX)
+_SEND = TraceKind.SEND
+_RETX = TraceKind.RETX
+_DELIVER = TraceKind.DELIVER
+_RTO = TraceKind.RTO
 
 
 @dataclass(frozen=True)
@@ -31,118 +35,74 @@ class MetricsSummary:
     delivered_count: int
 
 
-def _records(trace: RunTrace | list[TraceRecord]) -> list[TraceRecord]:
-    return trace.records if isinstance(trace, RunTrace) else trace
-
-
-def _data_transmissions(records: list[TraceRecord], flow_id: int) -> list[TraceRecord]:
-    return [
-        r
-        for r in records
-        if r.flow_id == flow_id and r.value == _DATA and r.kind in _TX_KINDS
-    ]
-
-
-def _data_deliveries(records: list[TraceRecord], flow_id: int) -> list[TraceRecord]:
-    return [
-        r
-        for r in records
-        if r.flow_id == flow_id and r.value == _DATA and r.kind is TraceKind.DELIVER
-    ]
-
-
-def _send_span(records: list[TraceRecord], flow_id: int) -> float:
-    txs = _data_transmissions(records, flow_id)
-    if len(txs) < 2:
-        raise MetricUndefinedError("need at least two data transmissions")
-    span = txs[-1].time - txs[0].time
-    if span <= 0:
-        raise MetricUndefinedError("zero time span between first and last send")
-    return span
-
-
-def throughput(trace: RunTrace | list[TraceRecord], flow_id: int = 0) -> float:
-    """Data transmissions per second over the first-to-last send span."""
-    records = _records(trace)
-    return len(_data_transmissions(records, flow_id)) / _send_span(records, flow_id)
-
-
-def goodput(trace: RunTrace | list[TraceRecord], flow_id: int = 0) -> float:
-    """Distinct delivered segments per second over the same span."""
-    records = _records(trace)
-    span = _send_span(records, flow_id)
-    distinct = {r.seq for r in _data_deliveries(records, flow_id)}
-    return len(distinct) / span
-
-
-def packet_loss_rate(trace: RunTrace | list[TraceRecord], flow_id: int = 0) -> float:
-    """Retransmitted data packets divided by received data packets."""
-    records = _records(trace)
-    delivered = len(_data_deliveries(records, flow_id))
-    if delivered == 0:
-        raise MetricUndefinedError("no data deliveries")
-    retx = sum(
-        1
-        for r in records
-        if r.flow_id == flow_id and r.kind is TraceKind.RETX and r.value == _DATA
-    )
-    return retx / delivered
-
-
-def mean_delay(trace: RunTrace | list[TraceRecord], flow_id: int = 0) -> float:
-    """Mean first-transmission to first-delivery latency per segment."""
-    records = _records(trace)
-    first_sent: dict[int, float] = {}
-    first_delivered: dict[int, float] = {}
-    for r in records:
-        if r.flow_id != flow_id or r.value != _DATA:
-            continue
-        if r.kind in _TX_KINDS and r.seq not in first_sent:
-            first_sent[r.seq] = r.time
-        elif r.kind is TraceKind.DELIVER and r.seq not in first_delivered:
-            first_delivered[r.seq] = r.time
-    delays = [
-        t - first_sent[seq]
-        for seq, t in first_delivered.items()
-        if seq in first_sent
-    ]
-    if not delays:
-        raise MetricUndefinedError("no data deliveries")
-    return sum(delays) / len(delays)
-
-
 def summarize(
-    trace: RunTrace | list[TraceRecord],
+    trace: Iterable[TraceRecord],
     flow_id: int = 0,
     *,
     warmup: float = 0.0,
 ) -> MetricsSummary:
-    """All metrics for one flow; metrics without a defined value are None."""
-    records = _records(trace)
-    if warmup > 0:
-        records = [r for r in records if r.time >= warmup]
+    """All metrics for one flow over records at or after ``warmup``;
+    metrics without a defined value are None."""
+    tx_count = retx_count = delivered = rtos = 0
+    first_tx = last_tx = 0.0
+    first_sent: dict[int, float] = {}
+    first_delivered: dict[int, float] = {}
+    for time, kind, flow, seq, value in trace:
+        if flow != flow_id or time < warmup:
+            continue
+        if kind is _RTO:
+            rtos += 1
+        elif value != _DATA:
+            continue
+        elif kind is _SEND or kind is _RETX:
+            if not tx_count:
+                first_tx = time
+            last_tx = time
+            tx_count += 1
+            if kind is _RETX:
+                retx_count += 1
+            if seq not in first_sent:
+                first_sent[seq] = time
+        elif kind is _DELIVER:
+            delivered += 1
+            if seq not in first_delivered:
+                first_delivered[seq] = time
 
-    def _maybe(fn):
-        try:
-            return fn(records, flow_id)
-        except MetricUndefinedError:
-            return None
-
-    rto_count = sum(
-        1 for r in records if r.flow_id == flow_id and r.kind is TraceKind.RTO
-    )
-    retransmit_count = sum(
-        1
-        for r in records
-        if r.flow_id == flow_id and r.kind is TraceKind.RETX and r.value == _DATA
-    )
-    delivered_count = len(_data_deliveries(records, flow_id))
+    span = last_tx - first_tx if tx_count >= 2 else 0.0
+    delays = [t - first_sent[s] for s, t in first_delivered.items() if s in first_sent]
     return MetricsSummary(
-        throughput=_maybe(throughput),
-        goodput=_maybe(goodput),
-        plr=_maybe(packet_loss_rate),
-        mean_delay=_maybe(mean_delay),
-        rto_count=rto_count,
-        retransmit_count=retransmit_count,
-        delivered_count=delivered_count,
+        throughput=tx_count / span if span > 0 else None,
+        goodput=len(first_delivered) / span if span > 0 else None,
+        plr=retx_count / delivered if delivered else None,
+        mean_delay=sum(delays) / len(delays) if delays else None,
+        rto_count=rtos,
+        retransmit_count=retx_count,
+        delivered_count=delivered,
     )
+
+
+def _defined(trace: Iterable[TraceRecord], flow_id: int, name: str) -> float:
+    value = getattr(summarize(trace, flow_id), name)
+    if value is None:
+        raise MetricUndefinedError(f"{name} is undefined for flow {flow_id}")
+    return value
+
+
+def throughput(trace: Iterable[TraceRecord], flow_id: int = 0) -> float:
+    """Data transmissions per second over the first-to-last send span."""
+    return _defined(trace, flow_id, "throughput")
+
+
+def goodput(trace: Iterable[TraceRecord], flow_id: int = 0) -> float:
+    """Distinct delivered segments per second over the same span."""
+    return _defined(trace, flow_id, "goodput")
+
+
+def packet_loss_rate(trace: Iterable[TraceRecord], flow_id: int = 0) -> float:
+    """Retransmitted data packets divided by received data packets."""
+    return _defined(trace, flow_id, "plr")
+
+
+def mean_delay(trace: Iterable[TraceRecord], flow_id: int = 0) -> float:
+    """Mean first-transmission to first-delivery latency per segment."""
+    return _defined(trace, flow_id, "mean_delay")

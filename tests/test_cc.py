@@ -5,7 +5,6 @@ import pytest
 from meshtcp.cc import (
     CcPhase,
     CcVars,
-    ActionKind,
     Flavor,
     effective_window,
     init_sender,
@@ -24,10 +23,6 @@ LEGAL_EDGES = {
     (CcPhase.CA, CcPhase.SS),
     (CcPhase.FRR, CcPhase.SS),
 }
-
-
-def retransmit_seqs(actions):
-    return [a.seq for a in actions if a.kind is ActionKind.RETRANSMIT]
 
 
 def test_init_sender_sac_1460():
@@ -54,10 +49,10 @@ def test_init_sender_rejects_oversized_mss():
 def test_new_ack_slow_start_growth():
     cc = init_sender(Flavor.NEWRENO, 1460)
     cc = CcVars(**{**cc.__dict__, "cwnd": 2, "last_ack": 5})
-    cc, actions = on_new_ack(cc, 6)
+    cc, retx = on_new_ack(cc, 6)
     assert cc.cwnd == 3
     assert cc.phase is CcPhase.SS
-    assert retransmit_seqs(actions) == []
+    assert retx == []
 
 
 def test_new_ack_slow_start_to_ca_crossing():
@@ -84,7 +79,7 @@ def test_new_ack_resets_dupack_counter():
 def test_new_ack_full_ack_exits_frr_to_ssthresh():
     cc = CcVars(flavor=Flavor.SAC, phase=CcPhase.FRR, cwnd=25, ssthresh=10,
                 last_ack=100, high_seq=120, rlp=20)
-    cc, actions = on_new_ack(cc, 121)
+    cc, retx = on_new_ack(cc, 121)
     assert cc.phase is CcPhase.CA
     assert cc.cwnd == 10
     assert cc.high_seq is None
@@ -94,9 +89,9 @@ def test_new_ack_full_ack_exits_frr_to_ssthresh():
 def test_new_ack_partial_newreno_stays_and_retransmits():
     cc = CcVars(flavor=Flavor.NEWRENO, phase=CcPhase.FRR, cwnd=14, ssthresh=5,
                 last_ack=10, high_seq=21)
-    cc, actions = on_new_ack(cc, 12)
+    cc, retx = on_new_ack(cc, 12)
     assert cc.phase is CcPhase.FRR
-    assert retransmit_seqs(actions) == [12]
+    assert retx == [12]
     # deflated by newly acked (2) then re-inflated by 1
     assert cc.cwnd == 13
 
@@ -104,19 +99,19 @@ def test_new_ack_partial_newreno_stays_and_retransmits():
 def test_new_ack_partial_sac_resets_add_dupacks():
     cc = CcVars(flavor=Flavor.SAC, phase=CcPhase.FRR, cwnd=14, ssthresh=5,
                 last_ack=10, high_seq=21, rlp=11, add_dupacks=6)
-    cc, actions = on_new_ack(cc, 12)
+    cc, retx = on_new_ack(cc, 12)
     assert cc.phase is CcPhase.FRR
     assert cc.add_dupacks == 0
-    assert retransmit_seqs(actions) == [12]
+    assert retx == [12]
 
 
 def test_new_ack_partial_reno_exits_immediately():
     cc = CcVars(flavor=Flavor.RENO, phase=CcPhase.FRR, cwnd=14, ssthresh=5,
                 last_ack=10, high_seq=21)
-    cc, actions = on_new_ack(cc, 12)
+    cc, retx = on_new_ack(cc, 12)
     assert cc.phase is CcPhase.CA
     assert cc.cwnd == 5
-    assert retransmit_seqs(actions) == []
+    assert retx == []
 
 
 def test_reno_newreno_diverge_exactly_at_partial_ack():
@@ -147,42 +142,41 @@ def test_reno_newreno_diverge_exactly_at_partial_ack():
 def test_dupack_third_enters_frr_with_sac_bookkeeping():
     cc = CcVars(flavor=Flavor.SAC, phase=CcPhase.CA, cwnd=20, ssthresh=44,
                 last_ack=100, dupacks=2)
-    cc, actions = on_dupack(cc, 100, 120)
+    cc, retx = on_dupack(cc, 100, 120)
     assert cc.phase is CcPhase.FRR
     assert cc.ssthresh == 10
     assert cc.cwnd == 13
     assert cc.rlp == 20
     assert cc.add_dupacks == 0
     assert cc.high_seq == 120
-    assert retransmit_seqs(actions) == [100]
+    assert retx == [100]
 
 
 def test_dupack_below_threshold_only_counts():
     cc = CcVars(flavor=Flavor.NEWRENO, phase=CcPhase.CA, cwnd=20, ssthresh=44,
                 last_ack=100)
-    cc, actions = on_dupack(cc, 100, 120)
+    cc, retx = on_dupack(cc, 100, 120)
     assert cc.dupacks == 1
     assert cc.phase is CcPhase.CA
-    assert actions == []
+    assert retx == []
 
 
 def test_dupack_inflation_in_frr_newreno():
     cc = CcVars(flavor=Flavor.NEWRENO, phase=CcPhase.FRR, cwnd=13, ssthresh=10,
                 last_ack=100, high_seq=120, dupacks=3)
-    cc, actions = on_dupack(cc, 100, 120)
+    cc, retx = on_dupack(cc, 100, 120)
     assert cc.cwnd == 14
-    assert retransmit_seqs(actions) == []
+    assert retx == []
 
 
 def test_sac_second_retransmission_fires_at_rlp_minus_one():
     cc = CcVars(flavor=Flavor.SAC, phase=CcPhase.FRR, cwnd=24, ssthresh=10,
                 last_ack=100, high_seq=120, rlp=20, add_dupacks=18, dupacks=21)
-    cc, actions = on_dupack(cc, 100, 120)
-    assert retransmit_seqs(actions) == [100]
+    cc, retx = on_dupack(cc, 100, 120)
+    assert retx == [100]
     assert cc.cwnd == 12            # inflated to 25, then halved
     assert cc.ssthresh == 10        # pinned for the whole episode
     assert cc.add_dupacks == 0      # re-armed
-    assert any(a.kind is ActionKind.RESTART_RTO_TIMER for a in actions)
 
 
 def test_sac_second_retransmission_never_fires_early():
@@ -190,12 +184,12 @@ def test_sac_second_retransmission_never_fires_early():
     post-entry dupack and not one event sooner."""
     cc = CcVars(flavor=Flavor.SAC, phase=CcPhase.CA, cwnd=20, ssthresh=44,
                 last_ack=100, dupacks=2)
-    cc, actions = on_dupack(cc, 100, 120)   # enters FRR, rlp = 20
+    cc, retx = on_dupack(cc, 100, 120)   # enters FRR, rlp = 20
     assert cc.rlp == 20
     fired_at = None
     for k in range(1, 20):
-        cc, actions = on_dupack(cc, 100, 120)
-        if retransmit_seqs(actions):
+        cc, retx = on_dupack(cc, 100, 120)
+        if retx:
             fired_at = k
             break
     assert fired_at == cc.rlp - 1 == 19
@@ -218,9 +212,9 @@ def test_sac_ssthresh_pinned_across_episode():
 def test_dupack_with_nothing_outstanding_cannot_enter_frr():
     cc = CcVars(flavor=Flavor.NEWRENO, phase=CcPhase.CA, cwnd=4, ssthresh=44,
                 last_ack=100, dupacks=2)
-    cc, actions = on_dupack(cc, 100, 100)
+    cc, retx = on_dupack(cc, 100, 100)
     assert cc.phase is CcPhase.CA
-    assert actions == []
+    assert retx == []
 
 
 def test_dupack_contract_violations():
@@ -236,12 +230,12 @@ def test_dupack_contract_violations():
 def test_timeout_halves_flight_and_restarts_slow_start():
     cc = CcVars(flavor=Flavor.NEWRENO, phase=CcPhase.CA, cwnd=20, ssthresh=44,
                 last_ack=50)
-    cc, actions = on_timeout(cc, 70)
+    cc, retx = on_timeout(cc, 70)
     assert cc.cwnd == 1
     assert cc.ssthresh == 10
     assert cc.phase is CcPhase.SS
     assert cc.dupacks == 0
-    assert retransmit_seqs(actions) == [50]
+    assert retx == [50]
 
 
 def test_timeout_applies_to_sac_in_frr():
@@ -296,10 +290,10 @@ def test_vegas_tracks_base_rtt_minimum():
 def test_vegas_partial_ack_exits_like_reno():
     cc = CcVars(flavor=Flavor.VEGAS, phase=CcPhase.FRR, cwnd=14, ssthresh=5,
                 last_ack=10, high_seq=21)
-    cc, actions = on_new_ack(cc, 12)
+    cc, retx = on_new_ack(cc, 12)
     assert cc.phase is CcPhase.CA
     assert cc.cwnd == 5
-    assert retransmit_seqs(actions) == []
+    assert retx == []
 
 
 def test_sack_partial_ack_retransmits_next_hole():
@@ -307,24 +301,24 @@ def test_sack_partial_ack_retransmits_next_hole():
                 last_ack=10, high_seq=21,
                 sack_scoreboard=frozenset(range(13, 20)),
                 sack_retx=frozenset({10}))
-    cc, actions = on_new_ack(cc, 12)
+    cc, retx = on_new_ack(cc, 12)
     assert cc.phase is CcPhase.FRR
-    assert retransmit_seqs(actions) == [12]
+    assert retx == [12]
     assert 12 in cc.sack_retx
 
 
 def test_sack_scoreboard_drives_hole_retransmissions_once():
     cc = CcVars(flavor=Flavor.SACK, phase=CcPhase.CA, cwnd=20, ssthresh=44,
                 last_ack=10, dupacks=2)
-    cc, actions = on_dupack(cc, 10, 21, sack_blocks=((11, 14),))
+    cc, retx = on_dupack(cc, 10, 21, sack_blocks=((11, 14),))
     assert cc.phase is CcPhase.FRR
-    assert retransmit_seqs(actions) == [10]
+    assert retx == [10]
     # dupack reporting a later block exposes the hole at 14
-    cc, actions = on_dupack(cc, 10, 21, sack_blocks=((15, 17),))
-    assert retransmit_seqs(actions) == [14]
+    cc, retx = on_dupack(cc, 10, 21, sack_blocks=((15, 17),))
+    assert retx == [14]
     # the same hole is not retransmitted twice in one episode
-    cc, actions = on_dupack(cc, 10, 21, sack_blocks=((15, 18),))
-    assert retransmit_seqs(actions) == []
+    cc, retx = on_dupack(cc, 10, 21, sack_blocks=((15, 18),))
+    assert retx == []
 
 
 def test_purity_same_inputs_same_outputs():

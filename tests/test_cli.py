@@ -2,6 +2,7 @@ from pathlib import Path
 
 import pytest
 
+from meshtcp import cli
 from meshtcp.cli import main
 
 LOSS_SWEEP = str(Path(__file__).resolve().parent.parent / "configs" / "loss_sweep.cfg")
@@ -115,6 +116,7 @@ def test_trace_rejects_bad_flavor_and_hops(tmp_path):
                  "--seed", "1", "--out", out]) == 2
     assert main(["trace", "--config", cfg, "--flavor", "sac", "--hops", "7",
                  "--seed", "1", "--out", out]) == 2
+    assert not (tmp_path / "t").exists()  # rejected before --out is created
 
 
 def test_trace_needs_exactly_one_loss_rate(tmp_path, capsys):
@@ -158,3 +160,25 @@ def test_usage_error_exits_2(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["run"])  # missing required flags
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run"],
+        ["trace", "--flavor", "sac", "--hops", "1", "--seed", "1"],
+        ["compare", "--baseline", "newreno", "--candidate", "sac"],
+    ],
+)
+def test_unusable_out_exits_2_before_any_run(tmp_path, capsys, monkeypatch, argv):
+    def no_run(*args, **kwargs):
+        raise AssertionError("ran a sweep point before creating --out")
+
+    monkeypatch.setattr(cli, "run_experiment", no_run)
+    monkeypatch.setattr(cli, "run_single", no_run)
+    blocker = tmp_path / "taken"
+    blocker.write_text("")
+    cfg = write(tmp_path, GOOD)
+    assert main(argv + ["--config", cfg, "--out", str(blocker)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and str(blocker) in err

@@ -130,6 +130,19 @@ class TestSenderAckHandling:
         assert out[0].retx and out[0].seq == 0
         assert s.cc.phase is CcPhase.FRR
 
+    def test_sac_second_retransmission_restarts_timer(self):
+        s = make_sender(Flavor.SAC)
+        s.cc = s.cc.__class__(**{**s.cc.__dict__, "cwnd": 20})
+        s.fill_window(0.0)
+        for k in range(3):  # the third dupack enters FRR with rlp = 20
+            s.on_ack_segment(ack_segment(0), 0.1 + k * 0.01)
+        assert s.cc.rlp == 20
+        for k in range(s.cc.rlp - 1):
+            now = 0.2 + k * 0.01
+            out = s.on_ack_segment(ack_segment(0), now)
+        assert out[0].retx and out[0].seq == 0
+        assert s.rto_deadline == now + s.rtt_est.rto
+
     def test_timer_cancelled_when_everything_acked(self):
         s = make_sender(app_limit=1)
         s.fill_window(0.0)

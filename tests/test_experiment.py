@@ -212,3 +212,15 @@ class TestNumericKeys:
         text, lineno = config_with(key, BELOW_BOUND[key])
         with pytest.raises(ConfigError, match=f"line {lineno}: {key} must be >"):
             load_config(text)
+
+
+@pytest.mark.parametrize(
+    "raw, ok", [("63", False), ("64", True), ("65535", True), ("65536", False)]
+)
+def test_mss_bytes_range_matches_sender(raw, ok):
+    text, lineno = config_with("mss_bytes", raw)
+    if ok:
+        assert load_config(text).mss_bytes == int(raw)
+    else:
+        with pytest.raises(ConfigError, match=f"line {lineno}: mss_bytes must be"):
+            load_config(text)
