@@ -33,26 +33,25 @@ from .world import FlowConfig, MeshWorld
 from .endpoint import DEFAULT_RTO_MAX_S, DEFAULT_RTO_MIN_S
 
 _REQUIRED_KEYS = ("flavors", "hops", "loss_rates", "seeds", "duration")
-# key: (ExperimentSpec field, value type, lower bound, lower bound is strict,
-# upper bound, comma-separated list). Keys are parsed, and errors raised, in
-# this order.
-_SCHEMA: dict[str, tuple[str, type, float | None, bool, int | None, bool]] = {
-    "flavors": ("flavors", Flavor, None, False, None, True),
-    "hops": ("hop_counts", int, 1, False, None, True),
-    "loss_rates": ("loss_rates", float, 0.0, False, None, True),
-    "seeds": ("seeds", int, None, False, None, True),
-    "duration": ("duration", float, 0.0, True, None, False),
-    "bandwidth_bps": ("bandwidth_bps", float, 0.0, True, None, False),
-    "prop_delay_s": ("prop_delay_s", float, 0.0, False, None, False),
-    "queue_capacity": ("queue_capacity", int, 1, False, None, False),
-    "mss_bytes": ("mss_bytes", int, MSS_MIN_BYTES, False, MSS_MAX_BYTES, False),
-    "ack_bytes": ("ack_bytes", int, 1, False, None, False),
-    "interference_range": ("interference_range", int, 0, False, None, False),
-    "rto_min_s": ("rto_min_s", float, 0.0, True, None, False),
-    "rto_max_s": ("rto_max_s", float, 0.0, True, None, False),
-    "app_limit": ("app_limit", int, 1, False, None, False),
-    "scripted_drops": ("scripted_drops", DropDirective, None, False, None, False),
-    "warmup_s": ("warmup_s", float, 0.0, False, None, False),
+# key: (ExperimentSpec field, value type, lower bound, bound is strict,
+# comma-separated list). Keys are parsed, and errors raised, in this order.
+_SCHEMA: dict[str, tuple[str, type, float | None, bool, bool]] = {
+    "flavors": ("flavors", Flavor, None, False, True),
+    "hops": ("hop_counts", int, 1, False, True),
+    "loss_rates": ("loss_rates", float, 0.0, False, True),
+    "seeds": ("seeds", int, None, False, True),
+    "duration": ("duration", float, 0.0, True, False),
+    "bandwidth_bps": ("bandwidth_bps", float, 0.0, True, False),
+    "prop_delay_s": ("prop_delay_s", float, 0.0, False, False),
+    "queue_capacity": ("queue_capacity", int, 1, False, False),
+    "mss_bytes": ("mss_bytes", int, MSS_MIN_BYTES, False, False),
+    "ack_bytes": ("ack_bytes", int, 1, False, False),
+    "interference_range": ("interference_range", int, 0, False, False),
+    "rto_min_s": ("rto_min_s", float, 0.0, True, False),
+    "rto_max_s": ("rto_max_s", float, 0.0, True, False),
+    "app_limit": ("app_limit", int, 1, False, False),
+    "scripted_drops": ("scripted_drops", DropDirective, None, False, False),
+    "warmup_s": ("warmup_s", float, 0.0, False, False),
 }
 
 CSV_HEADER = (
@@ -142,10 +141,8 @@ def _parse_value(
     kind: type,
     minimum: float | None = None,
     strict: bool = False,
-    maximum: float | None = None,
 ):
-    """One value of type ``kind``, at least ``minimum`` (above it if strict)
-    and at most ``maximum``."""
+    """One value of type ``kind``, at least ``minimum`` (above it if strict)."""
     if kind is DropDirective:
         return _parse_scripted(raw, where)
     try:
@@ -159,8 +156,6 @@ def _parse_value(
     if minimum is not None and (value < minimum or (strict and value <= minimum)):
         op = ">" if strict else ">="
         raise ConfigError(f"{where}: {key} must be {op} {minimum}, got {value}")
-    if maximum is not None and value > maximum:
-        raise ConfigError(f"{where}: {key} must be <= {maximum}, got {value}")
     return value
 
 
@@ -195,19 +190,22 @@ def load_config(text: str, overrides: Mapping[str, str] | None = None) -> Experi
         raise ConfigError(f"missing required keys: {', '.join(missing)}")
 
     fields = {}
-    for key, (field, kind, minimum, strict, maximum, is_list) in _SCHEMA.items():
+    for key, (field, kind, minimum, strict, is_list) in _SCHEMA.items():
         if key not in mapping:
             continue
         raw, where = mapping[key]
         if key == "app_limit" and raw == "unbounded":
             continue
         items = _split_list(raw, where, key) if is_list else [raw]
-        values = tuple(
-            _parse_value(v, where, key, kind, minimum, strict, maximum) for v in items
-        )
+        values = tuple(_parse_value(v, where, key, kind, minimum, strict) for v in items)
         fields[field] = values if is_list else values[0]
     spec = ExperimentSpec(**fields)
 
+    if spec.mss_bytes > MSS_MAX_BYTES:
+        where = mapping["mss_bytes"][1]
+        raise ConfigError(
+            f"{where}: mss_bytes must be <= {MSS_MAX_BYTES}, got {spec.mss_bytes}"
+        )
     if spec.rto_max_s < spec.rto_min_s:
         raise ConfigError("rto_max_s must be >= rto_min_s")
     if spec.warmup_s >= spec.duration:
