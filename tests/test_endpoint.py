@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meshtcp.cc import CcPhase, Flavor
 from meshtcp.endpoint import (
@@ -237,3 +239,53 @@ class TestReceiver:
         # block containing the triggering segment comes first
         assert ack.sack[0] == (2, 4)
         assert len(ack.sack) == 3
+
+
+_ACK_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["new", "dup", "rto", "stale"]),
+        st.floats(0.0, 1.0),
+        st.floats(0.0, 1.0),
+        st.floats(0.001, 0.5),
+    ),
+    max_size=60,
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(flavor=st.sampled_from(list(Flavor)), ops=_ACK_OPS)
+def test_ack_path_keeps_exactly_the_unacked_send_state(flavor, ops):
+    """After every ACK or RTO, send_timestamps/retransmit_flags hold exactly
+    what a filter over everything recorded so far keeps: the seqs at or
+    above cc.last_ack."""
+    s = make_sender(flavor)
+    now = 0.0
+    sent_at: dict[int, float] = {}
+    retransmitted: set[int] = set()
+
+    def record(segments):
+        for seg in segments:
+            if seg.retx:
+                retransmitted.add(seg.seq)
+            else:
+                sent_at[seg.seq] = now
+
+    record(s.fill_window(now))
+    for op, a, b, dt in ops:
+        now += dt
+        last, high = s.cc.last_ack, s.high_sent
+        if op == "new" and high > last:
+            out = s.on_ack_segment(ack_segment(last + 1 + int(a * (high - last - 1))), now)
+        elif op == "dup":
+            lo = last + 1 + int(a * max(high - last - 1, 0))
+            block = [(lo, lo + 1 + int(b * max(high - lo - 1, 0)))] if lo < high else []
+            out = s.on_ack_segment(ack_segment(last, sack=block), now)
+        elif op == "stale" and last > 0:
+            out = s.on_ack_segment(ack_segment(int(a * (last - 1))), now)
+        else:
+            out = s.on_rto(now)
+        record(out)
+        ack = s.cc.last_ack
+        assert s.send_timestamps == {q: t for q, t in sent_at.items() if q >= ack}
+        assert s.retransmit_flags == {q for q in retransmitted if q >= ack}
+        assert set(s.send_timestamps) == set(range(ack, s.high_sent))

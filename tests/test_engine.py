@@ -108,3 +108,23 @@ def test_run_until_is_deterministic():
 def test_trace_times_never_exceed_t_end():
     trace = run_until(_one_hop_world(), 1.5)
     assert max(r.time for r in trace) <= 1.5
+
+
+class _PastPushingWorld:
+    """Stub world whose handler schedules an event before the clock."""
+
+    def __init__(self):
+        self.clock = 0.0
+        self.events = EventQueue()
+        self.trace = RunTrace()
+        self.events.push(1.0, EventKind.APP_TICK, None)
+
+    def handle(self, time, kind, payload):
+        self.events.push(time - 0.5, EventKind.APP_TICK, None)
+
+
+def test_run_until_rejects_events_scheduled_in_the_past():
+    world = _PastPushingWorld()
+    with pytest.raises(ContractError, match=r"dispatch failed at t=1\.000000000 .*in the past"):
+        run_until(world, 5.0)
+    assert world.clock == 1.0

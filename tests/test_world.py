@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -114,3 +115,49 @@ def test_fuzz_invariants_random_configurations():
         check_window_discipline(trace)
         check_conservation(world, trace)
         check_group_exclusivity(world)
+
+
+# Events handled per kind, frozen from the simulator before the per-event
+# path was rewritten. MeshWorld.handle is wrapped on the class, as the
+# benchmark's counting pass does, so this also pins it as the one dispatch
+# entry: an event delivered any other way would go uncounted.
+EVENT_COUNTS = {
+    (Flavor.SAC, 4, 1.0, 7): {
+        "app_tick": 1, "channel_free": 4365, "segment_arrival": 4354, "timer_expiry": 443,
+    },
+    (Flavor.NEWRENO, 4, 1.0, 7): {
+        "app_tick": 1, "channel_free": 4365, "segment_arrival": 4354, "timer_expiry": 443,
+    },
+    (Flavor.RENO, 4, 1.0, 7): {
+        "app_tick": 1, "channel_free": 3842, "segment_arrival": 3833, "timer_expiry": 404,
+    },
+    (Flavor.SACK, 4, 1.0, 7): {
+        "app_tick": 1, "channel_free": 4388, "segment_arrival": 4379, "timer_expiry": 467,
+    },
+    (Flavor.VEGAS, 4, 1.0, 7): {
+        "app_tick": 1, "channel_free": 3836, "segment_arrival": 3827, "timer_expiry": 444,
+    },
+    (Flavor.NEWRENO, 12, 0.2, 3): {
+        "app_tick": 1, "channel_free": 12723, "segment_arrival": 12716, "timer_expiry": 415,
+    },
+    (Flavor.SAC, 12, 0.2, 3): {
+        "app_tick": 1, "channel_free": 12723, "segment_arrival": 12716, "timer_expiry": 415,
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "point", list(EVENT_COUNTS), ids=lambda p: f"{p[0].value}-{p[1]}hops-loss{p[2]}-seed{p[3]}"
+)
+def test_event_counts_per_kind_are_locked(monkeypatch, point):
+    flavor, hops, rate, seed = point
+    counts = Counter()
+    handle = MeshWorld.handle
+
+    def counted(self, time, kind, payload):
+        counts[kind.value] += 1
+        return handle(self, time, kind, payload)
+
+    monkeypatch.setattr(MeshWorld, "handle", counted)
+    run_world(flavor, hops=hops, seed=seed, duration=10.0, link=LinkModel(loss_rate=rate))
+    assert dict(counts) == EVENT_COUNTS[point]
