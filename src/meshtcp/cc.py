@@ -23,7 +23,7 @@ arithmetic is done in whole segments so traces are integer-exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
 
@@ -78,6 +78,10 @@ class CcVars:
     vegas_last_rtt: float | None = None
     sack_scoreboard: frozenset[int] = frozenset()
     sack_retx: frozenset[int] = frozenset()
+
+
+_SS, _CA, _FRR = CcPhase.SS, CcPhase.CA, CcPhase.FRR
+_SAC, _RENO, _SACK, _VEGAS = Flavor.SAC, Flavor.RENO, Flavor.SACK, Flavor.VEGAS
 
 
 def init_sender(flavor: Flavor, mss_bytes: int) -> CcVars:
@@ -157,7 +161,7 @@ def on_new_ack(
     base_rtt = cc.vegas_base_rtt
     last_rtt = cc.vegas_last_rtt
 
-    if cc.flavor is Flavor.SACK:
+    if cc.flavor is _SACK:
         scoreboard = _merged_scoreboard(scoreboard, sack_blocks, ack_seq)
         sack_retx = frozenset(s for s in sack_retx if s >= ack_seq)
 
@@ -165,12 +169,12 @@ def on_new_ack(
         base_rtt = rtt_sample if base_rtt is None else min(base_rtt, rtt_sample)
         last_rtt = rtt_sample
 
-    if phase is CcPhase.FRR:
+    if phase is _FRR:
         full_ack = high_seq is not None and ack_seq >= high_seq
-        if full_ack or cc.flavor in (Flavor.RENO, Flavor.VEGAS):
+        if full_ack or cc.flavor in (_RENO, _VEGAS):
             # The recovery point is covered, or the flavor is Reno-style
             # and any advancing ACK ends recovery.
-            phase = CcPhase.CA
+            phase = _CA
             cwnd = cc.ssthresh
             high_seq = None
             rlp = None
@@ -179,7 +183,7 @@ def on_new_ack(
             sack_retx = frozenset()
         else:
             # Partial ACK: plug the next hole, deflate, stay in recovery.
-            if cc.flavor is Flavor.SACK:
+            if cc.flavor is _SACK:
                 hole = _lowest_hole(ack_seq, high_seq, scoreboard, sack_retx)
                 if hole is not None:
                     retransmit.append(hole)
@@ -187,36 +191,27 @@ def on_new_ack(
             else:
                 retransmit.append(ack_seq)
             cwnd = max(cwnd - newly_acked + 1, 1)
-            if cc.flavor is Flavor.SAC:
+            if cc.flavor is _SAC:
                 add_dupacks = 0
-    elif phase is CcPhase.SS:
+    elif phase is _SS:
         cwnd += 1
         if cwnd > cc.ssthresh:
-            phase = CcPhase.CA
+            phase = _CA
             acc = 0
     else:  # CA
         acc += 1
         if acc >= cwnd:
             acc = 0
-            if cc.flavor is Flavor.VEGAS:
+            if cc.flavor is _VEGAS:
                 cwnd = _vegas_adjust(cwnd, base_rtt, last_rtt)
             else:
                 cwnd += 1
 
-    new = replace(
-        cc,
-        phase=phase,
-        cwnd=cwnd,
-        last_ack=ack_seq,
-        high_seq=high_seq,
-        rlp=rlp,
-        dupacks=0,
-        add_dupacks=add_dupacks,
-        ca_accumulator=acc,
-        vegas_base_rtt=base_rtt,
-        vegas_last_rtt=last_rtt,
-        sack_scoreboard=scoreboard,
-        sack_retx=sack_retx,
+    new = CcVars(
+        cc.flavor, phase, cwnd, cc.ssthresh, last_ack=ack_seq, high_seq=high_seq,
+        rlp=rlp, dupacks=0, add_dupacks=add_dupacks, ca_accumulator=acc,
+        vegas_base_rtt=base_rtt, vegas_last_rtt=last_rtt,
+        sack_scoreboard=scoreboard, sack_retx=sack_retx,
     )
     return new, retransmit
 
@@ -247,10 +242,10 @@ def on_dupack(
     scoreboard = cc.sack_scoreboard
     sack_retx = cc.sack_retx
 
-    if cc.flavor is Flavor.SACK:
+    if cc.flavor is _SACK:
         scoreboard = _merged_scoreboard(scoreboard, sack_blocks, ack_seq)
 
-    if phase is not CcPhase.FRR:
+    if phase is not _FRR:
         # A dupack can only trigger recovery when something is in flight.
         if dupacks == DUPACK_THRESHOLD and high_sent > ack_seq:
             flight = high_sent - ack_seq
@@ -258,16 +253,16 @@ def on_dupack(
             ssthresh = max(flight // 2, MIN_SSTHRESH)
             cwnd = ssthresh + DUPACK_THRESHOLD
             acc = 0
-            if cc.flavor is Flavor.SAC:
+            if cc.flavor is _SAC:
                 rlp = flight
                 add_dupacks = 0
-            if cc.flavor is Flavor.SACK:
+            if cc.flavor is _SACK:
                 sack_retx = frozenset({ack_seq})
-            phase = CcPhase.FRR
+            phase = _FRR
             retransmit.append(ack_seq)
     else:
         cwnd += 1  # window inflation: one segment has left the network
-        if cc.flavor is Flavor.SAC:
+        if cc.flavor is _SAC:
             add_dupacks += 1
             if rlp is not None and add_dupacks >= rlp - 1:
                 # Enough dupacks arrived to prove the retransmission was
@@ -275,24 +270,17 @@ def on_dupack(
                 retransmit.append(ack_seq)
                 cwnd = max(cwnd // 2, 1)
                 add_dupacks = 0
-        elif cc.flavor is Flavor.SACK:
+        elif cc.flavor is _SACK:
             hole = _lowest_hole(ack_seq, high_seq, scoreboard, sack_retx)
             if hole is not None:
                 retransmit.append(hole)
                 sack_retx = sack_retx | {hole}
 
-    new = replace(
-        cc,
-        phase=phase,
-        cwnd=cwnd,
-        ssthresh=ssthresh,
-        high_seq=high_seq,
-        rlp=rlp,
-        dupacks=dupacks,
-        add_dupacks=add_dupacks,
-        ca_accumulator=acc,
-        sack_scoreboard=scoreboard,
-        sack_retx=sack_retx,
+    new = CcVars(
+        cc.flavor, phase, cwnd, ssthresh, last_ack=cc.last_ack, high_seq=high_seq,
+        rlp=rlp, dupacks=dupacks, add_dupacks=add_dupacks, ca_accumulator=acc,
+        vegas_base_rtt=cc.vegas_base_rtt, vegas_last_rtt=cc.vegas_last_rtt,
+        sack_scoreboard=scoreboard, sack_retx=sack_retx,
     )
     return new, retransmit
 
@@ -301,17 +289,11 @@ def on_timeout(cc: CcVars, high_sent: int) -> tuple[CcVars, list[int]]:
     """Retransmission timeout: collapse to one segment and restart slow start."""
     flight = high_sent - cc.last_ack
     ssthresh = max(flight // 2, MIN_SSTHRESH)
-    new = replace(
-        cc,
-        phase=CcPhase.SS,
-        cwnd=1,
-        ssthresh=ssthresh,
-        high_seq=None,
-        rlp=None,
-        dupacks=0,
-        add_dupacks=0,
-        ca_accumulator=0,
-        sack_retx=frozenset(),
+    # the recovery fields go back to their defaults
+    new = CcVars(
+        cc.flavor, CcPhase.SS, 1, ssthresh, last_ack=cc.last_ack,
+        vegas_base_rtt=cc.vegas_base_rtt, vegas_last_rtt=cc.vegas_last_rtt,
+        sack_scoreboard=cc.sack_scoreboard,
     )
     return new, [cc.last_ack]
 

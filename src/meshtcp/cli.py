@@ -6,8 +6,9 @@ baseline-vs-candidate comparison with the verdict in the exit code), and
 ``validate`` (config check only).
 
 Exit codes: 0 success, 1 internal contract violation, 2 configuration
-error, 3 compare verdict failure. Machine output goes to files under
-``--out``; diagnostics go to stderr.
+error, 3 compare verdict failure or no verdict (a run whose throughput is
+undefined). Machine output goes to files under ``--out``; diagnostics go
+to stderr.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from statistics import mean
 
 from .cc import Flavor
 from .engine import TraceKind
-from .errors import ConfigError, ContractError
+from .errors import ConfigError, ContractError, MetricUndefinedError
 from .experiment import (
     ExperimentSpec,
     emit_csv,
@@ -158,7 +159,9 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         )
     )
     if any(row.throughput is None for pair in pairs for row in pair):
-        raise ConfigError("comparison undefined: a run produced no measurable throughput")
+        raise MetricUndefinedError(
+            "comparison undefined: a run produced no measurable throughput"
+        )
     lines = [
         "hops,loss_rate,seed,baseline_throughput,candidate_throughput,"
         "throughput_delta,baseline_rto_count,candidate_rto_count,rto_count_delta"
@@ -210,6 +213,9 @@ def main(argv: list[str] | None = None) -> int:
     except ContractError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_CONTRACT
+    except MetricUndefinedError as exc:
+        print(f"no verdict: {exc}", file=sys.stderr)
+        return EXIT_VERDICT
 
 
 if __name__ == "__main__":

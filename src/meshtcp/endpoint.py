@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from . import cc as cc_ops
 from .cc import CcVars, Flavor, effective_window, init_sender
@@ -32,8 +33,11 @@ class SegmentKind(Enum):
     ACK = "ack"
 
 
-@dataclass(frozen=True)
-class Segment:
+_DATA, _ACK = SegmentKind.DATA, SegmentKind.ACK
+_SACK = Flavor.SACK
+
+
+class Segment(NamedTuple):
     """A simulated packet. For DATA, ``seq`` is the sequence number; for
     ACK it is the cumulative acknowledgment (next expected segment)."""
 
@@ -127,7 +131,7 @@ class SenderEndpoint:
 
     def _data_segment(self, seq: int, retx: bool) -> Segment:
         return Segment(
-            kind=SegmentKind.DATA,
+            kind=_DATA,
             flow_id=self.flow_id,
             seq=seq,
             size_bytes=self.mss_bytes,
@@ -146,9 +150,11 @@ class SenderEndpoint:
             return None
         return now - sent_at
 
-    def _prune_below(self, ack_seq: int) -> None:
-        self.send_timestamps = {s: t for s, t in self.send_timestamps.items() if s >= ack_seq}
-        self.retransmit_flags = {s for s in self.retransmit_flags if s >= ack_seq}
+    def _prune_below(self, old_ack: int, ack_seq: int) -> None:
+        """Forget the seqs an advancing ACK covered; every key is >= old_ack."""
+        for seq in range(old_ack, ack_seq):
+            self.send_timestamps.pop(seq, None)
+            self.retransmit_flags.discard(seq)
 
     def fill_window(self, now: float) -> list[Segment]:
         """Emit new data segments until the window or the app limit binds."""
@@ -176,14 +182,15 @@ class SenderEndpoint:
     def on_ack_segment(self, ack: Segment, now: float) -> list[Segment]:
         """Classify an arriving ACK, run the congestion machine, and return
         the segments to transmit (retransmissions first, then new data)."""
-        if ack.kind is not SegmentKind.ACK or ack.flow_id != self.flow_id:
+        if ack.kind is not _ACK or ack.flow_id != self.flow_id:
             raise ContractError("segment is not an ACK for this flow")
-        if ack.seq < self.cc.last_ack:
+        old_ack = self.cc.last_ack
+        if ack.seq < old_ack:
             self._record(now, TraceKind.STALE_ACK, ack.seq, "ack")
             return []
 
-        blocks = ack.sack if self.cc.flavor is Flavor.SACK else ()
-        if ack.seq == self.cc.last_ack:
+        blocks = ack.sack if self.cc.flavor is _SACK else ()
+        if ack.seq == old_ack:
             self.cc, retransmit = cc_ops.on_dupack(
                 self.cc, ack.seq, self.high_sent, sack_blocks=blocks
             )
@@ -194,7 +201,7 @@ class SenderEndpoint:
             self.cc, retransmit = cc_ops.on_new_ack(
                 self.cc, ack.seq, sample, sack_blocks=blocks
             )
-            self._prune_below(ack.seq)
+            self._prune_below(old_ack, ack.seq)
             if self.outstanding > 0:
                 self._arm_timer(now + self.rtt_est.rto)
             else:
@@ -249,7 +256,7 @@ class ReceiverEndpoint:
 
     def _ack(self, trigger: int | None) -> Segment:
         return Segment(
-            kind=SegmentKind.ACK,
+            kind=_ACK,
             flow_id=self.flow_id,
             seq=self.rcv_next,
             size_bytes=self.ack_bytes,
@@ -260,7 +267,7 @@ class ReceiverEndpoint:
 
     def on_data(self, seg: Segment, now: float) -> Segment:
         """Consume one data segment and produce the ACK for it."""
-        if seg.kind is not SegmentKind.DATA:
+        if seg.kind is not _DATA:
             raise ContractError("receiver got a non-data segment")
         if seg.seq == self.rcv_next:
             self.rcv_next += 1

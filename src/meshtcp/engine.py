@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import hashlib
 import heapq
+import itertools
 import math
 import random
 from enum import Enum
@@ -29,16 +30,15 @@ class EventQueue:
 
     def __init__(self) -> None:
         self._heap: list[tuple[float, int, EventKind, object]] = []
-        self._counter = 0
-        self._watermark = 0.0  # time of the last pop
+        self._counter = itertools.count()
+        self._watermark = 0.0  # time of the last event taken off the heap
 
     def push(self, time: float, kind: EventKind, payload: object = None) -> None:
         if time < self._watermark:
             raise ContractError(
                 f"event scheduled in the past: t={time} < clock {self._watermark}"
             )
-        heapq.heappush(self._heap, (time, self._counter, kind, payload))
-        self._counter += 1
+        heapq.heappush(self._heap, (time, next(self._counter), kind, payload))
 
     def pop(self) -> tuple[float, EventKind, object]:
         time, _, kind, payload = heapq.heappop(self._heap)
@@ -50,9 +50,6 @@ class EventQueue:
 
     def __len__(self) -> int:
         return len(self._heap)
-
-    def __bool__(self) -> bool:
-        return bool(self._heap)
 
 
 class TraceKind(Enum):
@@ -114,8 +111,8 @@ class RunTrace:
 
     def export(self) -> str:
         lines = [
-            f"{r.time:.9f}\t{r.kind.value}\t{r.flow_id}\t{r.seq}\t{_format_value(r.value)}"
-            for r in self.records
+            f"{time:.9f}\t{kind._value_}\t{flow_id}\t{seq}\t{_format_value(value)}"
+            for time, kind, flow_id, seq, value in self.records
         ]
         return "\n".join(lines) + ("\n" if lines else "")
 
@@ -154,11 +151,17 @@ class RngStream:
 
 
 def run_until(world, t_end: float) -> RunTrace:
-    """Dispatch events in order until the queue empties or time passes t_end."""
+    """Dispatch events in order until the queue empties or time passes t_end.
+
+    Takes events off the queue's heap itself, advancing the watermark that
+    ``EventQueue.push`` checks, as ``EventQueue.pop`` would.
+    """
     events = world.events
-    while events and events.peek_time() <= t_end:
-        time, kind, payload = events.pop()
-        world.clock = time
+    heap = events._heap
+    pop = heapq.heappop
+    while heap and heap[0][0] <= t_end:
+        time, _, kind, payload = pop(heap)
+        events._watermark = world.clock = time
         try:
             world.handle(time, kind, payload)
         except ContractError as exc:

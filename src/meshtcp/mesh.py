@@ -134,12 +134,22 @@ class ScriptedDrops:
 
 
 _IDLE, _WAITING, _SENDING = 0, 1, 2
+# Enum members bound once: looking one up on its class costs about ten
+# times the `is` test that uses it, on every segment.
+_CHANNEL_FREE = EventKind.CHANNEL_FREE
+_SEGMENT_ARRIVAL = EventKind.SEGMENT_ARRIVAL
+_SEND, _RETX, _DELIVER = TraceKind.SEND, TraceKind.RETX, TraceKind.DELIVER
+_DROP_QUEUE, _DROP_WIRELESS = TraceKind.DROP_QUEUE, TraceKind.DROP_WIRELESS
 
 
 class _Link:
-    """Runtime state of one directed link."""
+    """Runtime state of one directed link; caches the model's per-segment
+    parameters."""
 
-    __slots__ = ("src", "dst", "hop", "forward", "model", "queue", "state", "group", "loss")
+    __slots__ = (
+        "src", "dst", "hop", "forward", "model", "queue", "state", "group", "loss",
+        "queue_capacity", "bandwidth_bps", "prop_delay_s",
+    )
 
     def __init__(self, src, dst, hop, forward, model, group, loss):
         self.src = src
@@ -151,6 +161,9 @@ class _Link:
         self.loss = loss
         self.queue: deque[Segment] = deque()
         self.state = _IDLE
+        self.queue_capacity = model.queue_capacity
+        self.bandwidth_bps = model.bandwidth_bps
+        self.prop_delay_s = model.prop_delay_s
 
 
 class _Group:
@@ -191,7 +204,10 @@ class MeshNetwork:
         self.tx_log: list[tuple[int, float, float]] = []
 
         self.groups = [_Group(i) for i in range(topology.n_groups)]
-        self._links: dict[tuple[int, int], _Link] = {}
+        # per node: [link toward the lower neighbour, toward the higher one]
+        self._out: list[list[_Link | None]] = [
+            [None, None] for _ in range(topology.n_nodes + 1)
+        ]
         root = RngStream(seed)
         model = topology.link
         for hop in range(1, topology.n_nodes):
@@ -200,16 +216,19 @@ class MeshNetwork:
                 src, dst = (hop, hop + 1) if forward else (hop + 1, hop)
                 name = f"loss/hop{hop}/{'fwd' if forward else 'rev'}"
                 loss = LossProcess(root.split(name), model.loss_rate)
-                self._links[(src, dst)] = _Link(src, dst, hop, forward, model, group, loss)
+                self._out[src][forward] = _Link(src, dst, hop, forward, model, group, loss)
 
     def link(self, src: int, dst: int) -> _Link:
-        return self._links[(src, dst)]
+        """The directed link from node ``src`` to its neighbour ``dst``."""
+        if abs(dst - src) != 1 or not 1 <= min(src, dst) < self.topology.n_nodes:
+            raise ContractError(f"no link from node {src} to node {dst}")
+        return self._out[src][dst > src]
 
     def send(self, seg: Segment, now: float) -> None:
         """Originate a segment at its source node: record its SEND or RETX
         and count it in flight."""
-        kind = TraceKind.RETX if seg.retx else TraceKind.SEND
-        self.trace.add(now, kind, seg.flow_id, seg.seq, seg.kind.value)
+        kind = _RETX if seg.retx else _SEND
+        self.trace.add(now, kind, seg.flow_id, seg.seq, seg.kind._value_)
         self.carried[seg.flow_id] += 1
         self.forward(seg.src, seg, now)
 
@@ -219,58 +238,54 @@ class MeshNetwork:
         if seg.dst != node:
             self.forward(node, seg, now)
             return False
-        self.trace.add(now, TraceKind.DELIVER, seg.flow_id, seg.seq, seg.kind.value)
+        self.trace.add(now, _DELIVER, seg.flow_id, seg.seq, seg.kind._value_)
         self.carried[seg.flow_id] -= 1
         return True
 
     def forward(self, node: int, seg: Segment, now: float) -> None:
         """Route one segment a single hop toward its destination."""
-        if seg.dst == node:
+        dst = seg.dst
+        if dst == node:
             raise ContractError(f"segment for node {node} routed to itself")
-        next_node = node + 1 if seg.dst > node else node - 1
-        self.enqueue(self._links[(node, next_node)], seg, now)
+        self.enqueue(self._out[node][dst > node], seg, now)
 
     def enqueue(self, link: _Link, seg: Segment, now: float) -> bool:
-        """Drop-tail FIFO; the segment being transmitted occupies a slot."""
-        if len(link.queue) >= link.model.queue_capacity:
-            self.trace.add(now, TraceKind.DROP_QUEUE, seg.flow_id, seg.seq, seg.kind.value)
+        """Drop-tail FIFO; the segment being transmitted occupies a slot.
+        An idle link takes the group's channel if it is free, else waits
+        for it in FIFO order."""
+        queue = link.queue
+        if len(queue) >= link.queue_capacity:
+            self.trace.add(now, _DROP_QUEUE, seg.flow_id, seg.seq, seg.kind._value_)
             self.carried[seg.flow_id] -= 1
             return False
-        link.queue.append(seg)
+        queue.append(seg)
         if link.state == _IDLE:
-            self._request_channel(link, now)
+            group = link.group
+            if group.busy_link is None:
+                self._start_transmission(link, now)
+            else:
+                link.state = _WAITING
+                group.fifo.append(link)
         return True
-
-    def _request_channel(self, link: _Link, now: float) -> None:
-        group = link.group
-        if group.busy_link is None:
-            self._start_transmission(link, now)
-        else:
-            link.state = _WAITING
-            group.fifo.append(link)
 
     def _start_transmission(self, link: _Link, now: float) -> None:
         seg = link.queue[0]
+        group = link.group
         link.state = _SENDING
-        link.group.busy_link = link
-        tx_time = seg.size_bytes * 8.0 / link.model.bandwidth_bps
+        group.busy_link = link
+        tx_time = seg.size_bytes * 8.0 / link.bandwidth_bps
         if self.scripted is not None:
             dropped = self.scripted.decide(link.hop, link.forward, seg)
         else:
             dropped = link.loss.decide(now, tx_time)
-        self.tx_log.append((link.group.index, now, now + tx_time))
-        self.events.push(now + tx_time, EventKind.CHANNEL_FREE, link)
+        end = now + tx_time
+        self.tx_log.append((group.index, now, end))
+        self.events.push(end, _CHANNEL_FREE, link)
         if dropped:
-            self.trace.add(
-                now, TraceKind.DROP_WIRELESS, seg.flow_id, seg.seq, seg.kind.value
-            )
+            self.trace.add(now, _DROP_WIRELESS, seg.flow_id, seg.seq, seg.kind._value_)
             self.carried[seg.flow_id] -= 1
         else:
-            self.events.push(
-                now + tx_time + link.model.prop_delay_s,
-                EventKind.SEGMENT_ARRIVAL,
-                (link.dst, seg),
-            )
+            self.events.push(end + link.prop_delay_s, _SEGMENT_ARRIVAL, (link.dst, seg))
 
     def on_channel_free(self, link: _Link, now: float) -> None:
         """A transmission on this link just ended; hand the channel on."""

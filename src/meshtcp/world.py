@@ -30,6 +30,11 @@ from .mesh import (
 )
 
 
+_SEGMENT_ARRIVAL, _CHANNEL_FREE = EventKind.SEGMENT_ARRIVAL, EventKind.CHANNEL_FREE
+_TIMER_EXPIRY, _APP_TICK = EventKind.TIMER_EXPIRY, EventKind.APP_TICK
+_DATA = SegmentKind.DATA
+
+
 @dataclass(frozen=True)
 class FlowConfig:
     """One unidirectional flow from node 1 over ``hops`` links."""
@@ -108,22 +113,22 @@ class MeshWorld:
         return self.net.carried[flow_id]
 
     def handle(self, time: float, kind: EventKind, payload) -> None:
-        if kind is EventKind.SEGMENT_ARRIVAL:
+        if kind is _SEGMENT_ARRIVAL:
             node, seg = payload
             if self.net.arrive(node, seg, time):
                 self._on_delivery(time, seg)
-        elif kind is EventKind.CHANNEL_FREE:
+        elif kind is _CHANNEL_FREE:
             self.net.on_channel_free(payload, time)
-        elif kind is EventKind.TIMER_EXPIRY:
+        elif kind is _TIMER_EXPIRY:
             self._on_timer(time, *payload)
-        elif kind is EventKind.APP_TICK:
+        elif kind is _APP_TICK:
             self._on_app_tick(time, payload)
         else:  # pragma: no cover - enum is closed
             raise ContractError(f"unknown event kind {kind}")
 
     def _on_delivery(self, time: float, seg: Segment) -> None:
         flow = self.flows[seg.flow_id]
-        if seg.kind is SegmentKind.DATA:
+        if seg.kind is _DATA:
             self.net.send(flow.receiver.on_data(seg, time), time)
         else:
             emissions = flow.sender.on_ack_segment(seg, time)
@@ -159,7 +164,7 @@ class MeshWorld:
         ):
             self.events.push(
                 sender.rto_deadline,
-                EventKind.TIMER_EXPIRY,
+                _TIMER_EXPIRY,
                 (flow.flow_id, sender.timer_epoch),
             )
             self._scheduled_epoch[flow.flow_id] = sender.timer_epoch

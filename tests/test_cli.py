@@ -156,6 +156,20 @@ def test_compare_reversed_verdict_exits_3(tmp_path):
     assert "verdict=fail" in (out / "summary.txt").read_text()
 
 
+def test_compare_undefined_throughput_exits_3_without_verdict(tmp_path, capsys):
+    # a valid config whose one-segment run has no send span to measure
+    cfg = write(tmp_path, GOOD.replace("sac,newreno", "sac").replace(
+        "app_limit = 100", "app_limit = 1"))
+    out = tmp_path / "cmp"
+    rc = main(["compare", "--config", cfg, "--baseline", "newreno",
+               "--candidate", "sac", "--out", str(out)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "throughput" in err
+    assert "configuration error" not in err
+    assert not (out / "summary.txt").exists()
+
+
 def test_usage_error_exits_2(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["run"])  # missing required flags

@@ -1,9 +1,8 @@
 """Per-layer microbenchmarks: one engine push and pop, one mesh hop, one
 ACK through cc, one trace record.
 
-Each runs few rounds so the suite stays fast; for stable figures run
-``pytest tests/test_layer_bench.py --benchmark-min-rounds=2000``. Every
-benchmark also checks the result of the operation it times.
+Each runs few rounds so the suite stays fast; raise ROUNDS for steadier
+figures. Every benchmark also checks the result of the operation it times.
 """
 
 import pytest
