@@ -80,6 +80,7 @@ class CcVars:
     sack_retx: frozenset[int] = frozenset()
 
 
+# bound once for the per-ACK path; see the note in mesh.py
 _SS, _CA, _FRR = CcPhase.SS, CcPhase.CA, CcPhase.FRR
 _SAC, _RENO, _SACK, _VEGAS = Flavor.SAC, Flavor.RENO, Flavor.SACK, Flavor.VEGAS
 
@@ -207,13 +208,12 @@ def on_new_ack(
             else:
                 cwnd += 1
 
-    new = CcVars(
+    return CcVars(
         cc.flavor, phase, cwnd, cc.ssthresh, last_ack=ack_seq, high_seq=high_seq,
         rlp=rlp, dupacks=0, add_dupacks=add_dupacks, ca_accumulator=acc,
         vegas_base_rtt=base_rtt, vegas_last_rtt=last_rtt,
         sack_scoreboard=scoreboard, sack_retx=sack_retx,
-    )
-    return new, retransmit
+    ), retransmit
 
 
 def on_dupack(
@@ -276,13 +276,12 @@ def on_dupack(
                 retransmit.append(hole)
                 sack_retx = sack_retx | {hole}
 
-    new = CcVars(
+    return CcVars(
         cc.flavor, phase, cwnd, ssthresh, last_ack=cc.last_ack, high_seq=high_seq,
         rlp=rlp, dupacks=dupacks, add_dupacks=add_dupacks, ca_accumulator=acc,
         vegas_base_rtt=cc.vegas_base_rtt, vegas_last_rtt=cc.vegas_last_rtt,
         sack_scoreboard=scoreboard, sack_retx=sack_retx,
-    )
-    return new, retransmit
+    ), retransmit
 
 
 def on_timeout(cc: CcVars, high_sent: int) -> tuple[CcVars, list[int]]:
@@ -290,12 +289,11 @@ def on_timeout(cc: CcVars, high_sent: int) -> tuple[CcVars, list[int]]:
     flight = high_sent - cc.last_ack
     ssthresh = max(flight // 2, MIN_SSTHRESH)
     # the recovery fields go back to their defaults
-    new = CcVars(
+    return CcVars(
         cc.flavor, CcPhase.SS, 1, ssthresh, last_ack=cc.last_ack,
         vegas_base_rtt=cc.vegas_base_rtt, vegas_last_rtt=cc.vegas_last_rtt,
         sack_scoreboard=cc.sack_scoreboard,
-    )
-    return new, [cc.last_ack]
+    ), [cc.last_ack]
 
 
 def effective_window(cc: CcVars, receiver_window: int) -> int:

@@ -33,6 +33,7 @@ class SegmentKind(Enum):
     ACK = "ack"
 
 
+# bound once for the per-event path; see the note in mesh.py
 _DATA, _ACK = SegmentKind.DATA, SegmentKind.ACK
 _SACK = Flavor.SACK
 

@@ -30,6 +30,7 @@ from .mesh import (
 )
 
 
+# bound once for the per-event path; see the note in mesh.py
 _SEGMENT_ARRIVAL, _CHANNEL_FREE = EventKind.SEGMENT_ARRIVAL, EventKind.CHANNEL_FREE
 _TIMER_EXPIRY, _APP_TICK = EventKind.TIMER_EXPIRY, EventKind.APP_TICK
 _DATA = SegmentKind.DATA
