@@ -13,7 +13,14 @@ import pytest
 
 from meshtcp.cc import Flavor
 from meshtcp.cli import main
-from meshtcp.experiment import emit_csv, load_config, run_experiment, run_single
+from meshtcp.engine import run_until
+from meshtcp.experiment import (
+    build_world,
+    emit_csv,
+    load_config,
+    run_experiment,
+    run_single,
+)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -64,7 +71,10 @@ CLI_OUTPUTS = {
         ["trace", "--config", str(CONFIGS / "loss_sweep.cfg"), "--flavor", "sac",
          "--hops", "3", "--seed", "7", "--override", "loss_rates=1.0",
          "--override", "duration=10", "--override", "warmup_s=2"],
-        {"cwnd.tsv": "2a2013481f49feccacd48ef614163eff5256a5fb634047a68233c22cca07108b"},
+        {
+            "cwnd.tsv": "2a2013481f49feccacd48ef614163eff5256a5fb634047a68233c22cca07108b",
+            "trace.tsv": "b0b415820fb0805440733853c1fb589d4a9705309594b4c880f4b0fb2a79e99c",
+        },
         0,
     ),
     "compare_scripted": (
@@ -115,3 +125,10 @@ def test_cli_output_digest(name, tmp_path):
     assert main(argv + ["--out", str(tmp_path)]) == exit_code
     got = {file: sha256((tmp_path / file).read_bytes()) for file in digests}
     assert got == digests
+
+
+def test_cli_trace_matches_export():
+    # `trace` writes the same text that RunTrace.export() gives for its point
+    spec = spec_of("loss_sweep.cfg", loss_rates="1.0", duration="10", warmup_s="2")
+    trace = run_until(build_world(spec, Flavor.SAC, 3, 1.0, 7), spec.duration)
+    assert sha256(trace.export()) == CLI_OUTPUTS["trace_warmup"][1]["trace.tsv"]
