@@ -20,7 +20,7 @@ from pathlib import Path
 from statistics import mean
 
 from .cc import Flavor
-from .engine import TraceKind
+from .engine import RunTrace, TraceKind, TraceRecord, format_record
 from .errors import ConfigError, ContractError, MetricUndefinedError
 from .experiment import (
     ExperimentSpec,
@@ -29,6 +29,8 @@ from .experiment import (
     run_experiment,
     run_single,
 )
+
+_CWND_SAMPLE = TraceKind.CWND_SAMPLE
 
 EXIT_OK = 0
 EXIT_CONTRACT = 1
@@ -135,14 +137,27 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             "pick one with --override loss_rates=<rate>"
         )
     out = _outdir(args)
-    trace, _ = run_single(spec, flavor, args.hops, spec.loss_rates[0], args.seed)
-    (out / "trace.tsv").write_text(trace.export())
-    cwnd_lines = [
-        f"{r.time:.9f}\t{r.value}"
-        for r in trace
-        if r.kind is TraceKind.CWND_SAMPLE and r.time >= spec.warmup_s
-    ]
-    (out / "cwnd.tsv").write_text("\n".join(cwnd_lines) + ("\n" if cwnd_lines else ""))
+    # each record is written as it is made; the files get their names only
+    # once the run has finished, so a failed run leaves neither behind
+    paths = (out / "trace.tsv", out / "cwnd.tsv")
+    partial = [path.with_name(path.name + ".partial") for path in paths]
+    warmup = spec.warmup_s
+    try:
+        with open(partial[0], "w") as trace_file, open(partial[1], "w") as cwnd_file:
+            write_trace, write_cwnd = trace_file.write, cwnd_file.write
+
+            def write(record: TraceRecord) -> None:
+                write_trace(format_record(record))
+                if record.kind is _CWND_SAMPLE and record.time >= warmup:
+                    write_cwnd(f"{record.time:.9f}\t{record.value}\n")
+
+            trace = RunTrace(write)
+            run_single(spec, flavor, args.hops, spec.loss_rates[0], args.seed, trace)
+        for done, path in zip(partial, paths):
+            done.replace(path)
+    finally:
+        for path in partial:
+            path.unlink(missing_ok=True)
     return EXIT_OK
 
 

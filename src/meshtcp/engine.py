@@ -9,7 +9,7 @@ import itertools
 import math
 import random
 from enum import Enum
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .errors import ContractError
 
@@ -73,12 +73,12 @@ class TraceRecord(NamedTuple):
     value: int | float | str
 
 
-def _format_value(value: int | float | str) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, int):
-        return str(value)
-    return f"{value:.9f}"
+def format_record(record: TraceRecord) -> str:
+    """One tab-separated trace line, newline included."""
+    time, kind, flow_id, seq, value = record
+    if not isinstance(value, str):
+        value = str(value) if isinstance(value, int) else f"{value:.9f}"
+    return f"{time:.9f}\t{kind._value_}\t{flow_id}\t{seq}\t{value}\n"
 
 
 class RunTrace:
@@ -88,10 +88,15 @@ class RunTrace:
     value column. CWND_SAMPLE records put cwnd in the value column and the
     concurrent ssthresh in the seq column, so the whole window trajectory
     is recoverable from the trace alone.
+
+    By default the trace keeps its records. Given a ``consumer``, it hands
+    each record to it as it is added and keeps none, so its memory does not
+    grow with the length of the run.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, consumer: Callable[[TraceRecord], None] | None = None) -> None:
         self.records: list[TraceRecord] = []
+        self._consume = self.records.append if consumer is None else consumer
         self._last_time = 0.0
 
     def add(
@@ -107,14 +112,10 @@ class RunTrace:
                 f"trace times must be non-decreasing: {time} < {self._last_time}"
             )
         self._last_time = time
-        self.records.append(TraceRecord(time, kind, flow_id, seq, value))
+        self._consume(TraceRecord(time, kind, flow_id, seq, value))
 
     def export(self) -> str:
-        lines = [
-            f"{time:.9f}\t{kind._value_}\t{flow_id}\t{seq}\t{_format_value(value)}"
-            for time, kind, flow_id, seq, value in self.records
-        ]
-        return "\n".join(lines) + ("\n" if lines else "")
+        return "".join(map(format_record, self.records))
 
     def __len__(self) -> int:
         return len(self.records)

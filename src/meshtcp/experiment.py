@@ -219,9 +219,14 @@ def load_config(text: str, overrides: Mapping[str, str] | None = None) -> Experi
 
 
 def build_world(
-    spec: ExperimentSpec, flavor: Flavor, hops: int, loss_rate: float, seed: int
+    spec: ExperimentSpec,
+    flavor: Flavor,
+    hops: int,
+    loss_rate: float,
+    seed: int,
+    trace: RunTrace | None = None,
 ) -> MeshWorld:
-    """Fresh world for one sweep point."""
+    """Fresh world for one sweep point, feeding ``trace`` if one is given."""
     link = LinkModel(
         bandwidth_bps=spec.bandwidth_bps,
         prop_delay_s=spec.prop_delay_s,
@@ -239,16 +244,21 @@ def build_world(
         rto_min=spec.rto_min_s,
         rto_max=spec.rto_max_s,
         scripted=scripted,
+        trace=trace,
     )
 
 
 def run_single(
-    spec: ExperimentSpec, flavor: Flavor, hops: int, loss_rate: float, seed: int
-) -> tuple[RunTrace, MetricsSummary]:
-    """Run one combination to spec.duration and summarize it."""
-    world = build_world(spec, flavor, hops, loss_rate, seed)
-    trace = run_until(world, spec.duration)
-    return trace, summarize(trace, 0, warmup=spec.warmup_s)
+    spec: ExperimentSpec,
+    flavor: Flavor,
+    hops: int,
+    loss_rate: float,
+    seed: int,
+    trace: RunTrace | None = None,
+) -> RunTrace:
+    """Run one combination to spec.duration; return the trace it fed."""
+    world = build_world(spec, flavor, hops, loss_rate, seed, trace)
+    return run_until(world, spec.duration)
 
 
 def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
@@ -256,7 +266,8 @@ def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
     rows = []
     for flavor, hops, rate, seed in spec.combinations():
         try:
-            _, summary = run_single(spec, flavor, hops, rate, seed)
+            trace = run_single(spec, flavor, hops, rate, seed)
+            summary = summarize(trace, 0, warmup=spec.warmup_s)
         except ContractError as exc:
             raise ContractError(
                 f"combination flavor={flavor.value} hops={hops} "

@@ -200,8 +200,6 @@ class MeshNetwork:
         self.trace = trace
         self.scripted = scripted
         self.carried: Counter[int] = Counter()
-        # transmission intervals per group, for exclusivity checks
-        self.tx_log: list[tuple[int, float, float]] = []
 
         self.groups = [_Group(i) for i in range(topology.n_groups)]
         # per node: [link toward the lower neighbour, toward the higher one]
@@ -271,6 +269,10 @@ class MeshNetwork:
     def _start_transmission(self, link: _Link, now: float) -> None:
         seg = link.queue[0]
         group = link.group
+        if group.busy_link is not None:
+            raise ContractError(
+                f"hop {link.hop} starts sending while group {group.index} is held"
+            )
         link.state = _SENDING
         group.busy_link = link
         tx_time = seg.size_bytes * 8.0 / link.bandwidth_bps
@@ -279,7 +281,6 @@ class MeshNetwork:
         else:
             dropped = link.loss.decide(now, tx_time)
         end = now + tx_time
-        self.tx_log.append((group.index, now, end))
         self.events.push(end, _CHANNEL_FREE, link)
         if dropped:
             self.trace.add(now, _DROP_WIRELESS, seg.flow_id, seg.seq, seg.kind._value_)
@@ -289,8 +290,12 @@ class MeshNetwork:
 
     def on_channel_free(self, link: _Link, now: float) -> None:
         """A transmission on this link just ended; hand the channel on."""
-        link.queue.popleft()
         group = link.group
+        if group.busy_link is not link:
+            raise ContractError(
+                f"hop {link.hop} frees group {group.index} without holding its channel"
+            )
+        link.queue.popleft()
         group.busy_link = None
         if link.queue:
             link.state = _WAITING

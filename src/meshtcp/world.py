@@ -1,6 +1,7 @@
 """One simulated run: a chain network carrying TCP flows.
 
-The world owns the clock, the event queue and the trace, dispatches events
+The world owns the clock and the event queue, feeds the run's trace (one it
+is given, or a fresh one that keeps its records), dispatches events
 to the network and the endpoints, and records window/phase samples whenever
 the congestion state changes.
 """
@@ -69,10 +70,11 @@ class MeshWorld:
         rto_max: float = DEFAULT_RTO_MAX_S,
         receiver_window: int = DEFAULT_RECEIVER_WINDOW,
         scripted: ScriptedDrops | None = None,
+        trace: RunTrace | None = None,
     ) -> None:
         self.clock = 0.0
         self.events = EventQueue()
-        self.trace = RunTrace()
+        self.trace = RunTrace() if trace is None else trace
         self.net = MeshNetwork(
             topology, events=self.events, trace=self.trace, seed=seed, scripted=scripted
         )

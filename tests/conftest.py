@@ -68,10 +68,26 @@ def check_conservation(world, trace, flow_id=0):
     )
 
 
+def record_transmissions(net):
+    """Log every transmission ``net`` starts from now on as (group, start,
+    end), in ``net.transmissions``, by wrapping its ``_start_transmission``."""
+    net.transmissions = log = []
+    start = net._start_transmission
+
+    def recorded(link, now):
+        start(link, now)
+        end = now + link.queue[0].size_bytes * 8.0 / link.bandwidth_bps
+        log.append((link.group.index, now, end))
+
+    net._start_transmission = recorded
+    return log
+
+
 def check_group_exclusivity(world):
-    """No two transmissions within one interference group may overlap."""
+    """No two transmissions within one interference group may overlap.
+    Needs ``record_transmissions(world.net)`` before the run."""
     by_group = {}
-    for group, start, end in world.net.tx_log:
+    for group, start, end in world.net.transmissions:
         by_group.setdefault(group, []).append((start, end))
     for group, intervals in by_group.items():
         intervals.sort()

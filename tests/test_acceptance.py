@@ -15,17 +15,24 @@ from conftest import (
     check_group_exclusivity,
     check_phase_edges,
     check_window_discipline,
+    record_transmissions,
 )
 from meshtcp.cc import Flavor
 from meshtcp.cli import main
 from meshtcp.engine import RngStream, RunTrace, TraceKind, run_until
 from meshtcp.experiment import emit_csv, load_config, run_experiment, run_single
 from meshtcp.mesh import LinkModel, LossProcess, build_chain
-from meshtcp.metrics import mean_delay, packet_loss_rate, throughput
+from meshtcp.metrics import mean_delay, packet_loss_rate, summarize, throughput
 from meshtcp.world import FlowConfig, MeshWorld
 
 SEEDS_10 = ",".join(str(s) for s in range(1, 11))
 SEEDS_20 = ",".join(str(s) for s in range(1, 21))
+
+
+def run_summarized(spec, flavor, hops, loss_rate, seed):
+    """One sweep point's trace and its summary, as run_experiment makes them."""
+    trace = run_single(spec, flavor, hops, loss_rate, seed)
+    return trace, summarize(trace, 0, warmup=spec.warmup_s)
 
 
 def cwnd_samples(trace):
@@ -65,7 +72,7 @@ app_limit = 60
 scripted_drops = 1:10:1
 """
     spec = load_config(cfg)
-    trace, summary = run_single(spec, Flavor.NEWRENO, 1, 0.0, 1)
+    trace, summary = run_summarized(spec, Flavor.NEWRENO, 1, 0.0, 1)
     golden = (
         [(1, 44)]
         + [(c, 44) for c in range(2, 12)]   # slow start, one per ACK
@@ -93,8 +100,8 @@ scripted_drops = 1:10:1;1:10:2
 
 def test_a2_sac_retransmission_loss_scenario():
     spec = load_config(A2_CONFIG)
-    sac_trace, sac = run_single(spec, Flavor.SAC, 1, 0.0, 1)
-    nr_trace, nr = run_single(spec, Flavor.NEWRENO, 1, 0.0, 1)
+    sac_trace, sac = run_summarized(spec, Flavor.SAC, 1, 0.0, 1)
+    nr_trace, nr = run_summarized(spec, Flavor.NEWRENO, 1, 0.0, 1)
 
     # (a) no timeout, and the third transmission of segment 10 comes after
     # exactly rlp-1 post-entry dupacks with ssthresh pinned and cwnd halved
@@ -168,7 +175,7 @@ scripted_drops = 1:10:1;1:12:1
     spec = load_config(cfg)
     series = {}
     for flavor in (Flavor.RENO, Flavor.NEWRENO, Flavor.SAC):
-        trace, _ = run_single(spec, flavor, 1, 0.0, 1)
+        trace = run_single(spec, flavor, 1, 0.0, 1)
         series[flavor] = phase_changes(trace)
 
     assert [p for _, p in series[Flavor.RENO]] == ["FRR", "CA", "FRR", "CA"]
@@ -244,8 +251,8 @@ duration = 5
     csv_a = emit_csv(run_experiment(spec))
     csv_b = emit_csv(run_experiment(spec))
     assert hashlib.sha256(csv_a.encode()).digest() == hashlib.sha256(csv_b.encode()).digest()
-    trace_a, _ = run_single(spec, Flavor.SAC, 2, 0.5, 1)
-    trace_b, _ = run_single(spec, Flavor.SAC, 2, 0.5, 1)
+    trace_a = run_single(spec, Flavor.SAC, 2, 0.5, 1)
+    trace_b = run_single(spec, Flavor.SAC, 2, 0.5, 1)
     assert hashlib.sha256(trace_a.export().encode()).digest() == hashlib.sha256(
         trace_b.export().encode()
     ).digest()
@@ -267,8 +274,8 @@ def test_a7_directional_sac_superiority(tmp_path):
     spec = load_config(A7_CONFIG)
     sac_tp, nr_tp, sac_rto, nr_rto = [], [], [], []
     for seed in spec.seeds:
-        _, sac = run_single(spec, Flavor.SAC, 4, 0.5, seed)
-        _, nr = run_single(spec, Flavor.NEWRENO, 4, 0.5, seed)
+        _, sac = run_summarized(spec, Flavor.SAC, 4, 0.5, seed)
+        _, nr = run_summarized(spec, Flavor.NEWRENO, 4, 0.5, seed)
         sac_tp.append(sac.throughput)
         nr_tp.append(nr.throughput)
         sac_rto.append(sac.rto_count)
@@ -344,6 +351,7 @@ def test_a10_invariant_fuzz():
         queue = rng.choice([5, 20, 50])
         topo = build_chain(5, LinkModel(loss_rate=rate, queue_capacity=queue))
         world = MeshWorld(topo, [FlowConfig(flavor, hops=hops)], seed=seed)
+        record_transmissions(world.net)
         trace = run_until(world, 3.0)
         check_conservation(world, trace)
         check_phase_edges(trace)

@@ -1,9 +1,12 @@
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from meshtcp import cli
+from meshtcp import cc, cli
 from meshtcp.cli import main
+from meshtcp.errors import ContractError
+from meshtcp.mesh import MeshNetwork
 
 LOSS_SWEEP = str(Path(__file__).resolve().parent.parent / "configs" / "loss_sweep.cfg")
 
@@ -129,6 +132,81 @@ def test_trace_needs_exactly_one_loss_rate(tmp_path, capsys):
     assert main(argv + ["--override", "loss_rates=0.5", "--out", str(out)]) == 0
     kinds = [line.split("\t")[1] for line in (out / "trace.tsv").read_text().splitlines()]
     assert "DROP_WIRELESS" in kinds
+
+
+def test_trace_failing_mid_run_leaves_no_files(tmp_path, monkeypatch, capsys):
+    on_new_ack = cc.on_new_ack
+    calls = []
+
+    def fail_later(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 50:
+            raise ContractError("injected cc failure")
+        return on_new_ack(*args, **kwargs)
+
+    monkeypatch.setattr(cc, "on_new_ack", fail_later)
+    out = tmp_path / "t"
+    assert main(["trace", "--config", write(tmp_path, GOOD), "--flavor", "sac",
+                 "--hops", "1", "--seed", "1", "--out", str(out)]) == 1
+    assert len(calls) == 50 and "injected cc failure" in capsys.readouterr().err
+    assert list(out.iterdir()) == []  # no trace.tsv, cwnd.tsv or partial file
+
+
+TRACE_LONG = """\
+flavors = sack
+hops = 1
+loss_rates = 2.0
+seeds = 1
+duration = 20
+"""
+
+
+def test_trace_memory_does_not_grow_with_duration(tmp_path):
+    cfg = write(tmp_path, TRACE_LONG)
+    peaks = []
+    for duration in (20, 80):
+        argv = ["trace", "--config", cfg, "--flavor", "sack", "--hops", "1",
+                "--seed", "1", "--override", f"duration={duration}",
+                "--out", str(tmp_path / f"d{duration}")]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0], peaks
+
+
+def _start_on_any_idle_link(self, link, seg, now):
+    # enqueue without waiting for the group's channel
+    link.queue.append(seg)
+    if len(link.queue) == 1:
+        self._start_transmission(link, now)
+    return True
+
+
+def _free_twice(on_channel_free):
+    def free(self, link, now):
+        on_channel_free(self, link, now)
+        on_channel_free(self, link, now)
+
+    return free
+
+
+@pytest.mark.parametrize(
+    "attr, broken, message",
+    [
+        ("enqueue", _start_on_any_idle_link, "group 0 is held"),
+        ("on_channel_free", _free_twice(MeshNetwork.on_channel_free), "without holding"),
+    ],
+    ids=["start_on_held_channel", "free_unheld_channel"],
+)
+def test_channel_misuse_exits_1(tmp_path, capsys, monkeypatch, attr, broken, message):
+    monkeypatch.setattr(MeshNetwork, attr, broken)
+    cfg = write(tmp_path, GOOD)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("internal error:") and message in err
 
 
 def test_compare_sac_beats_newreno_on_retransmission_loss_script(tmp_path):

@@ -108,14 +108,14 @@ def test_sweep_csv_digest(name):
 @pytest.mark.parametrize("flavor", sorted(SCRIPTED_TRACE))
 def test_scripted_trace_digest(flavor):
     spec = spec_of("retransmission_loss.cfg")
-    trace, _ = run_single(spec, Flavor(flavor), 1, 0.0, 1)
+    trace = run_single(spec, Flavor(flavor), 1, 0.0, 1)
     assert sha256(trace.export()) == SCRIPTED_TRACE[flavor]
 
 
 @pytest.mark.parametrize("flavor", sorted(LOSSY_TRACE))
 def test_lossy_trace_digest(flavor):
     spec = spec_of("loss_sweep.cfg", duration="10", warmup_s="2")
-    trace, _ = run_single(spec, Flavor(flavor), 3, 1.0, 7)
+    trace = run_single(spec, Flavor(flavor), 3, 1.0, 7)
     assert sha256(trace.export()) == LOSSY_TRACE[flavor]
 
 

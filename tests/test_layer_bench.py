@@ -1,9 +1,11 @@
 """Per-layer microbenchmarks: one engine push and pop, one mesh hop, one
-ACK through cc, one trace record.
+ACK through cc, one trace record kept in memory and one streamed as text.
 
 Each runs few rounds so the suite stays fast; raise ROUNDS for steadier
 figures. Every benchmark also checks the result of the operation it times.
 """
+
+import io
 
 import pytest
 
@@ -12,7 +14,13 @@ pytest.importorskip("pytest_benchmark")
 from meshtcp import cc  # noqa: E402
 from meshtcp.cc import CcPhase, Flavor  # noqa: E402
 from meshtcp.endpoint import Segment, SegmentKind  # noqa: E402
-from meshtcp.engine import EventKind, EventQueue, RunTrace, TraceKind  # noqa: E402
+from meshtcp.engine import (  # noqa: E402
+    EventKind,
+    EventQueue,
+    RunTrace,
+    TraceKind,
+    format_record,
+)
 from meshtcp.mesh import LinkModel, MeshNetwork, build_chain  # noqa: E402
 
 ROUNDS = 200
@@ -47,7 +55,6 @@ def test_mesh_hop(benchmark):
         net.forward(1, seg, 0.0)
         net.on_channel_free(link, 0.00584)
         net.events._heap.clear()
-        net.tx_log.clear()
 
     _bench(benchmark, hop)
     assert not link.queue and link.group.busy_link is None
@@ -69,3 +76,12 @@ def test_trace_add(benchmark):
     trace = RunTrace()
     _bench(benchmark, trace.add, 1.0, TraceKind.SEND, 0, 7, "data")
     assert len(trace) >= ROUNDS * ITERATIONS
+
+
+def test_trace_add_streamed(benchmark):
+    sink = io.StringIO()
+    trace = RunTrace(lambda record: sink.write(format_record(record)))
+    _bench(benchmark, trace.add, 1.0, TraceKind.SEND, 0, 7, "data")
+    lines = sink.getvalue().splitlines()
+    assert len(trace) == 0 and len(lines) >= ROUNDS * ITERATIONS
+    assert set(lines) == {"1.000000000\tSEND\t0\t7\tdata"}

@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import check_conservation, check_group_exclusivity
+from conftest import check_conservation, check_group_exclusivity, record_transmissions
 from meshtcp.cc import Flavor
 from meshtcp.endpoint import Segment, SegmentKind
 from meshtcp.engine import (
@@ -11,7 +11,7 @@ from meshtcp.engine import (
     TraceKind,
     run_until,
 )
-from meshtcp.errors import ConfigError
+from meshtcp.errors import ConfigError, ContractError
 from meshtcp.mesh import (
     DropDirective,
     LinkModel,
@@ -120,23 +120,43 @@ class TestChannelArbitration:
     def test_same_group_serializes_fifo(self):
         # two links of one group: the second request waits for the first
         net, events, _ = make_net(n_nodes=3)
+        transmissions = record_transmissions(net)
         net.enqueue(net.link(1, 2), data_seg(0, dst=3), 0.0)
         net.enqueue(net.link(2, 3), data_seg(1, src=2, dst=3), 0.0)
-        intervals = sorted(net.tx_log)
-        assert len(net.tx_log) == 1  # second transmission not started yet
+        assert len(transmissions) == 1  # second transmission not started yet
         while events:
             t, kind, payload = events.pop()
             if kind is EventKind.CHANNEL_FREE:
                 net.on_channel_free(payload, t)
-        starts = sorted(s for _, s, _ in net.tx_log)
+        starts = sorted(s for _, s, _ in transmissions)
         assert starts[1] == pytest.approx(0.00584)  # after the first finishes
 
     def test_disjoint_groups_transmit_concurrently(self):
         net, _, _ = make_net(n_nodes=5, queue_capacity=10)
+        transmissions = record_transmissions(net)
         net.enqueue(net.link(1, 2), data_seg(0, dst=5), 0.0)      # hop 1, group 0
         net.enqueue(net.link(4, 5), data_seg(1, src=4, dst=5), 0.0)  # hop 4, group 1
-        starts = sorted((g, s) for g, s, _ in net.tx_log)
+        starts = sorted((g, s) for g, s, _ in transmissions)
         assert starts == [(0, 0.0), (1, 0.0)]
+
+    def test_start_on_held_channel_raises(self):
+        net, _, _ = make_net(n_nodes=3)
+        net.enqueue(net.link(1, 2), data_seg(0, dst=3), 0.0)  # holds group 0
+        waiting = net.link(2, 3)
+        waiting.queue.append(data_seg(1, src=2, dst=3))
+        with pytest.raises(ContractError, match="group 0 is held"):
+            net._start_transmission(waiting, 0.001)
+
+    def test_free_by_non_holder_raises(self):
+        net, _, _ = make_net(n_nodes=3)
+        net.enqueue(net.link(1, 2), data_seg(0, dst=3), 0.0)  # holds group 0
+        net.enqueue(net.link(2, 3), data_seg(1, src=2, dst=3), 0.0)  # waits
+        with pytest.raises(ContractError, match="without holding"):
+            net.on_channel_free(net.link(2, 3), 0.00584)
+        net.on_channel_free(net.link(1, 2), 0.00584)  # hands over to hop 2
+        net.on_channel_free(net.link(2, 3), 0.01168)
+        with pytest.raises(ContractError, match="without holding"):
+            net.on_channel_free(net.link(2, 3), 0.01168)  # the channel is idle
 
 
 class TestLossProcess:
@@ -217,6 +237,7 @@ class TestIntegratedRuns:
     def test_group_exclusivity_and_conservation_lossy(self):
         topo = build_chain(5, LinkModel(loss_rate=1.0))
         world = MeshWorld(topo, [FlowConfig(Flavor.SAC, hops=4)], seed=11)
+        record_transmissions(world.net)
         trace = run_until(world, 10.0)
         assert any(r.kind is TraceKind.DROP_WIRELESS for r in trace)
         check_group_exclusivity(world)

@@ -9,6 +9,7 @@ from conftest import (
     check_group_exclusivity,
     check_phase_edges,
     check_window_discipline,
+    record_transmissions,
 )
 from meshtcp.cc import Flavor
 from meshtcp.engine import TraceKind, run_until
@@ -27,6 +28,7 @@ def run_world(flavor, hops=1, seed=1, duration=5.0, n_nodes=None, link=None,
         seed=seed,
         scripted=scripted,
     )
+    record_transmissions(world.net)
     return world, run_until(world, duration)
 
 
