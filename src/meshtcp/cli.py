@@ -15,9 +15,11 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 from statistics import mean
+from typing import Iterator
 
 from .cc import Flavor
 from .engine import RunTrace, TraceKind, TraceRecord, format_record
@@ -116,11 +118,33 @@ def _outdir(args: argparse.Namespace) -> Path:
     return out
 
 
+@contextmanager
+def _writing(*paths: Path) -> Iterator[list[Path]]:
+    """Yield a ``.partial`` twin of each output path to write to.
+
+    The twins are renamed to the real paths only once the block has
+    succeeded, and removed in any case, so a failed command leaves no
+    partial file behind. An ``OSError`` on the way is a ``ConfigError``.
+    """
+    partial = [path.with_name(path.name + ".partial") for path in paths]
+    try:
+        try:
+            yield partial
+            for done, path in zip(partial, paths):
+                done.replace(path)
+        finally:
+            for path in partial:
+                path.unlink(missing_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output: {exc}") from None
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     spec = _load_spec(args)
     out = _outdir(args)
     rows = run_experiment(spec)
-    (out / "results.csv").write_text(emit_csv(rows))
+    with _writing(out / "results.csv") as (partial,):
+        partial.write_text(emit_csv(rows))
     return EXIT_OK
 
 
@@ -137,12 +161,10 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             "pick one with --override loss_rates=<rate>"
         )
     out = _outdir(args)
+    warmup = spec.warmup_s
     # each record is written as it is made; the files get their names only
     # once the run has finished, so a failed run leaves neither behind
-    paths = (out / "trace.tsv", out / "cwnd.tsv")
-    partial = [path.with_name(path.name + ".partial") for path in paths]
-    warmup = spec.warmup_s
-    try:
+    with _writing(out / "trace.tsv", out / "cwnd.tsv") as partial:
         with open(partial[0], "w") as trace_file, open(partial[1], "w") as cwnd_file:
             write_trace, write_cwnd = trace_file.write, cwnd_file.write
 
@@ -153,11 +175,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
             trace = RunTrace(write)
             run_single(spec, flavor, args.hops, spec.loss_rates[0], args.seed, trace)
-        for done, path in zip(partial, paths):
-            done.replace(path)
-    finally:
-        for path in partial:
-            path.unlink(missing_ok=True)
     return EXIT_OK
 
 
@@ -188,8 +205,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             f"{cand.throughput - base.throughput:.6f},"
             f"{base.rto_count},{cand.rto_count},{cand.rto_count - base.rto_count}"
         )
-    (out / "compare.csv").write_text("\n".join(lines) + "\n")
-
     tp_delta = mean(cand.throughput - base.throughput for base, cand in pairs)
     rto_delta = mean(cand.rto_count - base.rto_count for base, cand in pairs)
     verdict_ok = tp_delta >= 0  # candidate mean throughput >= baseline mean
@@ -201,7 +216,9 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         f"mean_rto_count_delta={rto_delta:.6f}",
         f"verdict={'pass' if verdict_ok else 'fail'}",
     ]
-    (out / "summary.txt").write_text("\n".join(summary_lines) + "\n")
+    with _writing(out / "compare.csv", out / "summary.txt") as (csv_path, summary_path):
+        csv_path.write_text("\n".join(lines) + "\n")
+        summary_path.write_text("\n".join(summary_lines) + "\n")
     return EXIT_OK if verdict_ok else EXIT_VERDICT
 
 

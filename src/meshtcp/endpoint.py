@@ -109,22 +109,14 @@ class SenderEndpoint:
         self.app_limit = app_limit
         self.receiver_window = receiver_window
         self.trace = trace
-        # Timer state: the simulation schedules an expiry for rto_deadline
-        # and discards fires whose epoch is stale.
+        # Timer state: None when stopped. The simulation keeps one expiry
+        # queued per flow and catches up with a deadline that moved later
+        # when that expiry fires (one retransmission timer, RFC 6298 §5).
         self.rto_deadline: float | None = None
-        self.timer_epoch = 0
 
     @property
     def outstanding(self) -> int:
         return self.high_sent - self.cc.last_ack
-
-    def _arm_timer(self, deadline: float) -> None:
-        self.rto_deadline = deadline
-        self.timer_epoch += 1
-
-    def _cancel_timer(self) -> None:
-        self.rto_deadline = None
-        self.timer_epoch += 1
 
     def _record(self, time: float, kind: TraceKind, seq: int, value) -> None:
         if self.trace is not None:
@@ -169,7 +161,7 @@ class SenderEndpoint:
             self.high_sent += 1
             out.append(self._data_segment(seq, retx=False))
         if out and self.rto_deadline is None:
-            self._arm_timer(now + self.rtt_est.rto)
+            self.rto_deadline = now + self.rtt_est.rto
         return out
 
     def _retransmit(self, seqs: list[int], now: float) -> list[Segment]:
@@ -177,7 +169,7 @@ class SenderEndpoint:
             self.retransmit_flags.update(seqs)
             # classic single-timer behavior: sending a retransmission
             # restarts the clock covering the oldest outstanding segment
-            self._arm_timer(now + self.rtt_est.rto)
+            self.rto_deadline = now + self.rtt_est.rto
         return [self._data_segment(seq, retx=True) for seq in seqs]
 
     def on_ack_segment(self, ack: Segment, now: float) -> list[Segment]:
@@ -204,9 +196,9 @@ class SenderEndpoint:
             )
             self._prune_below(old_ack, ack.seq)
             if self.outstanding > 0:
-                self._arm_timer(now + self.rtt_est.rto)
+                self.rto_deadline = now + self.rtt_est.rto
             else:
-                self._cancel_timer()
+                self.rto_deadline = None
 
         out = self._retransmit(retransmit, now)
         out.extend(self.fill_window(now))
@@ -216,13 +208,13 @@ class SenderEndpoint:
         """RTO fired: back off, collapse the window, retransmit last_ack."""
         if self.outstanding == 0:
             self._record(now, TraceKind.SPURIOUS_RTO, 0, "-")
-            self._cancel_timer()
+            self.rto_deadline = None
             return []
         self.rtt_est.back_off()
         self._record(now, TraceKind.RTO, self.cc.last_ack, self.rtt_est.rto)
         self.cc, retransmit = cc_ops.on_timeout(self.cc, self.high_sent)
         out = self._retransmit(retransmit, now)
-        self._arm_timer(now + self.rtt_est.rto)
+        self.rto_deadline = now + self.rtt_est.rto
         return out
 
 

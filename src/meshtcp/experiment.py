@@ -256,23 +256,26 @@ def run_single(
     seed: int,
     trace: RunTrace | None = None,
 ) -> RunTrace:
-    """Run one combination to spec.duration; return the trace it fed."""
-    world = build_world(spec, flavor, hops, loss_rate, seed, trace)
-    return run_until(world, spec.duration)
+    """Run one combination to spec.duration; return the trace it fed.
+
+    A ``ContractError`` raised by the run names the combination.
+    """
+    try:
+        world = build_world(spec, flavor, hops, loss_rate, seed, trace)
+        return run_until(world, spec.duration)
+    except ContractError as exc:
+        raise ContractError(
+            f"combination flavor={flavor.value} hops={hops} "
+            f"loss_rate={loss_rate} seed={seed} aborted: {exc}"
+        ) from exc
 
 
 def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
     """Run the full sweep; one row per combination, lexicographic order."""
     rows = []
     for flavor, hops, rate, seed in spec.combinations():
-        try:
-            trace = run_single(spec, flavor, hops, rate, seed)
-            summary = summarize(trace, 0, warmup=spec.warmup_s)
-        except ContractError as exc:
-            raise ContractError(
-                f"combination flavor={flavor.value} hops={hops} "
-                f"loss_rate={rate} seed={seed} aborted: {exc}"
-            ) from exc
+        trace = run_single(spec, flavor, hops, rate, seed)
+        summary = summarize(trace, 0, warmup=spec.warmup_s)
         rows.append(ResultRow(**vars(summary), flavor=flavor, hops=hops, loss_rate=rate, seed=seed))
     return rows
 

@@ -8,6 +8,7 @@ the congestion state changes.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .cc import CcPhase, Flavor
@@ -79,7 +80,10 @@ class MeshWorld:
             topology, events=self.events, trace=self.trace, seed=seed, scripted=scripted
         )
         self.flows: dict[int, _Flow] = {}
-        self._scheduled_epoch: dict[int, int] = {}
+        # flow -> (time, token) of its one live TIMER_EXPIRY in the queue;
+        # an entry whose token is not here was replaced and is discarded
+        self._queued_expiry: dict[int, tuple[float, int]] = {}
+        self._expiry_tokens = itertools.count()
         self._last_window: dict[int, tuple[int, int]] = {}
         self._last_phase: dict[int, CcPhase] = {}
 
@@ -139,10 +143,18 @@ class MeshWorld:
             self._send_all(emissions, time)
             self._sync_timer(flow)
 
-    def _on_timer(self, time: float, flow_id: int, epoch: int) -> None:
+    def _on_timer(self, time: float, flow_id: int, token: int) -> None:
+        queued = self._queued_expiry.get(flow_id)
+        if queued is None or queued[1] != token:
+            return  # replaced by an expiry at an earlier deadline
+        del self._queued_expiry[flow_id]
         flow = self.flows[flow_id]
-        if epoch != flow.sender.timer_epoch:
-            return  # superseded timer
+        deadline = flow.sender.rto_deadline
+        if deadline is None:
+            return  # cancelled since it was queued
+        if deadline > time:
+            self._queue_expiry(flow_id, deadline)  # restarted since it was queued
+            return
         emissions = flow.sender.on_rto(time)
         self._record_cc(flow, time)
         self._send_all(emissions, time)
@@ -160,17 +172,21 @@ class MeshWorld:
             self.net.send(seg, time)
 
     def _sync_timer(self, flow: _Flow) -> None:
-        sender = flow.sender
-        if (
-            sender.rto_deadline is not None
-            and self._scheduled_epoch.get(flow.flow_id) != sender.timer_epoch
-        ):
-            self.events.push(
-                sender.rto_deadline,
-                _TIMER_EXPIRY,
-                (flow.flow_id, sender.timer_epoch),
-            )
-            self._scheduled_epoch[flow.flow_id] = sender.timer_epoch
+        """Queue an expiry unless one is queued at or before the deadline.
+
+        A deadline that moved later is caught up with when the queued
+        expiry fires, so a re-arm on every ACK pushes nothing.
+        """
+        deadline = flow.sender.rto_deadline
+        if deadline is not None:
+            queued = self._queued_expiry.get(flow.flow_id)
+            if queued is None or deadline < queued[0]:
+                self._queue_expiry(flow.flow_id, deadline)
+
+    def _queue_expiry(self, flow_id: int, deadline: float) -> None:
+        token = next(self._expiry_tokens)
+        self.events.push(deadline, _TIMER_EXPIRY, (flow_id, token))
+        self._queued_expiry[flow_id] = (deadline, token)
 
     def _record_cc(self, flow: _Flow, time: float, force: bool = False) -> None:
         cc = flow.sender.cc

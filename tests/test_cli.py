@@ -148,7 +148,9 @@ def test_trace_failing_mid_run_leaves_no_files(tmp_path, monkeypatch, capsys):
     out = tmp_path / "t"
     assert main(["trace", "--config", write(tmp_path, GOOD), "--flavor", "sac",
                  "--hops", "1", "--seed", "1", "--out", str(out)]) == 1
-    assert len(calls) == 50 and "injected cc failure" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert len(calls) == 50 and "injected cc failure" in err
+    assert "combination flavor=sac hops=1 loss_rate=0.0 seed=1 aborted" in err
     assert list(out.iterdir()) == []  # no trace.tsv, cwnd.tsv or partial file
 
 
@@ -274,3 +276,22 @@ def test_unusable_out_exits_2_before_any_run(tmp_path, capsys, monkeypatch, argv
     assert main(argv + ["--config", cfg, "--out", str(blocker)]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and str(blocker) in err
+
+
+@pytest.mark.parametrize(
+    "argv, output",
+    [
+        (["run"], "results.csv"),
+        (["trace", "--flavor", "sac", "--hops", "1", "--seed", "1"], "trace.tsv"),
+        (["compare", "--baseline", "newreno", "--candidate", "sac"], "compare.csv"),
+    ],
+    ids=["run", "trace", "compare"],
+)
+def test_unwritable_output_exits_2_and_leaves_no_partial(tmp_path, capsys, argv, output):
+    out = tmp_path / "o"
+    (out / output).mkdir(parents=True)  # a directory where the output goes
+    cfg = write(tmp_path, GOOD.replace("sac,newreno", "sac"))
+    assert main(argv + ["--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("configuration error: cannot write")
+    assert [p.name for p in out.iterdir()] == [output]

@@ -1,11 +1,13 @@
 """Per-layer microbenchmarks: one engine push and pop, one mesh hop, one
-ACK through cc, one trace record kept in memory and one streamed as text.
+ACK through cc and one through the sender and its timer, one trace record
+kept in memory and one streamed as text.
 
 Each runs few rounds so the suite stays fast; raise ROUNDS for steadier
 figures. Every benchmark also checks the result of the operation it times.
 """
 
 import io
+import itertools
 
 import pytest
 
@@ -22,6 +24,7 @@ from meshtcp.engine import (  # noqa: E402
     format_record,
 )
 from meshtcp.mesh import LinkModel, MeshNetwork, build_chain  # noqa: E402
+from meshtcp.world import FlowConfig, MeshWorld  # noqa: E402
 
 ROUNDS = 200
 ITERATIONS = 10
@@ -70,6 +73,30 @@ def test_cc_dupack(benchmark):
     state = cc.CcVars(Flavor.SACK, phase=CcPhase.CA, cwnd=20, ssthresh=16, last_ack=100)
     new, retransmit = _bench(benchmark, cc.on_dupack, state, 100, 120, ((102, 105),))
     assert (new.dupacks, new.phase, retransmit) == (1, CcPhase.CA, [])
+
+
+def test_sender_ack(benchmark):
+    world = MeshWorld(build_chain(2, LinkModel()), [FlowConfig(Flavor.NEWRENO, 1)], seed=1)
+    flow = world.flows[0]
+    sender = flow.sender
+    sender.cc = cc.CcVars(Flavor.NEWRENO, phase=CcPhase.CA, cwnd=20, ssthresh=16)
+    sender.fill_window(0.0)
+    world._sync_timer(flow)
+    acks = itertools.count(1)
+
+    def ack():
+        seq = next(acks)  # each ACK covers one more segment, 1 ms apart
+        out = sender.on_ack_segment(Segment(SegmentKind.ACK, 0, seq, 40, 2, 1), seq * 1e-3)
+        world._sync_timer(flow)
+        return out
+
+    out = _bench(benchmark, ack)
+    assert out and all(seg.kind is SegmentKind.DATA and not seg.retx for seg in out)
+    assert sender.cc.last_ack == next(acks) - 1 >= ROUNDS * ITERATIONS
+    # the first RTT sample moved the deadline earlier; every later ACK moved
+    # it later and queued nothing
+    timers = [e for e in world.events._heap if e[2] is EventKind.TIMER_EXPIRY]
+    assert len(timers) == 2
 
 
 def test_trace_add(benchmark):

@@ -12,7 +12,8 @@ from conftest import (
     record_transmissions,
 )
 from meshtcp.cc import Flavor
-from meshtcp.engine import TraceKind, run_until
+from meshtcp.endpoint import SenderEndpoint
+from meshtcp.engine import EventKind, TraceKind, run_until
 from meshtcp.errors import ConfigError
 from meshtcp.mesh import DropDirective, LinkModel, ScriptedDrops, build_chain
 from meshtcp.metrics import summarize
@@ -120,30 +121,31 @@ def test_fuzz_invariants_random_configurations():
 
 
 # Events handled per kind, frozen from the simulator before the per-event
-# path was rewritten. MeshWorld.handle is wrapped on the class, as the
+# path was rewritten; timer_expiry was re-frozen when each flow came to keep
+# one queued expiry instead of one per re-arm. MeshWorld.handle is wrapped on the class, as the
 # benchmark's counting pass does, so this also pins it as the one dispatch
 # entry: an event delivered any other way would go uncounted.
 EVENT_COUNTS = {
     (Flavor.SAC, 4, 1.0, 7): {
-        "app_tick": 1, "channel_free": 4365, "segment_arrival": 4354, "timer_expiry": 443,
+        "app_tick": 1, "channel_free": 4365, "segment_arrival": 4354, "timer_expiry": 57,
     },
     (Flavor.NEWRENO, 4, 1.0, 7): {
-        "app_tick": 1, "channel_free": 4365, "segment_arrival": 4354, "timer_expiry": 443,
+        "app_tick": 1, "channel_free": 4365, "segment_arrival": 4354, "timer_expiry": 57,
     },
     (Flavor.RENO, 4, 1.0, 7): {
-        "app_tick": 1, "channel_free": 3842, "segment_arrival": 3833, "timer_expiry": 404,
+        "app_tick": 1, "channel_free": 3842, "segment_arrival": 3833, "timer_expiry": 43,
     },
     (Flavor.SACK, 4, 1.0, 7): {
-        "app_tick": 1, "channel_free": 4388, "segment_arrival": 4379, "timer_expiry": 467,
+        "app_tick": 1, "channel_free": 4388, "segment_arrival": 4379, "timer_expiry": 57,
     },
     (Flavor.VEGAS, 4, 1.0, 7): {
-        "app_tick": 1, "channel_free": 3836, "segment_arrival": 3827, "timer_expiry": 444,
+        "app_tick": 1, "channel_free": 3836, "segment_arrival": 3827, "timer_expiry": 59,
     },
     (Flavor.NEWRENO, 12, 0.2, 3): {
-        "app_tick": 1, "channel_free": 12723, "segment_arrival": 12716, "timer_expiry": 415,
+        "app_tick": 1, "channel_free": 12723, "segment_arrival": 12716, "timer_expiry": 38,
     },
     (Flavor.SAC, 12, 0.2, 3): {
-        "app_tick": 1, "channel_free": 12723, "segment_arrival": 12716, "timer_expiry": 415,
+        "app_tick": 1, "channel_free": 12723, "segment_arrival": 12716, "timer_expiry": 38,
     },
 }
 
@@ -163,3 +165,67 @@ def test_event_counts_per_kind_are_locked(monkeypatch, point):
     monkeypatch.setattr(MeshWorld, "handle", counted)
     run_world(flavor, hops=hops, seed=seed, duration=10.0, link=LinkModel(loss_rate=rate))
     assert dict(counts) == EVENT_COUNTS[point]
+
+
+def test_rto_fires_exactly_at_its_deadline(monkeypatch):
+    # A10-style random configs: no event may be handled past a pending
+    # deadline (an expiry late or lost), and on_rto runs only at the deadline
+    rto_times = []
+    handle, on_rto = MeshWorld.handle, SenderEndpoint.on_rto
+
+    def checked_handle(self, time, kind, payload):
+        for flow in self.flows.values():
+            deadline = flow.sender.rto_deadline
+            assert deadline is None or time <= deadline, (
+                f"{kind.value} at t={time} past flow {flow.flow_id}'s deadline {deadline}"
+            )
+        return handle(self, time, kind, payload)
+
+    def checked_on_rto(self, now):
+        assert now == self.rto_deadline, f"on_rto at t={now}, deadline {self.rto_deadline}"
+        rto_times.append(now)
+        return on_rto(self, now)
+
+    monkeypatch.setattr(MeshWorld, "handle", checked_handle)
+    monkeypatch.setattr(SenderEndpoint, "on_rto", checked_on_rto)
+    rng = random.Random(0x7173)
+    for _ in range(30):
+        flows = [
+            FlowConfig(rng.choice(list(Flavor)), hops=rng.randint(1, 4))
+            for _ in range(rng.randint(1, 2))
+        ]
+        link = LinkModel(loss_rate=rng.uniform(0.0, 2.0), queue_capacity=rng.choice([2, 5, 10]))
+        world = MeshWorld(build_chain(5, link), flows, seed=rng.getrandbits(64))
+        run_until(world, 4.0)
+    assert len(rto_times) > 30  # the configs do reach the timer
+
+
+@pytest.mark.parametrize(
+    "point", [(Flavor.SAC, 4, 1.0, 7), (Flavor.NEWRENO, 12, 0.2, 3)],
+    ids=lambda p: f"{p[0].value}-{p[1]}hops",
+)
+def test_one_live_timer_entry_per_flow(monkeypatch, point):
+    flavor, hops, rate, seed = point
+    duration = 10.0
+    handle = MeshWorld.handle
+    area = last_time = last_count = 0.0
+
+    def sampled(self, time, kind, payload):
+        nonlocal area, last_time, last_count
+        area += last_count * (time - last_time)
+        handle(self, time, kind, payload)
+        timers = [p for _, _, k, p in self.events._heap if k is EventKind.TIMER_EXPIRY]
+        sender = self.flows[0].sender
+        if sender.rto_deadline is not None:
+            queued_at, token = self._queued_expiry[0]
+            assert [p for p in timers if p[1] == token] == [(0, token)]
+            assert queued_at <= sender.rto_deadline
+        last_time, last_count = time, len(timers)
+
+    monkeypatch.setattr(MeshWorld, "handle", sampled)
+    run_world(flavor, hops=hops, seed=seed, duration=duration, link=LinkModel(loss_rate=rate))
+    area += last_count * (duration - last_time)
+    # a re-arm pushes nothing, so only a deadline moved earlier (a shrinking
+    # RTO) leaves a replaced entry behind; the mean was 12-28 with one push
+    # per re-arm
+    assert area / duration <= 3
