@@ -23,9 +23,8 @@ arithmetic is done in whole segments so traces are integer-exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import ConfigError, ContractError
 
@@ -54,8 +53,7 @@ class CcPhase(Enum):
     FRR = "FRR"
 
 
-@dataclass(frozen=True)
-class CcVars:
+class CcVars(NamedTuple):
     """Value-semantics congestion state for one sender.
 
     ``cwnd``/``ssthresh``/sequence fields are all counted in segments.

@@ -16,9 +16,7 @@ from __future__ import annotations
 import argparse
 import sys
 from contextlib import contextmanager
-from dataclasses import replace
 from pathlib import Path
-from statistics import mean
 from typing import Iterator
 
 from .cc import Flavor
@@ -124,12 +122,17 @@ def _writing(*paths: Path) -> Iterator[list[Path]]:
 
     The twins are renamed to the real paths only once the block has
     succeeded, and removed in any case, so a failed command leaves no
-    partial file behind. An ``OSError`` on the way is a ``ConfigError``.
+    partial file behind. No destination may be a directory, and that is
+    checked before the first rename, so a blocked output leaves the others
+    as they were too. An ``OSError`` on the way is a ``ConfigError``.
     """
     partial = [path.with_name(path.name + ".partial") for path in paths]
     try:
         try:
             yield partial
+            for path in paths:
+                if path.is_dir():
+                    raise ConfigError(f"cannot write output: {path} is a directory")
             for done, path in zip(partial, paths):
                 done.replace(path)
         finally:
@@ -179,6 +182,9 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
+    # imported here, the one place it is used, to keep it off the import path
+    from statistics import mean
+
     spec = _load_spec(args)
     baseline = _flavor(args.baseline)
     candidate = _flavor(args.candidate)
@@ -186,8 +192,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     # both sweeps visit the (hops, loss_rate, seed) points in the same order
     pairs = list(
         zip(
-            run_experiment(replace(spec, flavors=(baseline,))),
-            run_experiment(replace(spec, flavors=(candidate,))),
+            run_experiment(spec._replace(flavors=(baseline,))),
+            run_experiment(spec._replace(flavors=(candidate,))),
         )
     )
     if any(row.throughput is None for pair in pairs for row in pair):

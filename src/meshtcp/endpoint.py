@@ -9,7 +9,6 @@ an out-of-order buffer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
 
@@ -52,16 +51,18 @@ class Segment(NamedTuple):
     retx: bool = False
 
 
-@dataclass
 class RttEstimator:
     """Smoothed RTT / variance estimator with exponential timeout backoff."""
 
-    rto_min: float = DEFAULT_RTO_MIN_S
-    rto_max: float = DEFAULT_RTO_MAX_S
-    srtt: float = 0.0
-    rttvar: float = 0.0
-    rto: float = INITIAL_RTO_S
-    has_sample: bool = False
+    def __init__(
+        self, rto_min: float = DEFAULT_RTO_MIN_S, rto_max: float = DEFAULT_RTO_MAX_S
+    ) -> None:
+        self.rto_min = rto_min
+        self.rto_max = rto_max
+        self.srtt = 0.0
+        self.rttvar = 0.0
+        self.rto = INITIAL_RTO_S
+        self.has_sample = False
 
     def update(self, sample: float) -> None:
         if sample <= 0:
@@ -218,17 +219,24 @@ class SenderEndpoint:
         return out
 
 
-@dataclass
 class ReceiverEndpoint:
     """One TCP receiver: cumulative ACK per arriving data segment."""
 
-    flow_id: int
-    node: int
-    peer: int
-    ack_bytes: int = 40
-    sack_enabled: bool = False
-    rcv_next: int = 0
-    ooo_buffer: set[int] = field(default_factory=set)
+    def __init__(
+        self,
+        flow_id: int,
+        node: int,
+        peer: int,
+        ack_bytes: int = 40,
+        sack_enabled: bool = False,
+    ) -> None:
+        self.flow_id = flow_id
+        self.node = node
+        self.peer = peer
+        self.ack_bytes = ack_bytes
+        self.sack_enabled = sack_enabled
+        self.rcv_next = 0
+        self.ooo_buffer: set[int] = set()
 
     def _sack_blocks(self, trigger: int | None) -> tuple[tuple[int, int], ...]:
         if not self.sack_enabled or not self.ooo_buffer:

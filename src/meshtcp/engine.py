@@ -3,7 +3,6 @@ random streams, and the append-only run trace."""
 
 from __future__ import annotations
 
-import hashlib
 import heapq
 import itertools
 import math
@@ -12,6 +11,11 @@ from enum import Enum
 from typing import Callable, Iterator, NamedTuple
 
 from .errors import ContractError
+
+try:
+    from _sha256 import sha256
+except ImportError:  # hashlib loads OpenSSL, so it is only the fallback
+    from hashlib import sha256
 
 
 class EventKind(Enum):
@@ -135,7 +139,7 @@ class RngStream:
     def __init__(self, seed: int, name: str = "") -> None:
         self.seed = seed
         self.name = name
-        digest = hashlib.sha256(f"{seed}:{name}".encode()).digest()
+        digest = sha256(f"{seed}:{name}".encode()).digest()
         self._rng = random.Random(int.from_bytes(digest[:8], "big"))
 
     def split(self, name: str) -> "RngStream":

@@ -10,8 +10,8 @@ see identical loss-instant sequences and comparisons are paired.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping
+from collections import namedtuple
+from typing import Mapping, NamedTuple
 
 from .cc import MSS_MAX_BYTES, MSS_MIN_BYTES, Flavor
 from .engine import RunTrace, run_until
@@ -60,8 +60,7 @@ CSV_HEADER = (
 )
 
 
-@dataclass(frozen=True)
-class ExperimentSpec:
+class ExperimentSpec(NamedTuple):
     flavors: tuple[Flavor, ...]
     hop_counts: tuple[int, ...]
     loss_rates: tuple[float, ...]
@@ -94,14 +93,10 @@ class ExperimentSpec:
         ]
 
 
-@dataclass(frozen=True)
-class ResultRow(MetricsSummary):
-    """The metrics of one sweep point, with the point itself."""
-
-    flavor: Flavor
-    hops: int
-    loss_rate: float
-    seed: int
+ResultRow = namedtuple(
+    "ResultRow", MetricsSummary._fields + ("flavor", "hops", "loss_rate", "seed")
+)
+ResultRow.__doc__ = "The metrics of one sweep point, with the point itself."
 
 
 def _parse_lines(text: str) -> dict[str, tuple[str, str]]:
@@ -276,7 +271,7 @@ def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
     for flavor, hops, rate, seed in spec.combinations():
         trace = run_single(spec, flavor, hops, rate, seed)
         summary = summarize(trace, 0, warmup=spec.warmup_s)
-        rows.append(ResultRow(**vars(summary), flavor=flavor, hops=hops, loss_rate=rate, seed=seed))
+        rows.append(ResultRow(*summary, flavor, hops, rate, seed))
     return rows
 
 

@@ -13,7 +13,7 @@ exact loss scenarios.
 from __future__ import annotations
 
 from collections import Counter, deque
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .endpoint import Segment, SegmentKind
 from .engine import EventKind, EventQueue, RngStream, RunTrace, TraceKind
@@ -27,17 +27,22 @@ DEFAULT_MSS_BYTES = 1460
 DEFAULT_ACK_BYTES = 40
 
 
-@dataclass(frozen=True)
-class LinkModel:
-    """Static per-hop parameters. ``loss_rate`` is the Poisson rate of
-    wireless loss instants, per directed link, in events per second."""
-
+# A NamedTuple class may not define __init__, so the checked value types
+# below are subclasses of their field tuples that validate in __init__.
+class _LinkFields(NamedTuple):
     bandwidth_bps: float = DEFAULT_BANDWIDTH_BPS
     prop_delay_s: float = DEFAULT_PROP_DELAY_S
     queue_capacity: int = DEFAULT_QUEUE_CAPACITY
     loss_rate: float = 0.0
 
-    def __post_init__(self) -> None:
+
+class LinkModel(_LinkFields):
+    """Static per-hop parameters. ``loss_rate`` is the Poisson rate of
+    wireless loss instants, per directed link, in events per second."""
+
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs) -> None:
         if self.bandwidth_bps <= 0:
             raise ConfigError(f"bandwidth must be positive, got {self.bandwidth_bps}")
         if self.queue_capacity < 1:
@@ -46,8 +51,7 @@ class LinkModel:
             raise ConfigError(f"loss rate must be >= 0, got {self.loss_rate}")
 
 
-@dataclass(frozen=True)
-class ChainTopology:
+class ChainTopology(NamedTuple):
     """Nodes 1..n in a line; hop h is the link between nodes h and h+1.
     Every hop has the same ``link`` parameters."""
 
@@ -103,16 +107,19 @@ class LossProcess:
         return self._next < start + tx_time
 
 
-@dataclass(frozen=True)
-class DropDirective:
-    """Drop the nth transmission (1-based) of data segment ``seq`` on hop
-    ``hop`` (forward direction)."""
-
+class _DropFields(NamedTuple):
     hop: int
     seq: int
     nth: int
 
-    def __post_init__(self) -> None:
+
+class DropDirective(_DropFields):
+    """Drop the nth transmission (1-based) of data segment ``seq`` on hop
+    ``hop`` (forward direction)."""
+
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs) -> None:
         if self.hop < 1 or self.seq < 0 or self.nth < 1:
             raise ConfigError(f"bad drop directive {self.hop}:{self.seq}:{self.nth}")
 
@@ -121,7 +128,7 @@ class ScriptedDrops:
     """Explicit drop table; when present it replaces the stochastic model."""
 
     def __init__(self, directives: tuple[DropDirective, ...]) -> None:
-        self._wanted = {(d.hop, d.seq, d.nth) for d in directives}
+        self._wanted = set(directives)  # each equals its (hop, seq, nth) tuple
         self._counts: dict[tuple[int, int], int] = {}
 
     def decide(self, hop: int, forward: bool, seg: Segment) -> bool:

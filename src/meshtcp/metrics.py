@@ -11,8 +11,7 @@ in the delay figure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .engine import TraceKind, TraceRecord
 from .errors import MetricUndefinedError
@@ -24,8 +23,7 @@ _DELIVER = TraceKind.DELIVER
 _RTO = TraceKind.RTO
 
 
-@dataclass(frozen=True)
-class MetricsSummary:
+class MetricsSummary(NamedTuple):
     throughput: float | None
     goodput: float | None
     plr: float | None

@@ -9,7 +9,7 @@ the congestion state changes.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cc import CcPhase, Flavor
 from .endpoint import (
@@ -38,8 +38,7 @@ _TIMER_EXPIRY, _APP_TICK = EventKind.TIMER_EXPIRY, EventKind.APP_TICK
 _DATA = SegmentKind.DATA
 
 
-@dataclass(frozen=True)
-class FlowConfig:
+class FlowConfig(NamedTuple):
     """One unidirectional flow from node 1 over ``hops`` links."""
 
     flavor: Flavor
@@ -47,8 +46,7 @@ class FlowConfig:
     app_limit: int | None = None
 
 
-@dataclass
-class _Flow:
+class _Flow(NamedTuple):
     flow_id: int
     src: int
     dst: int

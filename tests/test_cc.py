@@ -48,7 +48,7 @@ def test_init_sender_rejects_oversized_mss():
 
 def test_new_ack_slow_start_growth():
     cc = init_sender(Flavor.NEWRENO, 1460)
-    cc = CcVars(**{**cc.__dict__, "cwnd": 2, "last_ack": 5})
+    cc = cc._replace(cwnd=2, last_ack=5)
     cc, retx = on_new_ack(cc, 6)
     assert cc.cwnd == 3
     assert cc.phase is CcPhase.SS
@@ -269,11 +269,11 @@ def test_vegas_ca_adjustment_directions():
     cc, _ = on_new_ack(base, 1, rtt_sample=0.100)
     assert cc.cwnd == 11
     # diff = 10*(0.2-0.1)/0.2 = 5 > beta: shrink
-    shrunk = CcVars(**{**base.__dict__, "vegas_last_rtt": 0.200})
+    shrunk = base._replace(vegas_last_rtt=0.200)
     cc, _ = on_new_ack(shrunk, 1, rtt_sample=0.200)
     assert cc.cwnd == 9
     # diff = 10*(0.125-0.1)/0.125 = 2 in [alpha, beta]: hold
-    held = CcVars(**{**base.__dict__, "vegas_last_rtt": 0.125})
+    held = base._replace(vegas_last_rtt=0.125)
     cc, _ = on_new_ack(held, 1, rtt_sample=0.125)
     assert cc.cwnd == 10
 

@@ -1,3 +1,7 @@
+import importlib.util
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -8,7 +12,8 @@ from meshtcp.cli import main
 from meshtcp.errors import ContractError
 from meshtcp.mesh import MeshNetwork
 
-LOSS_SWEEP = str(Path(__file__).resolve().parent.parent / "configs" / "loss_sweep.cfg")
+REPO = Path(__file__).resolve().parent.parent
+LOSS_SWEEP = str(REPO / "configs" / "loss_sweep.cfg")
 
 GOOD = """\
 flavors = sac,newreno
@@ -295,3 +300,46 @@ def test_unwritable_output_exits_2_and_leaves_no_partial(tmp_path, capsys, argv,
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("configuration error: cannot write")
     assert [p.name for p in out.iterdir()] == [output]
+
+
+@pytest.mark.parametrize(
+    "argv, blocked, kept",
+    [
+        (["trace", "--flavor", "sac", "--hops", "1", "--seed", "1"], "cwnd.tsv", "trace.tsv"),
+        (["compare", "--baseline", "newreno", "--candidate", "sac"], "summary.txt", "compare.csv"),
+    ],
+    ids=["trace", "compare"],
+)
+def test_unwritable_second_output_leaves_the_first_unchanged(
+    tmp_path, capsys, argv, blocked, kept
+):
+    out = tmp_path / "o"
+    (out / blocked).mkdir(parents=True)
+    (out / kept).write_text("older\n")
+    cfg = write(tmp_path, GOOD.replace("sac,newreno", "sac"))
+    assert main(argv + ["--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("configuration error: cannot write")
+    assert (out / kept).read_text() == "older\n"
+    assert sorted(p.name for p in out.iterdir()) == sorted([blocked, kept])
+
+
+def test_importing_cli_leaves_heavy_stdlib_modules_unloaded():
+    # each worker of a parallel sweep pays the import again; only modules the
+    # import adds count, since site may have loaded some of these already
+    code = (
+        "import sys; before = set(sys.modules); import meshtcp.cli; "
+        "print(' '.join(sorted(set(sys.modules) - before)))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    added = set(
+        subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+            check=True,
+        ).stdout.split()
+    )
+    assert "meshtcp.cli" in added
+    unwanted = {"dataclasses", "inspect", "statistics"}
+    if importlib.util.find_spec("_sha256") is not None:
+        unwanted |= {"hashlib", "_hashlib"}  # else sha256 comes from hashlib
+    assert not added & unwanted

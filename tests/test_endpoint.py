@@ -75,7 +75,7 @@ class TestRttEstimator:
 class TestSenderWindow:
     def test_fill_from_empty(self):
         s = make_sender()
-        s.cc = s.cc.__class__(**{**s.cc.__dict__, "cwnd": 4})
+        s.cc = s.cc._replace(cwnd=4)
         segs = s.fill_window(0.0)
         assert [g.seq for g in segs] == [0, 1, 2, 3]
         assert s.high_sent == 4
@@ -83,13 +83,13 @@ class TestSenderWindow:
 
     def test_full_window_sends_nothing(self):
         s = make_sender()
-        s.cc = s.cc.__class__(**{**s.cc.__dict__, "cwnd": 4})
+        s.cc = s.cc._replace(cwnd=4)
         s.fill_window(0.0)
         assert s.fill_window(0.1) == []
 
     def test_app_limit_binds(self):
         s = make_sender(app_limit=2)
-        s.cc = s.cc.__class__(**{**s.cc.__dict__, "cwnd": 10})
+        s.cc = s.cc._replace(cwnd=10)
         segs = s.fill_window(0.0)
         assert [g.seq for g in segs] == [0, 1]
 
@@ -106,7 +106,7 @@ class TestSenderAckHandling:
 
     def test_duplicate_ack_path(self):
         s = make_sender()
-        s.cc = s.cc.__class__(**{**s.cc.__dict__, "cwnd": 8})
+        s.cc = s.cc._replace(cwnd=8)
         s.fill_window(0.0)
         s.on_ack_segment(ack_segment(0), 0.1)
         assert s.cc.dupacks == 1
@@ -124,7 +124,7 @@ class TestSenderAckHandling:
 
     def test_third_dupack_retransmits_before_new_data(self):
         s = make_sender()
-        s.cc = s.cc.__class__(**{**s.cc.__dict__, "cwnd": 10})
+        s.cc = s.cc._replace(cwnd=10)
         s.fill_window(0.0)
         for _ in range(2):
             s.on_ack_segment(ack_segment(0), 0.1)
@@ -134,7 +134,7 @@ class TestSenderAckHandling:
 
     def test_sac_second_retransmission_restarts_timer(self):
         s = make_sender(Flavor.SAC)
-        s.cc = s.cc.__class__(**{**s.cc.__dict__, "cwnd": 20})
+        s.cc = s.cc._replace(cwnd=20)
         s.fill_window(0.0)
         for k in range(3):  # the third dupack enters FRR with rlp = 20
             s.on_ack_segment(ack_segment(0), 0.1 + k * 0.01)
@@ -172,7 +172,7 @@ class TestKarnRule:
 class TestSenderRto:
     def test_rto_backs_off_and_collapses_window(self):
         s = make_sender()
-        s.cc = s.cc.__class__(**{**s.cc.__dict__, "cwnd": 8})
+        s.cc = s.cc._replace(cwnd=8)
         s.fill_window(0.0)
         rto_before = s.rtt_est.rto
         out = s.on_rto(1.0)

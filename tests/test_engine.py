@@ -1,4 +1,5 @@
 import hashlib
+import random
 
 import pytest
 
@@ -49,6 +50,17 @@ def test_rng_stream_reproducible_and_name_split():
     child = RngStream(42).split("loss").split("x")
     assert child.name == "loss/x"
     assert child.seed == 42
+
+
+@pytest.mark.parametrize(
+    "seed, name", [(0, ""), (42, "loss/hop1/fwd"), (2**63 - 1, "loss/hop3/rev")]
+)
+def test_rng_stream_is_seeded_from_sha256_of_seed_and_name(seed, name):
+    # the reference seeding every earlier version used, through hashlib
+    digest = hashlib.sha256(f"{seed}:{name}".encode()).digest()
+    reference = random.Random(int.from_bytes(digest[:8], "big"))
+    stream = RngStream(seed, name)
+    assert [stream.uniform() for _ in range(20)] == [reference.random() for _ in range(20)]
 
 
 def test_rng_exponential_positive_and_rate_checked():

@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 
 from meshtcp.cc import Flavor
@@ -10,6 +12,7 @@ from meshtcp.experiment import (
     load_config,
     run_experiment,
 )
+from meshtcp.mesh import DropDirective, LinkModel
 
 BASIC = """\
 flavors = sac,newreno
@@ -164,6 +167,20 @@ class TestEmitCsv:
     def test_byte_stability(self):
         rows = run_experiment(load_config(SMALL))
         assert emit_csv(rows) == emit_csv(rows)
+
+
+def test_values_survive_a_pickle_round_trip():
+    # what a worker process of a parallel sweep would receive and send back
+    spec = load_config(BASIC + "scripted_drops = 1:10:1;1:10:2\n")
+    row = ResultRow(
+        throughput=55.5, goodput=None, plr=0.0125, mean_delay=0.125, rto_count=2,
+        retransmit_count=9, delivered_count=3000, flavor=Flavor.SAC, hops=4,
+        loss_rate=0.5, seed=7,
+    )
+    for value in (spec, row, LinkModel(loss_rate=0.5), DropDirective(1, 10, 2)):
+        copy = pickle.loads(pickle.dumps(value))
+        assert copy == value
+        assert type(copy) is type(value)
 
 
 # every numeric key, with a value just below its lower bound (None: unbounded)
