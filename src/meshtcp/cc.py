@@ -292,10 +292,3 @@ def on_timeout(cc: CcVars, high_sent: int) -> tuple[CcVars, list[int]]:
         vegas_base_rtt=cc.vegas_base_rtt, vegas_last_rtt=cc.vegas_last_rtt,
         sack_scoreboard=cc.sack_scoreboard,
     ), [cc.last_ack]
-
-
-def effective_window(cc: CcVars, receiver_window: int) -> int:
-    """How many segments may be outstanding beyond last_ack."""
-    if receiver_window < 0:
-        raise ContractError(f"receiver_window must be >= 0, got {receiver_window}")
-    return min(cc.cwnd, receiver_window)

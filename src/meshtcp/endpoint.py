@@ -2,7 +2,8 @@
 
 The sender owns sequence bookkeeping, the RTO estimator and timer state,
 and translates network events (ACK arrivals, timer expiries) into the pure
-congestion-control operations plus concrete segments to transmit. The
+congestion-control operations plus concrete segments to transmit; it
+records its own window and phase changes in the run trace. The
 receiver generates one cumulative ACK per arriving data segment and keeps
 an out-of-order buffer.
 """
@@ -13,7 +14,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from . import cc as cc_ops
-from .cc import CcVars, Flavor, effective_window, init_sender
+from .cc import CcVars, Flavor, init_sender
 from .engine import RunTrace, TraceKind
 from .errors import ContractError
 
@@ -23,7 +24,7 @@ INITIAL_RTO_S = 1.0
 # Above every normal cwnd operating range here, so cwnd is the binding
 # constraint in regular operation; bounds only the otherwise unbounded
 # window inflation during a stuck recovery, as a real receive buffer does.
-DEFAULT_RECEIVER_WINDOW = 64  # segments
+RECEIVER_WINDOW = 64  # segments
 MAX_SACK_BLOCKS = 3
 
 
@@ -35,6 +36,7 @@ class SegmentKind(Enum):
 # bound once for the per-event path; see the note in mesh.py
 _DATA, _ACK = SegmentKind.DATA, SegmentKind.ACK
 _SACK = Flavor.SACK
+_CWND_SAMPLE, _PHASE_CHANGE = TraceKind.CWND_SAMPLE, TraceKind.PHASE_CHANGE
 
 
 class Segment(NamedTuple):
@@ -93,7 +95,6 @@ class SenderEndpoint:
         src: int,
         dst: int,
         app_limit: int | None = None,
-        receiver_window: int = DEFAULT_RECEIVER_WINDOW,
         rto_min: float = DEFAULT_RTO_MIN_S,
         rto_max: float = DEFAULT_RTO_MAX_S,
         trace: RunTrace | None = None,
@@ -108,7 +109,6 @@ class SenderEndpoint:
         self.send_timestamps: dict[int, float] = {}
         self.retransmit_flags: set[int] = set()
         self.app_limit = app_limit
-        self.receiver_window = receiver_window
         self.trace = trace
         # Timer state: None when stopped. The simulation keeps one expiry
         # queued per flow and catches up with a deadline that moved later
@@ -122,6 +122,15 @@ class SenderEndpoint:
     def _record(self, time: float, kind: TraceKind, seq: int, value) -> None:
         if self.trace is not None:
             self.trace.add(time, kind, self.flow_id, seq, value)
+
+    def _set_cc(self, cc: CcVars, now: float) -> None:
+        """Adopt a new congestion state; record the window (ssthresh in the
+        seq column) if it changed, then the phase if that changed."""
+        old, self.cc = self.cc, cc
+        if cc.cwnd != old.cwnd or cc.ssthresh != old.ssthresh:
+            self._record(now, _CWND_SAMPLE, cc.ssthresh, cc.cwnd)
+        if cc.phase is not old.phase:
+            self._record(now, _PHASE_CHANGE, 0, cc.phase._value_)
 
     def _data_segment(self, seq: int, retx: bool) -> Segment:
         return Segment(
@@ -150,9 +159,14 @@ class SenderEndpoint:
             self.send_timestamps.pop(seq, None)
             self.retransmit_flags.discard(seq)
 
+    def start(self, now: float) -> list[Segment]:
+        """Record the initial window and send the first segments."""
+        self._record(now, _CWND_SAMPLE, self.cc.ssthresh, self.cc.cwnd)
+        return self.fill_window(now)
+
     def fill_window(self, now: float) -> list[Segment]:
         """Emit new data segments until the window or the app limit binds."""
-        window = effective_window(self.cc, self.receiver_window)
+        window = min(self.cc.cwnd, RECEIVER_WINDOW)
         out: list[Segment] = []
         while self.outstanding < window and (
             self.app_limit is None or self.high_sent < self.app_limit
@@ -185,16 +199,18 @@ class SenderEndpoint:
 
         blocks = ack.sack if self.cc.flavor is _SACK else ()
         if ack.seq == old_ack:
-            self.cc, retransmit = cc_ops.on_dupack(
+            cc, retransmit = cc_ops.on_dupack(
                 self.cc, ack.seq, self.high_sent, sack_blocks=blocks
             )
+            self._set_cc(cc, now)
         else:
             sample = self._rtt_sample(ack.seq, now)
             if sample is not None and sample > 0:
                 self.rtt_est.update(sample)
-            self.cc, retransmit = cc_ops.on_new_ack(
+            cc, retransmit = cc_ops.on_new_ack(
                 self.cc, ack.seq, sample, sack_blocks=blocks
             )
+            self._set_cc(cc, now)
             self._prune_below(old_ack, ack.seq)
             if self.outstanding > 0:
                 self.rto_deadline = now + self.rtt_est.rto
@@ -213,7 +229,8 @@ class SenderEndpoint:
             return []
         self.rtt_est.back_off()
         self._record(now, TraceKind.RTO, self.cc.last_ack, self.rtt_est.rto)
-        self.cc, retransmit = cc_ops.on_timeout(self.cc, self.high_sent)
+        cc, retransmit = cc_ops.on_timeout(self.cc, self.high_sent)
+        self._set_cc(cc, now)
         out = self._retransmit(retransmit, now)
         self.rto_deadline = now + self.rtt_est.rto
         return out

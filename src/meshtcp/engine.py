@@ -49,9 +49,6 @@ class EventQueue:
         self._watermark = time
         return time, kind, payload
 
-    def peek_time(self) -> float:
-        return self._heap[0][0]
-
     def __len__(self) -> int:
         return len(self._heap)
 

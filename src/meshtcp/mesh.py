@@ -140,7 +140,6 @@ class ScriptedDrops:
         return (hop, seg.seq, n) in self._wanted
 
 
-_IDLE, _WAITING, _SENDING = 0, 1, 2
 # Enum members bound once: looking one up on its class costs about ten
 # times the `is` test that uses it, on every segment.
 _CHANNEL_FREE = EventKind.CHANNEL_FREE
@@ -154,7 +153,7 @@ class _Link:
     parameters."""
 
     __slots__ = (
-        "src", "dst", "hop", "forward", "model", "queue", "state", "group", "loss",
+        "src", "dst", "hop", "forward", "model", "queue", "group", "loss",
         "queue_capacity", "bandwidth_bps", "prop_delay_s",
     )
 
@@ -166,8 +165,9 @@ class _Link:
         self.model = model
         self.group = group
         self.loss = loss
+        # queue[0] is on the air or waiting in the group's FIFO; an empty
+        # queue means the link is idle
         self.queue: deque[Segment] = deque()
-        self.state = _IDLE
         self.queue_capacity = model.queue_capacity
         self.bandwidth_bps = model.bandwidth_bps
         self.prop_delay_s = model.prop_delay_s
@@ -256,20 +256,19 @@ class MeshNetwork:
 
     def enqueue(self, link: _Link, seg: Segment, now: float) -> bool:
         """Drop-tail FIFO; the segment being transmitted occupies a slot.
-        An idle link takes the group's channel if it is free, else waits
-        for it in FIFO order."""
+        A link that was idle takes the group's channel if it is free, else
+        waits for it in FIFO order."""
         queue = link.queue
         if len(queue) >= link.queue_capacity:
             self.trace.add(now, _DROP_QUEUE, seg.flow_id, seg.seq, seg.kind._value_)
             self.carried[seg.flow_id] -= 1
             return False
         queue.append(seg)
-        if link.state == _IDLE:
+        if len(queue) == 1:
             group = link.group
             if group.busy_link is None:
                 self._start_transmission(link, now)
             else:
-                link.state = _WAITING
                 group.fifo.append(link)
         return True
 
@@ -280,7 +279,6 @@ class MeshNetwork:
             raise ContractError(
                 f"hop {link.hop} starts sending while group {group.index} is held"
             )
-        link.state = _SENDING
         group.busy_link = link
         tx_time = seg.size_bytes * 8.0 / link.bandwidth_bps
         if self.scripted is not None:
@@ -305,9 +303,6 @@ class MeshNetwork:
         link.queue.popleft()
         group.busy_link = None
         if link.queue:
-            link.state = _WAITING
             group.fifo.append(link)
-        else:
-            link.state = _IDLE
         if group.fifo:
             self._start_transmission(group.fifo.popleft(), now)

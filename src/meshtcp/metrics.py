@@ -14,7 +14,6 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple
 
 from .engine import TraceKind, TraceRecord
-from .errors import MetricUndefinedError
 
 _DATA = "data"
 _SEND = TraceKind.SEND
@@ -67,40 +66,20 @@ def summarize(
                 first_delivered[seq] = time
 
     span = last_tx - first_tx if tx_count >= 2 else 0.0
-    delays = [t - first_sent[s] for s, t in first_delivered.items() if s in first_sent]
+    # a plain running total in first-delivery order: sum() of floats is
+    # compensated since Python 3.12, which would change the last bits
+    delay_total = 0.0
+    n_delays = 0
+    for seq, t in first_delivered.items():
+        if seq in first_sent:
+            delay_total += t - first_sent[seq]
+            n_delays += 1
     return MetricsSummary(
         throughput=tx_count / span if span > 0 else None,
         goodput=len(first_delivered) / span if span > 0 else None,
         plr=retx_count / delivered if delivered else None,
-        mean_delay=sum(delays) / len(delays) if delays else None,
+        mean_delay=delay_total / n_delays if n_delays else None,
         rto_count=rtos,
         retransmit_count=retx_count,
         delivered_count=delivered,
     )
-
-
-def _defined(trace: Iterable[TraceRecord], flow_id: int, name: str) -> float:
-    value = getattr(summarize(trace, flow_id), name)
-    if value is None:
-        raise MetricUndefinedError(f"{name} is undefined for flow {flow_id}")
-    return value
-
-
-def throughput(trace: Iterable[TraceRecord], flow_id: int = 0) -> float:
-    """Data transmissions per second over the first-to-last send span."""
-    return _defined(trace, flow_id, "throughput")
-
-
-def goodput(trace: Iterable[TraceRecord], flow_id: int = 0) -> float:
-    """Distinct delivered segments per second over the same span."""
-    return _defined(trace, flow_id, "goodput")
-
-
-def packet_loss_rate(trace: Iterable[TraceRecord], flow_id: int = 0) -> float:
-    """Retransmitted data packets divided by received data packets."""
-    return _defined(trace, flow_id, "plr")
-
-
-def mean_delay(trace: Iterable[TraceRecord], flow_id: int = 0) -> float:
-    """Mean first-transmission to first-delivery latency per segment."""
-    return _defined(trace, flow_id, "mean_delay")

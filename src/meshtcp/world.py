@@ -1,9 +1,9 @@
 """One simulated run: a chain network carrying TCP flows.
 
-The world owns the clock and the event queue, feeds the run's trace (one it
-is given, or a fresh one that keeps its records), dispatches events
-to the network and the endpoints, and records window/phase samples whenever
-the congestion state changes.
+The world wires the run: it owns the clock and the event queue, hands the
+run's trace (one it is given, or a fresh one that keeps its records) to the
+network and the senders, and dispatches events to them and the receivers.
+It keeps one queued RTO expiry per flow.
 """
 
 from __future__ import annotations
@@ -11,9 +11,8 @@ from __future__ import annotations
 import itertools
 from typing import NamedTuple
 
-from .cc import CcPhase, Flavor
+from .cc import Flavor
 from .endpoint import (
-    DEFAULT_RECEIVER_WINDOW,
     DEFAULT_RTO_MAX_S,
     DEFAULT_RTO_MIN_S,
     ReceiverEndpoint,
@@ -21,7 +20,7 @@ from .endpoint import (
     SegmentKind,
     SenderEndpoint,
 )
-from .engine import EventKind, EventQueue, RunTrace, TraceKind
+from .engine import EventKind, EventQueue, RunTrace
 from .errors import ConfigError, ContractError
 from .mesh import (
     DEFAULT_ACK_BYTES,
@@ -67,7 +66,6 @@ class MeshWorld:
         ack_bytes: int = DEFAULT_ACK_BYTES,
         rto_min: float = DEFAULT_RTO_MIN_S,
         rto_max: float = DEFAULT_RTO_MAX_S,
-        receiver_window: int = DEFAULT_RECEIVER_WINDOW,
         scripted: ScriptedDrops | None = None,
         trace: RunTrace | None = None,
     ) -> None:
@@ -82,8 +80,6 @@ class MeshWorld:
         # an entry whose token is not here was replaced and is discarded
         self._queued_expiry: dict[int, tuple[float, int]] = {}
         self._expiry_tokens = itertools.count()
-        self._last_window: dict[int, tuple[int, int]] = {}
-        self._last_phase: dict[int, CcPhase] = {}
 
         for flow_id, config in enumerate(flows):
             if config.hops < 1 or config.hops > topology.n_hops:
@@ -98,7 +94,6 @@ class MeshWorld:
                 src=src,
                 dst=dst,
                 app_limit=config.app_limit,
-                receiver_window=receiver_window,
                 rto_min=rto_min,
                 rto_max=rto_max,
                 trace=self.trace,
@@ -112,10 +107,6 @@ class MeshWorld:
             )
             self.flows[flow_id] = _Flow(flow_id, src, dst, sender, receiver)
             self.events.push(0.0, EventKind.APP_TICK, flow_id)
-
-    def in_flight(self, flow_id: int) -> int:
-        """Segments of this flow originated but not yet delivered/dropped."""
-        return self.net.carried[flow_id]
 
     def handle(self, time: float, kind: EventKind, payload) -> None:
         if kind is _SEGMENT_ARRIVAL:
@@ -136,9 +127,7 @@ class MeshWorld:
         if seg.kind is _DATA:
             self.net.send(flow.receiver.on_data(seg, time), time)
         else:
-            emissions = flow.sender.on_ack_segment(seg, time)
-            self._record_cc(flow, time)
-            self._send_all(emissions, time)
+            self._send_all(flow.sender.on_ack_segment(seg, time), time)
             self._sync_timer(flow)
 
     def _on_timer(self, time: float, flow_id: int, token: int) -> None:
@@ -153,16 +142,12 @@ class MeshWorld:
         if deadline > time:
             self._queue_expiry(flow_id, deadline)  # restarted since it was queued
             return
-        emissions = flow.sender.on_rto(time)
-        self._record_cc(flow, time)
-        self._send_all(emissions, time)
+        self._send_all(flow.sender.on_rto(time), time)
         self._sync_timer(flow)
 
     def _on_app_tick(self, time: float, flow_id: int) -> None:
         flow = self.flows[flow_id]
-        self._record_cc(flow, time, force=True)
-        emissions = flow.sender.fill_window(time)
-        self._send_all(emissions, time)
+        self._send_all(flow.sender.start(time), time)
         self._sync_timer(flow)
 
     def _send_all(self, segments: list[Segment], time: float) -> None:
@@ -185,17 +170,3 @@ class MeshWorld:
         token = next(self._expiry_tokens)
         self.events.push(deadline, _TIMER_EXPIRY, (flow_id, token))
         self._queued_expiry[flow_id] = (deadline, token)
-
-    def _record_cc(self, flow: _Flow, time: float, force: bool = False) -> None:
-        cc = flow.sender.cc
-        window = (cc.cwnd, cc.ssthresh)
-        if force or window != self._last_window.get(flow.flow_id):
-            self.trace.add(
-                time, TraceKind.CWND_SAMPLE, flow.flow_id, cc.ssthresh, cc.cwnd
-            )
-            self._last_window[flow.flow_id] = window
-        if cc.phase != self._last_phase.get(flow.flow_id, CcPhase.SS):
-            self.trace.add(
-                time, TraceKind.PHASE_CHANGE, flow.flow_id, 0, cc.phase.value
-            )
-            self._last_phase[flow.flow_id] = cc.phase

@@ -63,9 +63,8 @@ def check_conservation(world, trace, flow_id=0):
             terminal += 1
     balance = sends - terminal
     assert balance >= 0, f"more terminals ({terminal}) than sends ({sends})"
-    assert balance == world.in_flight(flow_id), (
-        f"trace balance {balance} != in-flight counter {world.in_flight(flow_id)}"
-    )
+    carried = world.net.carried[flow_id]
+    assert balance == carried, f"trace balance {balance} != in-flight counter {carried}"
 
 
 def record_transmissions(net):

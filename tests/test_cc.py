@@ -6,7 +6,6 @@ from meshtcp.cc import (
     CcPhase,
     CcVars,
     Flavor,
-    effective_window,
     init_sender,
     on_dupack,
     on_new_ack,
@@ -251,13 +250,6 @@ def test_timeout_degenerate_flight_clamps_ssthresh():
     cc = CcVars(flavor=Flavor.RENO, phase=CcPhase.SS, cwnd=1, ssthresh=44, last_ack=7)
     cc, _ = on_timeout(cc, 8)
     assert cc.ssthresh == 2
-
-
-def test_effective_window_examples():
-    cc = CcVars(flavor=Flavor.RENO, cwnd=13, ssthresh=10)
-    assert effective_window(cc, 1000) == 13
-    assert effective_window(cc, 4) == 4
-    assert effective_window(CcVars(flavor=Flavor.RENO, cwnd=1, ssthresh=10), 0) == 0
 
 
 def test_vegas_ca_adjustment_directions():

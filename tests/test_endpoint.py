@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from meshtcp.cc import CcPhase, Flavor
 from meshtcp.endpoint import (
+    RECEIVER_WINDOW,
     ReceiverEndpoint,
     RttEstimator,
     Segment,
@@ -92,6 +93,33 @@ class TestSenderWindow:
         s.cc = s.cc._replace(cwnd=10)
         segs = s.fill_window(0.0)
         assert [g.seq for g in segs] == [0, 1]
+
+    def test_receiver_window_caps_a_large_cwnd(self):
+        s = make_sender()
+        s.cc = s.cc._replace(cwnd=100)
+        s.fill_window(0.0)
+        assert s.outstanding == RECEIVER_WINDOW == 64
+
+
+class TestSenderRecordsItsWindow:
+    def test_start_records_the_initial_sample_before_sending(self):
+        s = make_sender()
+        segs = s.start(0.0)
+        assert list(s.trace) == [(0.0, TraceKind.CWND_SAMPLE, 0, s.cc.ssthresh, 1)]
+        assert [g.seq for g in segs] == [0]
+
+    def test_third_dupack_records_the_window_then_the_phase(self):
+        s = make_sender()
+        s.cc = s.cc._replace(cwnd=10)
+        s.fill_window(0.0)
+        for k in range(2):
+            s.on_ack_segment(ack_segment(0), 0.1 + k * 0.01)
+        assert list(s.trace) == []  # nothing changed
+        s.on_ack_segment(ack_segment(0), 0.12)
+        assert list(s.trace) == [
+            (0.12, TraceKind.CWND_SAMPLE, 0, s.cc.ssthresh, s.cc.cwnd),
+            (0.12, TraceKind.PHASE_CHANGE, 0, 0, "FRR"),
+        ]
 
 
 class TestSenderAckHandling:

@@ -20,7 +20,6 @@ from meshtcp.world import FlowConfig, MeshWorld
 def test_queue_singleton_dequeues():
     q = EventQueue()
     q.push(1.0, EventKind.APP_TICK, "a")
-    assert q.peek_time() == 1.0
     assert q.pop() == (1.0, EventKind.APP_TICK, "a")
     assert not q
 

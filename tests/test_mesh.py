@@ -220,7 +220,7 @@ class TestIntegratedRuns:
             if r.kind is TraceKind.DELIVER and r.value == "data"
         }
         assert delivered == set(range(200))
-        assert world.in_flight(0) == 0
+        assert world.net.carried[0] == 0
         check_conservation(world, trace)
 
     def test_data_fifo_order_without_loss(self):

@@ -3,16 +3,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meshtcp.cc import Flavor
-from meshtcp.engine import RunTrace, TraceKind, run_until
-from meshtcp.errors import MetricUndefinedError
+from meshtcp.engine import RunTrace, TraceKind, TraceRecord, run_until
 from meshtcp.mesh import LinkModel, build_chain
-from meshtcp.metrics import (
-    goodput,
-    mean_delay,
-    packet_loss_rate,
-    summarize,
-    throughput,
-)
+from meshtcp.metrics import summarize
 from meshtcp.world import FlowConfig, MeshWorld
 
 
@@ -29,7 +22,7 @@ def test_throughput_formula_hundred_sends():
         (1.0 + k * 0.1, TraceKind.SEND, k, "data") for k in range(100)
     ]
     records[-1] = (11.0, TraceKind.SEND, 99, "data")
-    assert throughput(trace_of(records)) == 10.0
+    assert summarize(trace_of(records)).throughput == 10.0
 
 
 def test_throughput_counts_retransmissions():
@@ -38,45 +31,40 @@ def test_throughput_counts_retransmissions():
     records += [(11.0, TraceKind.RETX, 4, "data")]
     records.sort(key=lambda r: r[0])
     tr = trace_of(records)
-    assert throughput(tr) == 10.0
+    assert summarize(tr).throughput == 10.0
     # goodput over the same span counts distinct deliveries only
     records += [(11.0, TraceKind.DELIVER, k, "data") for k in range(95)]
     records.sort(key=lambda r: r[0])
-    tr2 = trace_of(records)
-    assert goodput(tr2) == 9.5
-    assert goodput(tr2) <= throughput(tr2)
+    s = summarize(trace_of(records))
+    assert s.goodput == 9.5
+    assert s.goodput <= s.throughput
 
 
 def test_throughput_undefined_cases():
-    with pytest.raises(MetricUndefinedError):
-        throughput(trace_of([(1.0, TraceKind.SEND, 0, "data")]))
-    with pytest.raises(MetricUndefinedError):
-        throughput(
-            trace_of(
-                [(1.0, TraceKind.SEND, 0, "data"), (1.0, TraceKind.SEND, 1, "data")]
-            )
-        )
+    assert summarize(trace_of([(1.0, TraceKind.SEND, 0, "data")])).throughput is None
+    assert summarize(
+        trace_of([(1.0, TraceKind.SEND, 0, "data"), (1.0, TraceKind.SEND, 1, "data")])
+    ).throughput is None
 
 
 def test_plr_formula():
     records = [(1.0 + k * 0.01, TraceKind.DELIVER, k, "data") for k in range(100)]
     records += [(2.0 + k * 0.01, TraceKind.RETX, k, "data") for k in range(5)]
     records.sort(key=lambda r: r[0])
-    assert packet_loss_rate(trace_of(records)) == 0.05
+    assert summarize(trace_of(records)).plr == 0.05
 
 
 def test_plr_lossless_and_undefined():
     records = [(1.0 + k * 0.01, TraceKind.DELIVER, k, "data") for k in range(100)]
-    assert packet_loss_rate(trace_of(records)) == 0.0
-    with pytest.raises(MetricUndefinedError):
-        packet_loss_rate(trace_of([(1.0, TraceKind.SEND, 0, "data")]))
+    assert summarize(trace_of(records)).plr == 0.0
+    assert summarize(trace_of([(1.0, TraceKind.SEND, 0, "data")])).plr is None
 
 
 def test_mean_delay_single_sample():
     tr = trace_of(
         [(1.0, TraceKind.SEND, 0, "data"), (1.007, TraceKind.DELIVER, 0, "data")]
     )
-    assert mean_delay(tr) == pytest.approx(0.007)
+    assert summarize(tr).mean_delay == pytest.approx(0.007)
 
 
 def test_mean_delay_two_samples():
@@ -88,7 +76,7 @@ def test_mean_delay_two_samples():
             (2.020, TraceKind.DELIVER, 1, "data"),
         ]
     )
-    assert mean_delay(tr) == pytest.approx(0.015)
+    assert summarize(tr).mean_delay == pytest.approx(0.015)
 
 
 def test_mean_delay_uses_first_transmission():
@@ -99,7 +87,23 @@ def test_mean_delay_uses_first_transmission():
             (2.007, TraceKind.DELIVER, 7, "data"),
         ]
     )
-    assert mean_delay(tr) == pytest.approx(1.007)
+    assert summarize(tr).mean_delay == pytest.approx(1.007)
+
+
+def test_mean_delay_sums_left_to_right_in_delivery_order():
+    # delays 2**53, 1.0, 1.0: each 1.0 is lost to rounding when added to the
+    # running total, as it would not be with sum()'s compensated summation
+    # (Python 3.12+), so the mean is the same on every Python version
+    big = float(2**53)
+    records = [
+        TraceRecord(0.0, TraceKind.SEND, 0, 0, "data"),
+        TraceRecord(1.0, TraceKind.SEND, 0, 1, "data"),
+        TraceRecord(1.0, TraceKind.SEND, 0, 2, "data"),
+        TraceRecord(big, TraceKind.DELIVER, 0, 0, "data"),
+        TraceRecord(2.0, TraceKind.DELIVER, 0, 1, "data"),
+        TraceRecord(2.0, TraceKind.DELIVER, 0, 2, "data"),
+    ]
+    assert summarize(records).mean_delay == big / 3
 
 
 def test_summarize_lossless_run():

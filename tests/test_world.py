@@ -200,6 +200,41 @@ def test_rto_fires_exactly_at_its_deadline(monkeypatch):
     assert len(rto_times) > 30  # the configs do reach the timer
 
 
+def test_link_is_idle_exactly_when_its_queue_is_empty(monkeypatch):
+    # A10-style random configs: after every event, a link with an empty
+    # queue neither holds its group's channel nor waits for it, and a link
+    # with a queue does exactly one of the two, waiting in the FIFO once
+    handle = MeshWorld.handle
+    waited = 0
+
+    def checked_handle(self, time, kind, payload):
+        nonlocal waited
+        handle(self, time, kind, payload)
+        net = self.net
+        for hop in range(1, net.topology.n_nodes):
+            for link in (net.link(hop, hop + 1), net.link(hop + 1, hop)):
+                sending = link.group.busy_link is link
+                waiting = sum(other is link for other in link.group.fifo)
+                waited += waiting
+                expected = 1 if link.queue else 0
+                assert sending + waiting == expected, (
+                    f"hop {link.hop} forward={link.forward} at t={time}: "
+                    f"{len(link.queue)} queued, {sending=} {waiting=}"
+                )
+
+    monkeypatch.setattr(MeshWorld, "handle", checked_handle)
+    rng = random.Random(0x11E)
+    for _ in range(20):
+        flows = [
+            FlowConfig(rng.choice(list(Flavor)), hops=rng.randint(1, 4))
+            for _ in range(rng.randint(1, 2))
+        ]
+        link = LinkModel(loss_rate=rng.uniform(0.0, 2.0), queue_capacity=rng.choice([2, 5, 10]))
+        topo = build_chain(5, link, interference_range=rng.randint(0, 3))
+        run_until(MeshWorld(topo, flows, seed=rng.getrandbits(64)), 3.0)
+    assert waited > 0  # links did wait for a busy channel
+
+
 @pytest.mark.parametrize(
     "point", [(Flavor.SAC, 4, 1.0, 7), (Flavor.NEWRENO, 12, 0.2, 3)],
     ids=lambda p: f"{p[0].value}-{p[1]}hops",
