@@ -14,7 +14,7 @@ from .experiment import (
 )
 from .mesh import ChainTopology, DropDirective, LinkModel, ScriptedDrops, build_chain
 from .metrics import MetricsSummary, summarize
-from .world import FlowConfig, MeshWorld
+from .world import MeshWorld
 
 __version__ = "0.1.0"
 
@@ -26,7 +26,6 @@ __all__ = [
     "ContractError",
     "DropDirective",
     "ExperimentSpec",
-    "FlowConfig",
     "Flavor",
     "LinkModel",
     "MeshTcpError",

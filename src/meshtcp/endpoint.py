@@ -111,7 +111,7 @@ class SenderEndpoint:
         self.app_limit = app_limit
         self.trace = trace
         # Timer state: None when stopped. The simulation keeps one expiry
-        # queued per flow and catches up with a deadline that moved later
+        # queued for the sender and catches up with a deadline that moved later
         # when that expiry fires (one retransmission timer, RFC 6298 §5).
         self.rto_deadline: float | None = None
 

@@ -163,7 +163,7 @@ def run_until(world, t_end: float) -> RunTrace:
     pop = heapq.heappop
     while heap and heap[0][0] <= t_end:
         time, _, kind, payload = pop(heap)
-        events._watermark = world.clock = time
+        events._watermark = time
         try:
             world.handle(time, kind, payload)
         except ContractError as exc:

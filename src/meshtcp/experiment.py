@@ -2,10 +2,10 @@
 
 Configs are line-oriented ``key = value`` text with ``#`` comments and
 comma-separated lists. A sweep runs every (flavor, hops, loss_rate, seed)
-combination on a fresh chain of ``max(hops) + 1`` nodes with the flow from
-node 1 to node ``1 + hops``. Link loss streams are keyed by seed and link
-only, never by flavor, so two flavors at the same (hops, loss_rate, seed)
-see identical loss-instant sequences and comparisons are paired.
+combination on a fresh chain of ``hops + 1`` nodes with the flow from node
+1 to the last node. Link loss streams are keyed by seed and hop only, never
+by flavor, so two flavors at the same (hops, loss_rate, seed) see identical
+loss-instant sequences and comparisons are paired.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .mesh import (
     build_chain,
 )
 from .metrics import MetricsSummary, summarize
-from .world import FlowConfig, MeshWorld
+from .world import MeshWorld
 from .endpoint import DEFAULT_RTO_MAX_S, DEFAULT_RTO_MIN_S
 
 _REQUIRED_KEYS = ("flavors", "hops", "loss_rates", "seeds", "duration")
@@ -77,10 +77,6 @@ class ExperimentSpec(NamedTuple):
     app_limit: int | None = None
     scripted_drops: tuple[DropDirective, ...] = ()
     warmup_s: float = 0.0
-
-    @property
-    def n_nodes(self) -> int:
-        return max(self.hop_counts) + 1
 
     def combinations(self) -> list[tuple[Flavor, int, float, int]]:
         """All sweep points in deterministic lexicographic order."""
@@ -228,12 +224,13 @@ def build_world(
         queue_capacity=spec.queue_capacity,
         loss_rate=loss_rate,
     )
-    topology = build_chain(spec.n_nodes, link, spec.interference_range)
+    topology = build_chain(hops + 1, link, spec.interference_range)
     scripted = ScriptedDrops(spec.scripted_drops) if spec.scripted_drops else None
     return MeshWorld(
         topology,
-        [FlowConfig(flavor=flavor, hops=hops, app_limit=spec.app_limit)],
+        flavor,
         seed=seed,
+        app_limit=spec.app_limit,
         mss_bytes=spec.mss_bytes,
         ack_bytes=spec.ack_bytes,
         rto_min=spec.rto_min_s,
@@ -270,7 +267,7 @@ def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
     rows = []
     for flavor, hops, rate, seed in spec.combinations():
         trace = run_single(spec, flavor, hops, rate, seed)
-        summary = summarize(trace, 0, warmup=spec.warmup_s)
+        summary = summarize(trace, warmup=spec.warmup_s)
         rows.append(ResultRow(*summary, flavor, hops, rate, seed))
     return rows
 

@@ -12,7 +12,7 @@ exact loss scenarios.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 from typing import NamedTuple
 
 from .endpoint import Segment, SegmentKind
@@ -189,8 +189,8 @@ class MeshNetwork:
 
     Owns link queues, channel arbitration and the error model; deliveries
     are reported by scheduling SEGMENT_ARRIVAL events for the next node.
-    It is the only writer of the per-flow in-flight count ``carried``:
-    ``send`` adds a segment, and its delivery or drop removes it.
+    It is the only writer of the in-flight count ``carried``: ``send``
+    adds a segment, and its delivery or drop removes it.
     """
 
     def __init__(
@@ -206,7 +206,7 @@ class MeshNetwork:
         self.events = events
         self.trace = trace
         self.scripted = scripted
-        self.carried: Counter[int] = Counter()
+        self.carried = 0
 
         self.groups = [_Group(i) for i in range(topology.n_groups)]
         # per node: [link toward the lower neighbour, toward the higher one]
@@ -234,7 +234,7 @@ class MeshNetwork:
         and count it in flight."""
         kind = _RETX if seg.retx else _SEND
         self.trace.add(now, kind, seg.flow_id, seg.seq, seg.kind._value_)
-        self.carried[seg.flow_id] += 1
+        self.carried += 1
         self.forward(seg.src, seg, now)
 
     def arrive(self, node: int, seg: Segment, now: float) -> bool:
@@ -244,7 +244,7 @@ class MeshNetwork:
             self.forward(node, seg, now)
             return False
         self.trace.add(now, _DELIVER, seg.flow_id, seg.seq, seg.kind._value_)
-        self.carried[seg.flow_id] -= 1
+        self.carried -= 1
         return True
 
     def forward(self, node: int, seg: Segment, now: float) -> None:
@@ -261,7 +261,7 @@ class MeshNetwork:
         queue = link.queue
         if len(queue) >= link.queue_capacity:
             self.trace.add(now, _DROP_QUEUE, seg.flow_id, seg.seq, seg.kind._value_)
-            self.carried[seg.flow_id] -= 1
+            self.carried -= 1
             return False
         queue.append(seg)
         if len(queue) == 1:
@@ -289,7 +289,7 @@ class MeshNetwork:
         self.events.push(end, _CHANNEL_FREE, link)
         if dropped:
             self.trace.add(now, _DROP_WIRELESS, seg.flow_id, seg.seq, seg.kind._value_)
-            self.carried[seg.flow_id] -= 1
+            self.carried -= 1
         else:
             self.events.push(end + link.prop_delay_s, _SEGMENT_ARRIVAL, (link.dst, seg))
 

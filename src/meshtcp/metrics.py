@@ -32,20 +32,15 @@ class MetricsSummary(NamedTuple):
     delivered_count: int
 
 
-def summarize(
-    trace: Iterable[TraceRecord],
-    flow_id: int = 0,
-    *,
-    warmup: float = 0.0,
-) -> MetricsSummary:
-    """All metrics for one flow over records at or after ``warmup``;
+def summarize(trace: Iterable[TraceRecord], *, warmup: float = 0.0) -> MetricsSummary:
+    """All metrics of the run over records at or after ``warmup``;
     metrics without a defined value are None."""
     tx_count = retx_count = delivered = rtos = 0
     first_tx = last_tx = 0.0
     first_sent: dict[int, float] = {}
     first_delivered: dict[int, float] = {}
-    for time, kind, flow, seq, value in trace:
-        if flow != flow_id or time < warmup:
+    for time, kind, _, seq, value in trace:
+        if time < warmup:
             continue
         if kind is _RTO:
             rtos += 1

@@ -14,31 +14,29 @@ LEGAL_PHASE_EDGES = {
 TERMINAL_KINDS = (TraceKind.DELIVER, TraceKind.DROP_WIRELESS, TraceKind.DROP_QUEUE)
 
 
-def check_phase_edges(trace, flow_id=0):
+def check_phase_edges(trace):
     """Every recorded phase transition must be a legal edge from SS."""
     phase = "SS"
     for r in trace:
-        if r.kind is TraceKind.PHASE_CHANGE and r.flow_id == flow_id:
+        if r.kind is TraceKind.PHASE_CHANGE:
             assert (phase, r.value) in LEGAL_PHASE_EDGES, (
                 f"illegal phase edge {phase}->{r.value} at t={r.time}"
             )
             phase = r.value
 
 
-def check_cwnd_positive(trace, flow_id=0):
+def check_cwnd_positive(trace):
     for r in trace:
-        if r.kind is TraceKind.CWND_SAMPLE and r.flow_id == flow_id:
+        if r.kind is TraceKind.CWND_SAMPLE:
             assert r.value >= 1, f"cwnd {r.value} below 1 at t={r.time}"
 
 
-def check_window_discipline(trace, flow_id=0):
+def check_window_discipline(trace):
     """Replay the trace: every new data send must fit inside the window
     that was in force at that instant."""
     cwnd = 1
     last_ack = 0
     for r in trace:
-        if r.flow_id != flow_id:
-            continue
         if r.kind is TraceKind.CWND_SAMPLE:
             cwnd = r.value
         elif r.kind is TraceKind.DELIVER and r.value == "ack":
@@ -51,19 +49,17 @@ def check_window_discipline(trace, flow_id=0):
             )
 
 
-def check_conservation(world, trace, flow_id=0):
+def check_conservation(world, trace):
     """Originated segments = terminal records + still-in-flight count."""
     sends = terminal = 0
     for r in trace:
-        if r.flow_id != flow_id:
-            continue
         if r.kind in (TraceKind.SEND, TraceKind.RETX):
             sends += 1
         elif r.kind in TERMINAL_KINDS:
             terminal += 1
     balance = sends - terminal
     assert balance >= 0, f"more terminals ({terminal}) than sends ({sends})"
-    carried = world.net.carried[flow_id]
+    carried = world.net.carried
     assert balance == carried, f"trace balance {balance} != in-flight counter {carried}"
 
 

@@ -23,7 +23,7 @@ from meshtcp.engine import RngStream, RunTrace, TraceKind, run_until
 from meshtcp.experiment import emit_csv, load_config, run_experiment, run_single
 from meshtcp.mesh import LinkModel, LossProcess, build_chain
 from meshtcp.metrics import summarize
-from meshtcp.world import FlowConfig, MeshWorld
+from meshtcp.world import MeshWorld
 
 SEEDS_10 = ",".join(str(s) for s in range(1, 11))
 SEEDS_20 = ",".join(str(s) for s in range(1, 21))
@@ -32,7 +32,7 @@ SEEDS_20 = ",".join(str(s) for s in range(1, 21))
 def run_summarized(spec, flavor, hops, loss_rate, seed):
     """One sweep point's trace and its summary, as run_experiment makes them."""
     trace = run_single(spec, flavor, hops, loss_rate, seed)
-    return trace, summarize(trace, 0, warmup=spec.warmup_s)
+    return trace, summarize(trace, warmup=spec.warmup_s)
 
 
 def cwnd_samples(trace):
@@ -349,8 +349,8 @@ def test_a10_invariant_fuzz():
         rate = rng.choice([0.0, 0.3, 1.0, 2.0])
         seed = rng.getrandbits(64)
         queue = rng.choice([5, 20, 50])
-        topo = build_chain(5, LinkModel(loss_rate=rate, queue_capacity=queue))
-        world = MeshWorld(topo, [FlowConfig(flavor, hops=hops)], seed=seed)
+        topo = build_chain(hops + 1, LinkModel(loss_rate=rate, queue_capacity=queue))
+        world = MeshWorld(topo, flavor, seed=seed)
         record_transmissions(world.net)
         trace = run_until(world, 3.0)
         check_conservation(world, trace)

@@ -14,7 +14,7 @@ from meshtcp.engine import (
 )
 from meshtcp.errors import ContractError
 from meshtcp.mesh import LinkModel, build_chain
-from meshtcp.world import FlowConfig, MeshWorld
+from meshtcp.world import MeshWorld
 
 
 def test_queue_singleton_dequeues():
@@ -91,14 +91,7 @@ def test_trace_export_format():
 
 def _one_hop_world(seed=1):
     topo = build_chain(2, LinkModel())
-    return MeshWorld(topo, [FlowConfig(Flavor.NEWRENO, hops=1)], seed=seed)
-
-
-def test_run_until_no_flows_gives_empty_trace():
-    topo = build_chain(3, LinkModel())
-    world = MeshWorld(topo, [], seed=1)
-    trace = run_until(world, 10.0)
-    assert len(trace) == 0
+    return MeshWorld(topo, Flavor.NEWRENO, seed=seed)
 
 
 def test_run_until_t_end_zero_emits_only_time_zero_records():
@@ -125,7 +118,6 @@ class _PastPushingWorld:
     """Stub world whose handler schedules an event before the clock."""
 
     def __init__(self):
-        self.clock = 0.0
         self.events = EventQueue()
         self.trace = RunTrace()
         self.events.push(1.0, EventKind.APP_TICK, None)
@@ -138,4 +130,4 @@ def test_run_until_rejects_events_scheduled_in_the_past():
     world = _PastPushingWorld()
     with pytest.raises(ContractError, match=r"dispatch failed at t=1\.000000000 .*in the past"):
         run_until(world, 5.0)
-    assert world.clock == 1.0
+    assert world.events._watermark == 1.0

@@ -27,7 +27,6 @@ class TestLoadConfig:
     def test_cartesian_combination_count(self):
         spec = load_config(BASIC)
         assert len(spec.combinations()) == 2 * 4 * 2 * 3
-        assert spec.n_nodes == 5
 
     def test_defaults_applied(self):
         spec = load_config(BASIC)
@@ -137,6 +136,12 @@ class TestRunExperiment:
             s2 = w_sac.net.link(src, dst).loss._stream
             assert (s1.seed, s1.name) == (s2.seed, s2.name)
             assert [s1.uniform() for _ in range(5)] == [s2.uniform() for _ in range(5)]
+
+    def test_each_point_builds_a_chain_the_flow_spans(self):
+        spec = load_config(SMALL.replace("hops = 1,2", "hops = 1,2,4"))
+        world = build_world(spec, Flavor.SAC, 2, 0.5, 1)
+        assert world.net.topology.n_nodes == 3
+        assert world.receiver.node == world.sender.dst == 3
 
 
 class TestEmitCsv:

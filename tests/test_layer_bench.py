@@ -24,7 +24,7 @@ from meshtcp.engine import (  # noqa: E402
     format_record,
 )
 from meshtcp.mesh import LinkModel, MeshNetwork, build_chain  # noqa: E402
-from meshtcp.world import FlowConfig, MeshWorld  # noqa: E402
+from meshtcp.world import MeshWorld  # noqa: E402
 
 ROUNDS = 200
 ITERATIONS = 10
@@ -76,18 +76,17 @@ def test_cc_dupack(benchmark):
 
 
 def test_sender_ack(benchmark):
-    world = MeshWorld(build_chain(2, LinkModel()), [FlowConfig(Flavor.NEWRENO, 1)], seed=1)
-    flow = world.flows[0]
-    sender = flow.sender
+    world = MeshWorld(build_chain(2, LinkModel()), Flavor.NEWRENO, seed=1)
+    sender = world.sender
     sender.cc = cc.CcVars(Flavor.NEWRENO, phase=CcPhase.CA, cwnd=20, ssthresh=16)
     sender.fill_window(0.0)
-    world._sync_timer(flow)
+    world._sync_timer()
     acks = itertools.count(1)
 
     def ack():
         seq = next(acks)  # each ACK covers one more segment, 1 ms apart
         out = sender.on_ack_segment(Segment(SegmentKind.ACK, 0, seq, 40, 2, 1), seq * 1e-3)
-        world._sync_timer(flow)
+        world._sync_timer()
         return out
 
     out = _bench(benchmark, ack)

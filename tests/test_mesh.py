@@ -20,7 +20,7 @@ from meshtcp.mesh import (
     ScriptedDrops,
     build_chain,
 )
-from meshtcp.world import FlowConfig, MeshWorld
+from meshtcp.world import MeshWorld
 
 
 def data_seg(seq, size=1460, flow=0, src=1, dst=2):
@@ -32,7 +32,6 @@ def make_net(n_nodes=2, seed=1, scripted=None, **link_kwargs):
     events = EventQueue()
     trace = RunTrace()
     net = MeshNetwork(topo, events=events, trace=trace, seed=seed, scripted=scripted)
-    net.carried[0] = 0
     return net, events, trace
 
 
@@ -210,9 +209,7 @@ class TestScriptedDrops:
 class TestIntegratedRuns:
     def test_lossless_run_delivers_everything(self):
         topo = build_chain(3, LinkModel(queue_capacity=500))
-        world = MeshWorld(
-            topo, [FlowConfig(Flavor.NEWRENO, hops=2, app_limit=200)], seed=3
-        )
+        world = MeshWorld(topo, Flavor.NEWRENO, seed=3, app_limit=200)
         trace = run_until(world, 30.0)
         delivered = {
             r.seq
@@ -220,14 +217,12 @@ class TestIntegratedRuns:
             if r.kind is TraceKind.DELIVER and r.value == "data"
         }
         assert delivered == set(range(200))
-        assert world.net.carried[0] == 0
+        assert world.net.carried == 0
         check_conservation(world, trace)
 
     def test_data_fifo_order_without_loss(self):
         topo = build_chain(2, LinkModel())
-        world = MeshWorld(
-            topo, [FlowConfig(Flavor.RENO, hops=1, app_limit=100)], seed=3
-        )
+        world = MeshWorld(topo, Flavor.RENO, seed=3, app_limit=100)
         trace = run_until(world, 30.0)
         seqs = [
             r.seq for r in trace if r.kind is TraceKind.DELIVER and r.value == "data"
@@ -236,7 +231,7 @@ class TestIntegratedRuns:
 
     def test_group_exclusivity_and_conservation_lossy(self):
         topo = build_chain(5, LinkModel(loss_rate=1.0))
-        world = MeshWorld(topo, [FlowConfig(Flavor.SAC, hops=4)], seed=11)
+        world = MeshWorld(topo, Flavor.SAC, seed=11)
         record_transmissions(world.net)
         trace = run_until(world, 10.0)
         assert any(r.kind is TraceKind.DROP_WIRELESS for r in trace)

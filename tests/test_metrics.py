@@ -6,7 +6,7 @@ from meshtcp.cc import Flavor
 from meshtcp.engine import RunTrace, TraceKind, TraceRecord, run_until
 from meshtcp.mesh import LinkModel, build_chain
 from meshtcp.metrics import summarize
-from meshtcp.world import FlowConfig, MeshWorld
+from meshtcp.world import MeshWorld
 
 
 def trace_of(records):
@@ -108,7 +108,7 @@ def test_mean_delay_sums_left_to_right_in_delivery_order():
 
 def test_summarize_lossless_run():
     topo = build_chain(2, LinkModel())
-    world = MeshWorld(topo, [FlowConfig(Flavor.NEWRENO, hops=1, app_limit=50)], seed=1)
+    world = MeshWorld(topo, Flavor.NEWRENO, seed=1, app_limit=50)
     trace = run_until(world, 10.0)
     s = summarize(trace)
     assert s.plr == 0.0
@@ -131,7 +131,7 @@ def test_summarize_empty_trace_marks_unavailable():
 
 def test_plr_matches_independent_recount():
     topo = build_chain(3, LinkModel(loss_rate=1.0))
-    world = MeshWorld(topo, [FlowConfig(Flavor.RENO, hops=2)], seed=5)
+    world = MeshWorld(topo, Flavor.RENO, seed=5)
     trace = run_until(world, 20.0)
     s = summarize(trace)
     retx = deliver = 0
@@ -176,9 +176,9 @@ _DATA_RECORD = st.tuples(
 _RECORD = st.one_of(_DATA_RECORD, _ANY_RECORD)
 
 
-def _recount(records, flow_id, warmup):
+def _recount(records, warmup):
     """Every MetricsSummary field, recounted with plain list filters."""
-    window = [r for r in records if r.flow_id == flow_id and r.time >= warmup]
+    window = [r for r in records if r.time >= warmup]
     data = [r for r in window if r.value == "data"]
     txs = [r for r in data if r.kind in (TraceKind.SEND, TraceKind.RETX)]
     delivers = [r for r in data if r.kind is TraceKind.DELIVER]
@@ -204,15 +204,14 @@ def _recount(records, flow_id, warmup):
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(
     st.lists(_RECORD, min_size=2, max_size=40),
-    st.sampled_from([0, 1]),
     st.one_of(_TIME, st.just(1.25)),
 )
-def test_summarize_matches_recount(raw, flow_id, warmup):
+def test_summarize_matches_recount(raw, warmup):
     trace = RunTrace()
     for time, kind, flow, seq, value in sorted(raw, key=lambda r: r[0]):
         trace.add(time, kind, flow, seq, value)
-    got = summarize(trace, flow_id, warmup=warmup)
-    want = _recount(trace.records, flow_id, warmup)
+    got = summarize(trace, warmup=warmup)
+    want = _recount(trace.records, warmup)
     for name, value in want.items():
         if name == "mean_delay" and value is not None:
             assert got.mean_delay == pytest.approx(value, rel=1e-12, abs=0.0)

@@ -1,15 +1,19 @@
-"""The traced benchmark pass in ``perfbench/`` wraps meshtcp functions and
-methods by name; this fails when one of those names goes away."""
+"""The benchmark passes in ``perfbench/`` call meshtcp and wrap its functions
+and methods by name; these fail when one of those names goes away."""
 
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 from meshtcp.cc import Flavor
 from meshtcp.endpoint import SenderEndpoint
 from meshtcp.engine import run_until
 from meshtcp.mesh import LinkModel, build_chain
-from meshtcp.world import FlowConfig, MeshWorld
+from meshtcp.world import MeshWorld
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 
 
 def test_tracer_installs_runs_and_uninstalls(monkeypatch):
@@ -20,7 +24,7 @@ def test_tracer_installs_runs_and_uninstalls(monkeypatch):
     tracer = Tracer()
     tracer.install()
     try:
-        world = MeshWorld(build_chain(3, LinkModel()), [FlowConfig(Flavor.SAC, hops=2)], seed=1)
+        world = MeshWorld(build_chain(3, LinkModel()), Flavor.SAC, seed=1)
         run_until(world, 1.0)
     finally:
         tracer.uninstall()
@@ -34,3 +38,28 @@ def test_tracer_installs_runs_and_uninstalls(monkeypatch):
         if (site["parent"], site["name"]) == ("world.handle", "endpoint.fill_window")
     ]
     assert from_handle == [1]  # the one app tick starts the sender
+
+
+def _child(mode, *extra):
+    """Run one untraced pass of ``perfbench/child.py`` on the retransmission
+    scenario and return the JSON it prints last."""
+    done = subprocess.run(
+        [sys.executable, str(PERFBENCH / "child.py"), mode, "--root", str(ROOT),
+         "--config", str(ROOT / "configs" / "retransmission_loss.cfg"), *extra, "--", "run"],
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    assert "error" not in result, result.get("error")
+    return result
+
+
+def test_child_setup_builds_the_first_sweep_point():
+    assert _child("setup")["setup_s"] > 0
+
+
+def test_child_count_sees_every_event(tmp_path):
+    result = _child("count", "--out", str(tmp_path / "out"))
+    assert result["exit_code"] == 0
+    assert result["events"] == {
+        "app_tick": 2, "channel_free": 804, "segment_arrival": 800, "timer_expiry": 6,
+    }

@@ -14,29 +14,17 @@ from conftest import (
 from meshtcp.cc import Flavor
 from meshtcp.endpoint import SenderEndpoint
 from meshtcp.engine import EventKind, TraceKind, run_until
-from meshtcp.errors import ConfigError
 from meshtcp.mesh import DropDirective, LinkModel, ScriptedDrops, build_chain
 from meshtcp.metrics import summarize
-from meshtcp.world import FlowConfig, MeshWorld
+from meshtcp.world import MeshWorld
 
 
-def run_world(flavor, hops=1, seed=1, duration=5.0, n_nodes=None, link=None,
-              scripted=None, app_limit=None):
-    topo = build_chain(n_nodes or hops + 1, link or LinkModel())
-    world = MeshWorld(
-        topo,
-        [FlowConfig(flavor, hops=hops, app_limit=app_limit)],
-        seed=seed,
-        scripted=scripted,
-    )
+def run_world(flavor, hops=1, seed=1, duration=5.0, link=None, scripted=None,
+              app_limit=None):
+    topo = build_chain(hops + 1, link or LinkModel())
+    world = MeshWorld(topo, flavor, seed=seed, app_limit=app_limit, scripted=scripted)
     record_transmissions(world.net)
     return world, run_until(world, duration)
-
-
-def test_flow_hops_validated():
-    topo = build_chain(3, LinkModel())
-    with pytest.raises(ConfigError):
-        MeshWorld(topo, [FlowConfig(Flavor.SAC, hops=5)], seed=1)
 
 
 def test_lossless_run_clean_metrics():
@@ -63,7 +51,7 @@ def test_double_drop_script_newreno_times_out_sac_does_not():
 def test_invariants_on_lossy_runs():
     for flavor in (Flavor.SAC, Flavor.NEWRENO, Flavor.VEGAS):
         world, trace = run_world(
-            flavor, hops=3, n_nodes=4, seed=9, duration=8.0,
+            flavor, hops=3, seed=9, duration=8.0,
             link=LinkModel(loss_rate=1.0),
         )
         check_phase_edges(trace)
@@ -77,7 +65,7 @@ def test_one_ack_per_delivered_data_segment():
     # delayed acks are off by default: ACK originations must equal data
     # deliveries exactly
     for rate in (0.0, 1.0):
-        _, trace = run_world(Flavor.SACK, hops=2, n_nodes=3, seed=2,
+        _, trace = run_world(Flavor.SACK, hops=2, seed=2,
                              duration=5.0, link=LinkModel(loss_rate=rate))
         data_delivered = sum(
             1 for r in trace
@@ -91,11 +79,11 @@ def test_one_ack_per_delivered_data_segment():
 
 
 def test_same_seed_same_trace_different_seed_differs():
-    _, a = run_world(Flavor.RENO, hops=2, n_nodes=3, seed=4, duration=4.0,
+    _, a = run_world(Flavor.RENO, hops=2, seed=4, duration=4.0,
                      link=LinkModel(loss_rate=1.0))
-    _, b = run_world(Flavor.RENO, hops=2, n_nodes=3, seed=4, duration=4.0,
+    _, b = run_world(Flavor.RENO, hops=2, seed=4, duration=4.0,
                      link=LinkModel(loss_rate=1.0))
-    _, c = run_world(Flavor.RENO, hops=2, n_nodes=3, seed=5, duration=4.0,
+    _, c = run_world(Flavor.RENO, hops=2, seed=5, duration=4.0,
                      link=LinkModel(loss_rate=1.0))
     assert a.export() == b.export()
     assert a.export() != c.export()
@@ -110,7 +98,7 @@ def test_fuzz_invariants_random_configurations():
         seed = rng.randint(0, 2**32)
         queue = rng.choice([5, 20, 50])
         world, trace = run_world(
-            flavor, hops=hops, n_nodes=5, seed=seed, duration=3.0,
+            flavor, hops=hops, seed=seed, duration=3.0,
             link=LinkModel(loss_rate=rate, queue_capacity=queue),
         )
         check_phase_edges(trace)
@@ -174,11 +162,10 @@ def test_rto_fires_exactly_at_its_deadline(monkeypatch):
     handle, on_rto = MeshWorld.handle, SenderEndpoint.on_rto
 
     def checked_handle(self, time, kind, payload):
-        for flow in self.flows.values():
-            deadline = flow.sender.rto_deadline
-            assert deadline is None or time <= deadline, (
-                f"{kind.value} at t={time} past flow {flow.flow_id}'s deadline {deadline}"
-            )
+        deadline = self.sender.rto_deadline
+        assert deadline is None or time <= deadline, (
+            f"{kind.value} at t={time} past the deadline {deadline}"
+        )
         return handle(self, time, kind, payload)
 
     def checked_on_rto(self, now):
@@ -190,12 +177,9 @@ def test_rto_fires_exactly_at_its_deadline(monkeypatch):
     monkeypatch.setattr(SenderEndpoint, "on_rto", checked_on_rto)
     rng = random.Random(0x7173)
     for _ in range(30):
-        flows = [
-            FlowConfig(rng.choice(list(Flavor)), hops=rng.randint(1, 4))
-            for _ in range(rng.randint(1, 2))
-        ]
+        flavor, hops = rng.choice(list(Flavor)), rng.randint(1, 4)
         link = LinkModel(loss_rate=rng.uniform(0.0, 2.0), queue_capacity=rng.choice([2, 5, 10]))
-        world = MeshWorld(build_chain(5, link), flows, seed=rng.getrandbits(64))
+        world = MeshWorld(build_chain(hops + 1, link), flavor, seed=rng.getrandbits(64))
         run_until(world, 4.0)
     assert len(rto_times) > 30  # the configs do reach the timer
 
@@ -225,13 +209,10 @@ def test_link_is_idle_exactly_when_its_queue_is_empty(monkeypatch):
     monkeypatch.setattr(MeshWorld, "handle", checked_handle)
     rng = random.Random(0x11E)
     for _ in range(20):
-        flows = [
-            FlowConfig(rng.choice(list(Flavor)), hops=rng.randint(1, 4))
-            for _ in range(rng.randint(1, 2))
-        ]
+        flavor, hops = rng.choice(list(Flavor)), rng.randint(1, 4)
         link = LinkModel(loss_rate=rng.uniform(0.0, 2.0), queue_capacity=rng.choice([2, 5, 10]))
-        topo = build_chain(5, link, interference_range=rng.randint(0, 3))
-        run_until(MeshWorld(topo, flows, seed=rng.getrandbits(64)), 3.0)
+        topo = build_chain(hops + 1, link, interference_range=rng.randint(0, 3))
+        run_until(MeshWorld(topo, flavor, seed=rng.getrandbits(64)), 3.0)
     assert waited > 0  # links did wait for a busy channel
 
 
@@ -250,10 +231,10 @@ def test_one_live_timer_entry_per_flow(monkeypatch, point):
         area += last_count * (time - last_time)
         handle(self, time, kind, payload)
         timers = [p for _, _, k, p in self.events._heap if k is EventKind.TIMER_EXPIRY]
-        sender = self.flows[0].sender
+        sender = self.sender
         if sender.rto_deadline is not None:
-            queued_at, token = self._queued_expiry[0]
-            assert [p for p in timers if p[1] == token] == [(0, token)]
+            queued_at, token = self._queued_expiry
+            assert timers.count(token) == 1
             assert queued_at <= sender.rto_deadline
         last_time, last_count = time, len(timers)
 
