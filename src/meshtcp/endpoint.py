@@ -44,7 +44,6 @@ class Segment(NamedTuple):
     ACK it is the cumulative acknowledgment (next expected segment)."""
 
     kind: SegmentKind
-    flow_id: int
     seq: int
     size_bytes: int
     src: int
@@ -88,18 +87,16 @@ class SenderEndpoint:
 
     def __init__(
         self,
-        flow_id: int,
         flavor: Flavor,
         mss_bytes: int,
         *,
         src: int,
         dst: int,
+        trace: RunTrace,
         app_limit: int | None = None,
         rto_min: float = DEFAULT_RTO_MIN_S,
         rto_max: float = DEFAULT_RTO_MAX_S,
-        trace: RunTrace | None = None,
     ) -> None:
-        self.flow_id = flow_id
         self.mss_bytes = mss_bytes
         self.src = src
         self.dst = dst
@@ -120,8 +117,7 @@ class SenderEndpoint:
         return self.high_sent - self.cc.last_ack
 
     def _record(self, time: float, kind: TraceKind, seq: int, value) -> None:
-        if self.trace is not None:
-            self.trace.add(time, kind, self.flow_id, seq, value)
+        self.trace.add(time, kind, 0, seq, value)
 
     def _set_cc(self, cc: CcVars, now: float) -> None:
         """Adopt a new congestion state; record the window (ssthresh in the
@@ -135,7 +131,6 @@ class SenderEndpoint:
     def _data_segment(self, seq: int, retx: bool) -> Segment:
         return Segment(
             kind=_DATA,
-            flow_id=self.flow_id,
             seq=seq,
             size_bytes=self.mss_bytes,
             src=self.src,
@@ -189,13 +184,12 @@ class SenderEndpoint:
 
     def on_ack_segment(self, ack: Segment, now: float) -> list[Segment]:
         """Classify an arriving ACK, run the congestion machine, and return
-        the segments to transmit (retransmissions first, then new data)."""
-        if ack.kind is not _ACK or ack.flow_id != self.flow_id:
-            raise ContractError("segment is not an ACK for this flow")
+        the segments to transmit (retransmissions first, then new data).
+        ACKs take one FIFO path, so they arrive in the order they were made;
+        a non-ACK or an ACK below ``last_ack`` raises ``ContractError``."""
         old_ack = self.cc.last_ack
-        if ack.seq < old_ack:
-            self._record(now, TraceKind.STALE_ACK, ack.seq, "ack")
-            return []
+        if ack.kind is not _ACK or ack.seq < old_ack:
+            raise ContractError(f"not an ACK >= {old_ack}: {ack.kind.value} {ack.seq}")
 
         blocks = ack.sack if self.cc.flavor is _SACK else ()
         if ack.seq == old_ack:
@@ -222,11 +216,11 @@ class SenderEndpoint:
         return out
 
     def on_rto(self, now: float) -> list[Segment]:
-        """RTO fired: back off, collapse the window, retransmit last_ack."""
+        """RTO fired: back off, collapse the window, retransmit last_ack.
+        The timer runs only while something is outstanding, so an expiry
+        with nothing outstanding raises ``ContractError``."""
         if self.outstanding == 0:
-            self._record(now, TraceKind.SPURIOUS_RTO, 0, "-")
-            self.rto_deadline = None
-            return []
+            raise ContractError(f"RTO fired with nothing outstanding at t={now}")
         self.rtt_est.back_off()
         self._record(now, TraceKind.RTO, self.cc.last_ack, self.rtt_est.rto)
         cc, retransmit = cc_ops.on_timeout(self.cc, self.high_sent)
@@ -241,13 +235,11 @@ class ReceiverEndpoint:
 
     def __init__(
         self,
-        flow_id: int,
         node: int,
         peer: int,
         ack_bytes: int = 40,
         sack_enabled: bool = False,
     ) -> None:
-        self.flow_id = flow_id
         self.node = node
         self.peer = peer
         self.ack_bytes = ack_bytes
@@ -275,7 +267,6 @@ class ReceiverEndpoint:
     def _ack(self, trigger: int | None) -> Segment:
         return Segment(
             kind=_ACK,
-            flow_id=self.flow_id,
             seq=self.rcv_next,
             size_bytes=self.ack_bytes,
             src=self.node,

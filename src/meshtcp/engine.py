@@ -62,8 +62,6 @@ class TraceKind(Enum):
     RTO = "RTO"
     CWND_SAMPLE = "CWND_SAMPLE"
     PHASE_CHANGE = "PHASE_CHANGE"
-    STALE_ACK = "STALE_ACK"
-    SPURIOUS_RTO = "SPURIOUS_RTO"
 
 
 class TraceRecord(NamedTuple):

@@ -59,16 +59,12 @@ class ChainTopology(NamedTuple):
     link: LinkModel
     interference_range: int
 
-    @property
-    def n_hops(self) -> int:
-        return self.n_nodes - 1
-
     def group_of(self, hop: int) -> int:
         return (hop - 1) // (self.interference_range + 1)
 
     @property
     def n_groups(self) -> int:
-        return self.group_of(self.n_hops) + 1
+        return self.group_of(self.n_nodes - 1) + 1
 
 
 def build_chain(
@@ -153,12 +149,11 @@ class _Link:
     parameters."""
 
     __slots__ = (
-        "src", "dst", "hop", "forward", "model", "queue", "group", "loss",
+        "dst", "hop", "forward", "model", "queue", "group", "loss",
         "queue_capacity", "bandwidth_bps", "prop_delay_s",
     )
 
-    def __init__(self, src, dst, hop, forward, model, group, loss):
-        self.src = src
+    def __init__(self, dst, hop, forward, model, group, loss):
         self.dst = dst
         self.hop = hop
         self.forward = forward
@@ -190,7 +185,8 @@ class MeshNetwork:
     Owns link queues, channel arbitration and the error model; deliveries
     are reported by scheduling SEGMENT_ARRIVAL events for the next node.
     It is the only writer of the in-flight count ``carried``: ``send``
-    adds a segment, and its delivery or drop removes it.
+    adds a segment, and ``_retire`` records its delivery or drop and
+    removes it, raising ``ContractError`` if nothing is in flight.
     """
 
     def __init__(
@@ -221,19 +217,13 @@ class MeshNetwork:
                 src, dst = (hop, hop + 1) if forward else (hop + 1, hop)
                 name = f"loss/hop{hop}/{'fwd' if forward else 'rev'}"
                 loss = LossProcess(root.split(name), model.loss_rate)
-                self._out[src][forward] = _Link(src, dst, hop, forward, model, group, loss)
-
-    def link(self, src: int, dst: int) -> _Link:
-        """The directed link from node ``src`` to its neighbour ``dst``."""
-        if abs(dst - src) != 1 or not 1 <= min(src, dst) < self.topology.n_nodes:
-            raise ContractError(f"no link from node {src} to node {dst}")
-        return self._out[src][dst > src]
+                self._out[src][forward] = _Link(dst, hop, forward, model, group, loss)
 
     def send(self, seg: Segment, now: float) -> None:
         """Originate a segment at its source node: record its SEND or RETX
         and count it in flight."""
         kind = _RETX if seg.retx else _SEND
-        self.trace.add(now, kind, seg.flow_id, seg.seq, seg.kind._value_)
+        self.trace.add(now, kind, 0, seg.seq, seg.kind._value_)
         self.carried += 1
         self.forward(seg.src, seg, now)
 
@@ -243,9 +233,15 @@ class MeshNetwork:
         if seg.dst != node:
             self.forward(node, seg, now)
             return False
-        self.trace.add(now, _DELIVER, seg.flow_id, seg.seq, seg.kind._value_)
-        self.carried -= 1
+        self._retire(_DELIVER, seg, now)
         return True
+
+    def _retire(self, kind: TraceKind, seg: Segment, now: float) -> None:
+        """Record a segment's delivery or drop and stop counting it."""
+        if self.carried <= 0:
+            raise ContractError(f"{kind.value} of {seg.kind.value} {seg.seq} not in flight")
+        self.trace.add(now, kind, 0, seg.seq, seg.kind._value_)
+        self.carried -= 1
 
     def forward(self, node: int, seg: Segment, now: float) -> None:
         """Route one segment a single hop toward its destination."""
@@ -254,15 +250,14 @@ class MeshNetwork:
             raise ContractError(f"segment for node {node} routed to itself")
         self.enqueue(self._out[node][dst > node], seg, now)
 
-    def enqueue(self, link: _Link, seg: Segment, now: float) -> bool:
+    def enqueue(self, link: _Link, seg: Segment, now: float) -> None:
         """Drop-tail FIFO; the segment being transmitted occupies a slot.
         A link that was idle takes the group's channel if it is free, else
         waits for it in FIFO order."""
         queue = link.queue
         if len(queue) >= link.queue_capacity:
-            self.trace.add(now, _DROP_QUEUE, seg.flow_id, seg.seq, seg.kind._value_)
-            self.carried -= 1
-            return False
+            self._retire(_DROP_QUEUE, seg, now)
+            return
         queue.append(seg)
         if len(queue) == 1:
             group = link.group
@@ -270,7 +265,6 @@ class MeshNetwork:
                 self._start_transmission(link, now)
             else:
                 group.fifo.append(link)
-        return True
 
     def _start_transmission(self, link: _Link, now: float) -> None:
         seg = link.queue[0]
@@ -288,8 +282,7 @@ class MeshNetwork:
         end = now + tx_time
         self.events.push(end, _CHANNEL_FREE, link)
         if dropped:
-            self.trace.add(now, _DROP_WIRELESS, seg.flow_id, seg.seq, seg.kind._value_)
-            self.carried -= 1
+            self._retire(_DROP_WIRELESS, seg, now)
         else:
             self.events.push(end + link.prop_delay_s, _SEGMENT_ARRIVAL, (link.dst, seg))
 

@@ -4,9 +4,10 @@
 retransmissions) over the span between the first and last of them;
 ``goodput`` counts distinct delivered segments over the same span. Both
 are reported because the transmission-based definition credits wasted
-retransmissions. Delay is measured from a segment's first transmission to
-its first delivery at the destination, so retransmission penalty shows up
-in the delay figure.
+retransmissions. Delay runs from a segment's SEND to its first delivery,
+so retransmission penalty shows up in it. Goodput and delay cover the
+window's cohort, the seqs whose SEND is at or after the warm-up;
+throughput, plr and the counts take every record in the window.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ def summarize(trace: Iterable[TraceRecord], *, warmup: float = 0.0) -> MetricsSu
             tx_count += 1
             if kind is _RETX:
                 retx_count += 1
-            if seq not in first_sent:
+            elif seq not in first_sent:
                 first_sent[seq] = time
         elif kind is _DELIVER:
             delivered += 1
@@ -71,7 +72,7 @@ def summarize(trace: Iterable[TraceRecord], *, warmup: float = 0.0) -> MetricsSu
             n_delays += 1
     return MetricsSummary(
         throughput=tx_count / span if span > 0 else None,
-        goodput=len(first_delivered) / span if span > 0 else None,
+        goodput=n_delays / span if span > 0 else None,
         plr=retx_count / delivered if delivered else None,
         mean_delay=delay_total / n_delays if n_delays else None,
         rto_count=rtos,

@@ -66,11 +66,11 @@ class MeshWorld:
 
         src, dst = 1, topology.n_nodes
         self.sender = SenderEndpoint(
-            0, flavor, mss_bytes, src=src, dst=dst, app_limit=app_limit,
-            rto_min=rto_min, rto_max=rto_max, trace=self.trace,
+            flavor, mss_bytes, src=src, dst=dst, trace=self.trace,
+            app_limit=app_limit, rto_min=rto_min, rto_max=rto_max,
         )
         self.receiver = ReceiverEndpoint(
-            0, node=dst, peer=src, ack_bytes=ack_bytes, sack_enabled=flavor is Flavor.SACK
+            node=dst, peer=src, ack_bytes=ack_bytes, sack_enabled=flavor is Flavor.SACK
         )
         self.events.push(0.0, EventKind.APP_TICK, None)
 

@@ -49,6 +49,12 @@ def check_window_discipline(trace):
             )
 
 
+def link_of(net, src, dst):
+    """The directed link of ``net`` from node ``src`` to its neighbour ``dst``."""
+    assert abs(dst - src) == 1 and 1 <= min(src, dst) < net.topology.n_nodes
+    return net._out[src][dst > src]
+
+
 def check_conservation(world, trace):
     """Originated segments = terminal records + still-in-flight count."""
     sends = terminal = 0

@@ -189,7 +189,6 @@ def _start_on_any_idle_link(self, link, seg, now):
     link.queue.append(seg)
     if len(link.queue) == 1:
         self._start_transmission(link, now)
-    return True
 
 
 def _free_twice(on_channel_free):
@@ -214,6 +213,25 @@ def test_channel_misuse_exits_1(tmp_path, capsys, monkeypatch, attr, broken, mes
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("internal error:") and message in err
+
+
+def test_double_retire_exits_1_naming_the_sweep_point(tmp_path, capsys, monkeypatch):
+    # a network that retires each delivered segment twice un-counts segments
+    # it no longer carries; the in-flight count refuses to go below zero
+    arrive = MeshNetwork.arrive
+
+    def arrive_twice(self, node, seg, now):
+        delivered = arrive(self, node, seg, now)
+        if delivered:
+            arrive(self, node, seg, now)
+        return delivered
+
+    monkeypatch.setattr(MeshNetwork, "arrive", arrive_twice)
+    cfg = write(tmp_path, GOOD)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("internal error:") and "not in flight" in err
+    assert "combination flavor=" in err
 
 
 def test_compare_sac_beats_newreno_on_retransmission_loss_script(tmp_path):

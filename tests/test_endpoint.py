@@ -15,24 +15,22 @@ from meshtcp.engine import RunTrace, TraceKind
 from meshtcp.errors import ContractError
 
 
-def ack_segment(ack, flow_id=0, sack=()):
+def ack_segment(ack, sack=()):
     return Segment(
-        kind=SegmentKind.ACK, flow_id=flow_id, seq=ack, size_bytes=40,
+        kind=SegmentKind.ACK, seq=ack, size_bytes=40,
         src=2, dst=1, sack=tuple(sack),
     )
 
 
-def data_segment(seq, flow_id=0):
+def data_segment(seq):
     return Segment(
-        kind=SegmentKind.DATA, flow_id=flow_id, seq=seq, size_bytes=1460,
+        kind=SegmentKind.DATA, seq=seq, size_bytes=1460,
         src=1, dst=2,
     )
 
 
 def make_sender(flavor=Flavor.NEWRENO, **kwargs):
-    return SenderEndpoint(
-        0, flavor, 1460, src=1, dst=2, trace=RunTrace(), **kwargs
-    )
+    return SenderEndpoint(flavor, 1460, src=1, dst=2, trace=RunTrace(), **kwargs)
 
 
 class TestRttEstimator:
@@ -140,15 +138,16 @@ class TestSenderAckHandling:
         assert s.cc.dupacks == 1
         assert s.cc.last_ack == 0
 
-    def test_stale_ack_ignored_and_recorded(self):
+    def test_stale_ack_or_data_is_a_contract_error(self):
+        # ACKs arrive in the order the receiver made them, so one below
+        # last_ack means the network reordered them
         s = make_sender()
         s.fill_window(0.0)
         s.on_ack_segment(ack_segment(2), 0.2)
-        before = s.cc
-        out = s.on_ack_segment(ack_segment(1), 0.3)
-        assert out == []
-        assert s.cc == before
-        assert any(r.kind is TraceKind.STALE_ACK for r in s.trace)
+        with pytest.raises(ContractError, match="not an ACK >= 2: ack 1"):
+            s.on_ack_segment(ack_segment(1), 0.3)
+        with pytest.raises(ContractError, match="not an ACK >= 2: data 2"):
+            s.on_ack_segment(data_segment(2), 0.3)
 
     def test_third_dupack_retransmits_before_new_data(self):
         s = make_sender()
@@ -219,16 +218,16 @@ class TestSenderRto:
         s.on_rto(3.0)
         assert s.rtt_est.rto == 4.0
 
-    def test_spurious_rto_with_nothing_outstanding(self):
+    def test_rto_with_nothing_outstanding_is_a_contract_error(self):
         s = make_sender()
-        out = s.on_rto(1.0)
-        assert out == []
-        assert any(r.kind is TraceKind.SPURIOUS_RTO for r in s.trace)
+        assert s.rto_deadline is None  # nothing sent, so no timer runs
+        with pytest.raises(ContractError, match="nothing outstanding"):
+            s.on_rto(1.0)
 
 
 class TestReceiver:
     def make(self, **kwargs):
-        return ReceiverEndpoint(0, node=2, peer=1, **kwargs)
+        return ReceiverEndpoint(node=2, peer=1, **kwargs)
 
     def test_contiguous_merge(self):
         r = self.make()
@@ -271,7 +270,7 @@ class TestReceiver:
 
 _ACK_OPS = st.lists(
     st.tuples(
-        st.sampled_from(["new", "dup", "rto", "stale"]),
+        st.sampled_from(["new", "dup", "rto"]),
         st.floats(0.0, 1.0),
         st.floats(0.0, 1.0),
         st.floats(0.001, 0.5),
@@ -308,10 +307,10 @@ def test_ack_path_keeps_exactly_the_unacked_send_state(flavor, ops):
             lo = last + 1 + int(a * max(high - last - 1, 0))
             block = [(lo, lo + 1 + int(b * max(high - lo - 1, 0)))] if lo < high else []
             out = s.on_ack_segment(ack_segment(last, sack=block), now)
-        elif op == "stale" and last > 0:
-            out = s.on_ack_segment(ack_segment(int(a * (last - 1))), now)
-        else:
+        elif s.outstanding > 0:
             out = s.on_rto(now)
+        else:
+            out = []
         record(out)
         ack = s.cc.last_ack
         assert s.send_timestamps == {q: t for q, t in sent_at.items() if q >= ack}

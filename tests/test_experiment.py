@@ -2,6 +2,7 @@ import pickle
 
 import pytest
 
+from conftest import link_of
 from meshtcp.cc import Flavor
 from meshtcp.errors import ConfigError
 from meshtcp.experiment import (
@@ -132,8 +133,8 @@ class TestRunExperiment:
         w_reno = build_world(spec, Flavor.RENO, 2, 0.5, 1)
         w_sac = build_world(spec, Flavor.SAC, 2, 0.5, 1)
         for src, dst in ((1, 2), (2, 1), (2, 3), (3, 2)):
-            s1 = w_reno.net.link(src, dst).loss._stream
-            s2 = w_sac.net.link(src, dst).loss._stream
+            s1 = link_of(w_reno.net, src, dst).loss._stream
+            s2 = link_of(w_sac.net, src, dst).loss._stream
             assert (s1.seed, s1.name) == (s2.seed, s2.name)
             assert [s1.uniform() for _ in range(5)] == [s2.uniform() for _ in range(5)]
 

@@ -13,6 +13,7 @@ import pytest
 
 pytest.importorskip("pytest_benchmark")
 
+from conftest import link_of  # noqa: E402
 from meshtcp import cc  # noqa: E402
 from meshtcp.cc import CcPhase, Flavor  # noqa: E402
 from meshtcp.endpoint import Segment, SegmentKind  # noqa: E402
@@ -51,8 +52,8 @@ def test_mesh_hop(benchmark):
     net = MeshNetwork(
         build_chain(3, LinkModel()), events=EventQueue(), trace=RunTrace(), seed=1
     )
-    seg = Segment(SegmentKind.DATA, 0, 0, 1460, 1, 3)
-    link = net.link(1, 2)
+    seg = Segment(SegmentKind.DATA, 0, 1460, 1, 3)
+    link = link_of(net, 1, 2)
 
     def hop():
         net.forward(1, seg, 0.0)
@@ -85,7 +86,7 @@ def test_sender_ack(benchmark):
 
     def ack():
         seq = next(acks)  # each ACK covers one more segment, 1 ms apart
-        out = sender.on_ack_segment(Segment(SegmentKind.ACK, 0, seq, 40, 2, 1), seq * 1e-3)
+        out = sender.on_ack_segment(Segment(SegmentKind.ACK, seq, 40, 2, 1), seq * 1e-3)
         world._sync_timer()
         return out
 

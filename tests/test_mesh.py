@@ -1,6 +1,11 @@
 import pytest
 
-from conftest import check_conservation, check_group_exclusivity, record_transmissions
+from conftest import (
+    check_conservation,
+    check_group_exclusivity,
+    link_of,
+    record_transmissions,
+)
 from meshtcp.cc import Flavor
 from meshtcp.endpoint import Segment, SegmentKind
 from meshtcp.engine import (
@@ -23,8 +28,8 @@ from meshtcp.mesh import (
 from meshtcp.world import MeshWorld
 
 
-def data_seg(seq, size=1460, flow=0, src=1, dst=2):
-    return Segment(SegmentKind.DATA, flow, seq, size, src, dst)
+def data_seg(seq, size=1460, src=1, dst=2):
+    return Segment(SegmentKind.DATA, seq, size, src, dst)
 
 
 def make_net(n_nodes=2, seed=1, scripted=None, **link_kwargs):
@@ -38,12 +43,12 @@ def make_net(n_nodes=2, seed=1, scripted=None, **link_kwargs):
 class TestBuildChain:
     def test_five_nodes_four_hops(self):
         topo = build_chain(5, LinkModel())
-        assert topo.n_hops == 4
+        assert topo.n_nodes == 5
         assert topo.link == LinkModel()
 
     def test_minimal_chain_single_group(self):
         topo = build_chain(2, LinkModel())
-        assert topo.n_hops == 1
+        assert topo.n_nodes == 2
         assert topo.n_groups == 1
 
     def test_single_node_rejected(self):
@@ -85,34 +90,40 @@ class TestTransmissionTiming:
 
     def test_ack_segment_timing(self):
         net, events, _ = make_net()
-        net.forward(2, Segment(SegmentKind.ACK, 0, 1, 40, 2, 1), 0.0)
+        net.forward(2, Segment(SegmentKind.ACK, 1, 40, 2, 1), 0.0)
         t, kind, _ = events.pop()
         assert kind is EventKind.CHANNEL_FREE
         assert t == pytest.approx(0.00016)
 
 
+def queue_drops(trace):
+    return [r.seq for r in trace if r.kind is TraceKind.DROP_QUEUE]
+
+
 class TestQueueing:
     def test_accepts_below_capacity(self):
-        net, _, _ = make_net(queue_capacity=50)
-        link = net.link(1, 2)
+        net, _, trace = make_net(queue_capacity=50)
         for seq in range(10):
-            assert net.enqueue(link, data_seg(seq), 0.0)
+            net.send(data_seg(seq), 0.0)
+        assert len(link_of(net, 1, 2).queue) == 10
+        assert queue_drops(trace) == []
+        assert net.carried == 10
 
     def test_overflow_drops_tail(self):
         net, _, trace = make_net(queue_capacity=50)
-        link = net.link(1, 2)
-        for seq in range(50):
-            assert net.enqueue(link, data_seg(seq), 0.0)
-        assert not net.enqueue(link, data_seg(50), 0.0)
-        drops = [r for r in trace if r.kind is TraceKind.DROP_QUEUE]
-        assert len(drops) == 1 and drops[0].seq == 50
+        for seq in range(51):
+            net.send(data_seg(seq), 0.0)
+        assert len(link_of(net, 1, 2).queue) == 50
+        assert queue_drops(trace) == [50]
+        assert net.carried == 50
 
     def test_capacity_one_drops_while_transmitting(self):
         net, _, trace = make_net(queue_capacity=1)
-        link = net.link(1, 2)
-        assert net.enqueue(link, data_seg(0), 0.0)   # starts transmitting
-        assert not net.enqueue(link, data_seg(1), 0.001)
-        assert any(r.kind is TraceKind.DROP_QUEUE and r.seq == 1 for r in trace)
+        net.send(data_seg(0), 0.0)  # starts transmitting
+        net.send(data_seg(1), 0.001)
+        assert [seg.seq for seg in link_of(net, 1, 2).queue] == [0]
+        assert queue_drops(trace) == [1]
+        assert net.carried == 1
 
 
 class TestChannelArbitration:
@@ -120,8 +131,8 @@ class TestChannelArbitration:
         # two links of one group: the second request waits for the first
         net, events, _ = make_net(n_nodes=3)
         transmissions = record_transmissions(net)
-        net.enqueue(net.link(1, 2), data_seg(0, dst=3), 0.0)
-        net.enqueue(net.link(2, 3), data_seg(1, src=2, dst=3), 0.0)
+        net.enqueue(link_of(net, 1, 2), data_seg(0, dst=3), 0.0)
+        net.enqueue(link_of(net, 2, 3), data_seg(1, src=2, dst=3), 0.0)
         assert len(transmissions) == 1  # second transmission not started yet
         while events:
             t, kind, payload = events.pop()
@@ -133,29 +144,29 @@ class TestChannelArbitration:
     def test_disjoint_groups_transmit_concurrently(self):
         net, _, _ = make_net(n_nodes=5, queue_capacity=10)
         transmissions = record_transmissions(net)
-        net.enqueue(net.link(1, 2), data_seg(0, dst=5), 0.0)      # hop 1, group 0
-        net.enqueue(net.link(4, 5), data_seg(1, src=4, dst=5), 0.0)  # hop 4, group 1
+        net.enqueue(link_of(net, 1, 2), data_seg(0, dst=5), 0.0)      # hop 1, group 0
+        net.enqueue(link_of(net, 4, 5), data_seg(1, src=4, dst=5), 0.0)  # hop 4, group 1
         starts = sorted((g, s) for g, s, _ in transmissions)
         assert starts == [(0, 0.0), (1, 0.0)]
 
     def test_start_on_held_channel_raises(self):
         net, _, _ = make_net(n_nodes=3)
-        net.enqueue(net.link(1, 2), data_seg(0, dst=3), 0.0)  # holds group 0
-        waiting = net.link(2, 3)
+        net.enqueue(link_of(net, 1, 2), data_seg(0, dst=3), 0.0)  # holds group 0
+        waiting = link_of(net, 2, 3)
         waiting.queue.append(data_seg(1, src=2, dst=3))
         with pytest.raises(ContractError, match="group 0 is held"):
             net._start_transmission(waiting, 0.001)
 
     def test_free_by_non_holder_raises(self):
         net, _, _ = make_net(n_nodes=3)
-        net.enqueue(net.link(1, 2), data_seg(0, dst=3), 0.0)  # holds group 0
-        net.enqueue(net.link(2, 3), data_seg(1, src=2, dst=3), 0.0)  # waits
+        net.enqueue(link_of(net, 1, 2), data_seg(0, dst=3), 0.0)  # holds group 0
+        net.enqueue(link_of(net, 2, 3), data_seg(1, src=2, dst=3), 0.0)  # waits
         with pytest.raises(ContractError, match="without holding"):
-            net.on_channel_free(net.link(2, 3), 0.00584)
-        net.on_channel_free(net.link(1, 2), 0.00584)  # hands over to hop 2
-        net.on_channel_free(net.link(2, 3), 0.01168)
+            net.on_channel_free(link_of(net, 2, 3), 0.00584)
+        net.on_channel_free(link_of(net, 1, 2), 0.00584)  # hands over to hop 2
+        net.on_channel_free(link_of(net, 2, 3), 0.01168)
         with pytest.raises(ContractError, match="without holding"):
-            net.on_channel_free(net.link(2, 3), 0.01168)  # the channel is idle
+            net.on_channel_free(link_of(net, 2, 3), 0.01168)  # the channel is idle
 
 
 class TestLossProcess:
@@ -195,7 +206,7 @@ class TestScriptedDrops:
 
     def test_acks_and_reverse_direction_unaffected(self):
         s = ScriptedDrops((DropDirective(1, 10, 1),))
-        ack = Segment(SegmentKind.ACK, 0, 10, 40, 2, 1)
+        ack = Segment(SegmentKind.ACK, 10, 40, 2, 1)
         assert not s.decide(1, False, ack)
         assert not s.decide(1, False, data_seg(10))
 

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -136,7 +138,7 @@ def test_plr_matches_independent_recount():
     s = summarize(trace)
     retx = deliver = 0
     for r in trace:
-        if r.value != "data" or r.flow_id != 0:
+        if r.value != "data":
             continue
         if r.kind is TraceKind.RETX:
             retx += 1
@@ -153,6 +155,40 @@ def test_warmup_slices_records():
     records.sort(key=lambda r: r[0])
     s = summarize(trace_of(records), warmup=5.0)
     assert s.delivered_count == 5  # deliveries at 5.5 .. 9.5
+
+
+def test_warmup_cohort_excludes_seqs_sent_before_it():
+    # seq 0 is sent before the warm-up and delivered and resent after it:
+    # its RETX is not its first transmission, so it is outside the cohort
+    # and gives no (negative) delay, while the record counts still see it
+    s = summarize(
+        trace_of(
+            [
+                (1.0, TraceKind.SEND, 0, "data"),
+                (3.0, TraceKind.DELIVER, 0, "data"),
+                (4.0, TraceKind.RETX, 0, "data"),
+            ]
+        ),
+        warmup=2.0,
+    )
+    assert s.mean_delay is None
+    assert (s.delivered_count, s.retransmit_count) == (1, 1)
+
+
+def test_warmup_goodput_never_exceeds_throughput():
+    # random A10-style runs, some app-limited: a cohort seq's SEND is in the
+    # window, so goodput <= throughput and no delay is negative
+    rng = random.Random(0x3A7)
+    for _ in range(30):
+        flavor, hops = rng.choice(list(Flavor)), rng.randint(1, 4)
+        link = LinkModel(loss_rate=rng.uniform(0.0, 3.0), queue_capacity=rng.choice([5, 20, 50]))
+        topo = build_chain(hops + 1, link, interference_range=rng.randint(0, 3))
+        app_limit = rng.choice([None, 200, 500])
+        world = MeshWorld(topo, flavor, seed=rng.getrandbits(64), app_limit=app_limit)
+        s = summarize(run_until(world, 10.0), warmup=rng.uniform(1.0, 5.0))
+        if s.goodput is not None:
+            assert s.goodput <= s.throughput, (flavor, hops, link, app_limit)
+        assert s.mean_delay is None or s.mean_delay >= 0
 
 
 _TIME = st.integers(0, 12).map(lambda k: k * 0.5)  # coarse grid: many equal times
@@ -177,22 +213,28 @@ _RECORD = st.one_of(_DATA_RECORD, _ANY_RECORD)
 
 
 def _recount(records, warmup):
-    """Every MetricsSummary field, recounted with plain list filters."""
+    """Every MetricsSummary field, recounted with plain list filters.
+
+    Throughput, plr and the counts are over the records in the window;
+    goodput and delay are over its cohort, the seqs with a SEND in it."""
     window = [r for r in records if r.time >= warmup]
     data = [r for r in window if r.value == "data"]
     txs = [r for r in data if r.kind in (TraceKind.SEND, TraceKind.RETX)]
     delivers = [r for r in data if r.kind is TraceKind.DELIVER]
     retx = sum(1 for r in data if r.kind is TraceKind.RETX)
     span = txs[-1].time - txs[0].time if len(txs) >= 2 else 0.0
+    cohort = {r.seq for r in txs if r.kind is TraceKind.SEND}
     first_sent, first_delivered = {}, {}
     for r in txs:
-        first_sent.setdefault(r.seq, r.time)
+        if r.kind is TraceKind.SEND:
+            first_sent.setdefault(r.seq, r.time)
     for r in delivers:
-        first_delivered.setdefault(r.seq, r.time)
-    delays = [t - first_sent[s] for s, t in first_delivered.items() if s in first_sent]
+        if r.seq in cohort:
+            first_delivered.setdefault(r.seq, r.time)
+    delays = [t - first_sent[s] for s, t in first_delivered.items()]
     return {
         "throughput": len(txs) / span if span > 0 else None,
-        "goodput": len({r.seq for r in delivers}) / span if span > 0 else None,
+        "goodput": len(first_delivered) / span if span > 0 else None,
         "plr": retx / len(delivers) if delivers else None,
         "mean_delay": sum(delays) / len(delays) if delays else None,
         "rto_count": sum(1 for r in window if r.kind is TraceKind.RTO),

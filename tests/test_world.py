@@ -9,6 +9,7 @@ from conftest import (
     check_group_exclusivity,
     check_phase_edges,
     check_window_discipline,
+    link_of,
     record_transmissions,
 )
 from meshtcp.cc import Flavor
@@ -196,7 +197,7 @@ def test_link_is_idle_exactly_when_its_queue_is_empty(monkeypatch):
         handle(self, time, kind, payload)
         net = self.net
         for hop in range(1, net.topology.n_nodes):
-            for link in (net.link(hop, hop + 1), net.link(hop + 1, hop)):
+            for link in (link_of(net, hop, hop + 1), link_of(net, hop + 1, hop)):
                 sending = link.group.busy_link is link
                 waiting = sum(other is link for other in link.group.fifo)
                 waited += waiting
