@@ -46,8 +46,6 @@ class Segment(NamedTuple):
     kind: SegmentKind
     seq: int
     size_bytes: int
-    src: int
-    dst: int
     sack: tuple[tuple[int, int], ...] = ()
     retx: bool = False
 
@@ -90,16 +88,12 @@ class SenderEndpoint:
         flavor: Flavor,
         mss_bytes: int,
         *,
-        src: int,
-        dst: int,
         trace: RunTrace,
         app_limit: int | None = None,
         rto_min: float = DEFAULT_RTO_MIN_S,
         rto_max: float = DEFAULT_RTO_MAX_S,
     ) -> None:
         self.mss_bytes = mss_bytes
-        self.src = src
-        self.dst = dst
         self.cc: CcVars = init_sender(flavor, mss_bytes)
         self.high_sent = 0
         self.rtt_est = RttEstimator(rto_min=rto_min, rto_max=rto_max)
@@ -129,14 +123,7 @@ class SenderEndpoint:
             self._record(now, _PHASE_CHANGE, 0, cc.phase._value_)
 
     def _data_segment(self, seq: int, retx: bool) -> Segment:
-        return Segment(
-            kind=_DATA,
-            seq=seq,
-            size_bytes=self.mss_bytes,
-            src=self.src,
-            dst=self.dst,
-            retx=retx,
-        )
+        return Segment(_DATA, seq, self.mss_bytes, retx=retx)
 
     def _rtt_sample(self, ack_seq: int, now: float) -> float | None:
         """Karn's rule: never sample a segment that was retransmitted."""
@@ -233,15 +220,7 @@ class SenderEndpoint:
 class ReceiverEndpoint:
     """One TCP receiver: cumulative ACK per arriving data segment."""
 
-    def __init__(
-        self,
-        node: int,
-        peer: int,
-        ack_bytes: int = 40,
-        sack_enabled: bool = False,
-    ) -> None:
-        self.node = node
-        self.peer = peer
+    def __init__(self, ack_bytes: int = 40, sack_enabled: bool = False) -> None:
         self.ack_bytes = ack_bytes
         self.sack_enabled = sack_enabled
         self.rcv_next = 0
@@ -265,14 +244,7 @@ class ReceiverEndpoint:
         return tuple(runs[:MAX_SACK_BLOCKS])
 
     def _ack(self, trigger: int | None) -> Segment:
-        return Segment(
-            kind=_ACK,
-            seq=self.rcv_next,
-            size_bytes=self.ack_bytes,
-            src=self.node,
-            dst=self.peer,
-            sack=self._sack_blocks(trigger),
-        )
+        return Segment(_ACK, self.rcv_next, self.ack_bytes, self._sack_blocks(trigger))
 
     def on_data(self, seg: Segment, now: float) -> Segment:
         """Consume one data segment and produce the ACK for it."""

@@ -144,6 +144,8 @@ def _parse_value(
             raise ConfigError(f"{where}: unknown flavor {raw!r} (known: {known})") from None
         noun = "an integer" if kind is int else "a number"
         raise ConfigError(f"{where}: {key} must be {noun}, got {raw!r}") from None
+    if kind is float:
+        value += 0.0  # -0.0 becomes 0.0
     if minimum is not None and (value < minimum or (strict and value <= minimum)):
         op = ">" if strict else ">="
         raise ConfigError(f"{where}: {key} must be {op} {minimum}, got {value}")
@@ -189,6 +191,10 @@ def load_config(text: str, overrides: Mapping[str, str] | None = None) -> Experi
             continue
         items = _split_list(raw, where, key) if is_list else [raw]
         values = tuple(_parse_value(v, where, key, kind, minimum, strict) for v in items)
+        for i, value in enumerate(values):
+            if value in values[:i]:
+                shown = value.value if kind is Flavor else value
+                raise ConfigError(f"{where}: {key} lists {shown} more than once")
         fields[field] = values if is_list else values[0]
     spec = ExperimentSpec(**fields)
 

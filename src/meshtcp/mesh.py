@@ -1,7 +1,9 @@
 """Chain-topology wireless mesh.
 
-Each hop is a shared medium carried by two directed links (data forward,
-ACKs backward) with drop-tail FIFO queues. Links are partitioned into
+A run carries one flow, so a segment has no address: its kind is its
+route. Data goes up the chain from node 1 to the last node, and an ACK back
+down to node 1. Each hop is a shared medium carried by two directed links,
+one each way, with drop-tail FIFO queues. Links are partitioned into
 interference groups of ``interference_range + 1`` consecutive hops; within
 a group at most one transmission is on the air at a time and waiting links
 are served in FIFO order. Wireless errors are a per-link Poisson process
@@ -111,7 +113,7 @@ class _DropFields(NamedTuple):
 
 class DropDirective(_DropFields):
     """Drop the nth transmission (1-based) of data segment ``seq`` on hop
-    ``hop`` (forward direction)."""
+    ``hop``."""
 
     __slots__ = ()
 
@@ -127,8 +129,8 @@ class ScriptedDrops:
         self._wanted = set(directives)  # each equals its (hop, seq, nth) tuple
         self._counts: dict[tuple[int, int], int] = {}
 
-    def decide(self, hop: int, forward: bool, seg: Segment) -> bool:
-        if seg.kind is not SegmentKind.DATA or not forward:
+    def decide(self, hop: int, seg: Segment) -> bool:
+        if seg.kind is not _DATA:
             return False
         key = (hop, seg.seq)
         n = self._counts.get(key, 0) + 1
@@ -138,6 +140,7 @@ class ScriptedDrops:
 
 # Enum members bound once: looking one up on its class costs about ten
 # times the `is` test that uses it, on every segment.
+_DATA = SegmentKind.DATA
 _CHANNEL_FREE = EventKind.CHANNEL_FREE
 _SEGMENT_ARRIVAL = EventKind.SEGMENT_ARRIVAL
 _SEND, _RETX, _DELIVER = TraceKind.SEND, TraceKind.RETX, TraceKind.DELIVER
@@ -149,14 +152,13 @@ class _Link:
     parameters."""
 
     __slots__ = (
-        "dst", "hop", "forward", "model", "queue", "group", "loss",
+        "dst", "hop", "model", "queue", "group", "loss",
         "queue_capacity", "bandwidth_bps", "prop_delay_s",
     )
 
-    def __init__(self, dst, hop, forward, model, group, loss):
+    def __init__(self, dst, hop, model, group, loss):
         self.dst = dst
         self.hop = hop
-        self.forward = forward
         self.model = model
         self.group = group
         self.loss = loss
@@ -217,20 +219,20 @@ class MeshNetwork:
                 src, dst = (hop, hop + 1) if forward else (hop + 1, hop)
                 name = f"loss/hop{hop}/{'fwd' if forward else 'rev'}"
                 loss = LossProcess(root.split(name), model.loss_rate)
-                self._out[src][forward] = _Link(dst, hop, forward, model, group, loss)
+                self._out[src][forward] = _Link(dst, hop, model, group, loss)
 
     def send(self, seg: Segment, now: float) -> None:
-        """Originate a segment at its source node: record its SEND or RETX
-        and count it in flight."""
+        """Originate a segment at the start of its route: record its SEND
+        or RETX and count it in flight."""
         kind = _RETX if seg.retx else _SEND
         self.trace.add(now, kind, 0, seg.seq, seg.kind._value_)
         self.carried += 1
-        self.forward(seg.src, seg, now)
+        self.forward(1 if seg.kind is _DATA else self.topology.n_nodes, seg, now)
 
     def arrive(self, node: int, seg: Segment, now: float) -> bool:
-        """A segment reached ``node``. Forward it, or, at its destination,
-        record the delivery and return True."""
-        if seg.dst != node:
+        """A segment reached ``node``. Forward it, or, at the end of its
+        route, record the delivery and return True."""
+        if node != (self.topology.n_nodes if seg.kind is _DATA else 1):
             self.forward(node, seg, now)
             return False
         self._retire(_DELIVER, seg, now)
@@ -244,11 +246,8 @@ class MeshNetwork:
         self.carried -= 1
 
     def forward(self, node: int, seg: Segment, now: float) -> None:
-        """Route one segment a single hop toward its destination."""
-        dst = seg.dst
-        if dst == node:
-            raise ContractError(f"segment for node {node} routed to itself")
-        self.enqueue(self._out[node][dst > node], seg, now)
+        """Move one segment a single hop: data up the chain, an ACK down."""
+        self.enqueue(self._out[node][seg.kind is _DATA], seg, now)
 
     def enqueue(self, link: _Link, seg: Segment, now: float) -> None:
         """Drop-tail FIFO; the segment being transmitted occupies a slot.
@@ -276,7 +275,7 @@ class MeshNetwork:
         group.busy_link = link
         tx_time = seg.size_bytes * 8.0 / link.bandwidth_bps
         if self.scripted is not None:
-            dropped = self.scripted.decide(link.hop, link.forward, seg)
+            dropped = self.scripted.decide(link.hop, seg)
         else:
             dropped = link.loss.decide(now, tx_time)
         end = now + tx_time

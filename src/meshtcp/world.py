@@ -64,14 +64,11 @@ class MeshWorld:
         self._queued_expiry: tuple[float, int] | None = None
         self._expiry_tokens = itertools.count()
 
-        src, dst = 1, topology.n_nodes
         self.sender = SenderEndpoint(
-            flavor, mss_bytes, src=src, dst=dst, trace=self.trace,
+            flavor, mss_bytes, trace=self.trace,
             app_limit=app_limit, rto_min=rto_min, rto_max=rto_max,
         )
-        self.receiver = ReceiverEndpoint(
-            node=dst, peer=src, ack_bytes=ack_bytes, sack_enabled=flavor is Flavor.SACK
-        )
+        self.receiver = ReceiverEndpoint(ack_bytes, sack_enabled=flavor is Flavor.SACK)
         self.events.push(0.0, EventKind.APP_TICK, None)
 
     def handle(self, time: float, kind: EventKind, payload) -> None:

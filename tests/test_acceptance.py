@@ -6,6 +6,7 @@ before being frozen.
 """
 
 import hashlib
+import math
 import random
 from statistics import mean, stdev
 
@@ -359,3 +360,62 @@ def test_a10_invariant_fuzz():
         check_window_discipline(trace)
         check_group_exclusivity(world)
     print("[A10] conservation and window-discipline fuzz (100 configs): PASS")
+
+
+def test_a11_lossless_delivery_rate_is_the_channel_share():
+    """Closed form: one segment and its ACK hold a channel for
+    8 * (mss + ack) / bandwidth seconds, so one group carries at most
+    C = 166.67 seg/s at the defaults, and a chain of h hops, whose first
+    min(h, interference_range + 1) hops share one channel, carries
+    C / min(h, interference_range + 1). Gated on deliveries per second of
+    the window: goodput leaves out the cohort still in flight at the end
+    (0.946-0.986 of the bound at 20 s)."""
+    cfg = """\
+flavors = newreno
+hops = 1,2,3,5
+loss_rates = 0
+seeds = 1
+duration = 20
+warmup_s = 5
+"""
+    spec = load_config(cfg)
+    capacity = spec.bandwidth_bps / (8 * (spec.mss_bytes + spec.ack_bytes))
+    window = spec.duration - spec.warmup_s
+    ratios = {}
+    for r in run_experiment(spec):
+        bound = capacity / min(r.hops, spec.interference_range + 1)
+        ratios[r.hops] = r.delivered_count / window / bound
+    assert all(abs(x - 1) < 0.01 for x in ratios.values()), ratios
+    shown = ", ".join(f"h={h}: {x:.4f}" for h, x in ratios.items())
+    print(f"[A11] lossless delivery rate within 1% of C/min(h, range+1): PASS ({shown})")
+
+
+def test_a12_mathis_square_root_law():
+    """Mathis et al. (CCR 1997): under random loss with probability p per
+    segment, Reno-style goodput is about (1 / RTT) * sqrt(3/2) / sqrt(p)
+    segments per second. On one 10 Mb/s hop with 50 ms propagation each
+    way, the window stays below the path's capacity, so RTT is the base
+    round trip; a transmission is lost when a Poisson instant at rate
+    lambda lands inside it, so p = 1 - exp(-lambda * mss * 8 / bandwidth).
+    Measured ratios are 0.942-1.047."""
+    cfg = """\
+flavors = newreno
+hops = 1
+loss_rates = 2,8
+seeds = 1,2,3
+duration = 60
+bandwidth_bps = 10000000
+prop_delay_s = 0.05
+"""
+    spec = load_config(cfg)
+    bw = spec.bandwidth_bps
+    rtt = 8 * (spec.mss_bytes + spec.ack_bytes) / bw + 2 * spec.prop_delay_s
+    ratios = []
+    for r in run_experiment(spec):
+        p = 1 - math.exp(-r.loss_rate * spec.mss_bytes * 8 / bw)
+        ratios.append(r.goodput / (math.sqrt(1.5 / p) / rtt))
+    assert all(0.85 <= x <= 1.15 for x in ratios), ratios
+    print(
+        f"[A12] newreno goodput over the square-root law in [0.85, 1.15]: PASS "
+        f"({min(ratios):.3f}-{max(ratios):.3f})"
+    )

@@ -16,21 +16,15 @@ from meshtcp.errors import ContractError
 
 
 def ack_segment(ack, sack=()):
-    return Segment(
-        kind=SegmentKind.ACK, seq=ack, size_bytes=40,
-        src=2, dst=1, sack=tuple(sack),
-    )
+    return Segment(kind=SegmentKind.ACK, seq=ack, size_bytes=40, sack=tuple(sack))
 
 
 def data_segment(seq):
-    return Segment(
-        kind=SegmentKind.DATA, seq=seq, size_bytes=1460,
-        src=1, dst=2,
-    )
+    return Segment(kind=SegmentKind.DATA, seq=seq, size_bytes=1460)
 
 
 def make_sender(flavor=Flavor.NEWRENO, **kwargs):
-    return SenderEndpoint(flavor, 1460, src=1, dst=2, trace=RunTrace(), **kwargs)
+    return SenderEndpoint(flavor, 1460, trace=RunTrace(), **kwargs)
 
 
 class TestRttEstimator:
@@ -227,7 +221,7 @@ class TestSenderRto:
 
 class TestReceiver:
     def make(self, **kwargs):
-        return ReceiverEndpoint(node=2, peer=1, **kwargs)
+        return ReceiverEndpoint(**kwargs)
 
     def test_contiguous_merge(self):
         r = self.make()

@@ -1,9 +1,11 @@
+import math
 import pickle
 
 import pytest
 
 from conftest import link_of
 from meshtcp.cc import Flavor
+from meshtcp.engine import TraceKind, run_until
 from meshtcp.errors import ConfigError
 from meshtcp.experiment import (
     CSV_HEADER,
@@ -61,6 +63,27 @@ class TestLoadConfig:
     def test_duplicate_key_rejected(self):
         with pytest.raises(ConfigError, match="duplicate"):
             load_config(BASIC + "hops = 2\n")
+
+    @pytest.mark.parametrize(
+        "key, raw, shown",
+        [
+            ("flavors", "sac,newreno,sac", "sac"),
+            ("hops", "2,1,2", "2"),
+            ("loss_rates", "0.5,0.50", "0.5"),
+            ("seeds", "3,3", "3"),
+        ],
+    )
+    def test_repeated_list_value_rejected(self, key, raw, shown):
+        # a repeat would run its sweep points twice and count them twice
+        text, lineno = config_with(key, raw)
+        with pytest.raises(ConfigError, match=f"line {lineno}: {key} lists {shown} more"):
+            load_config(text)
+
+    def test_negative_zero_reads_as_zero(self):
+        text, _ = config_with("loss_rates", "-0,0.5")
+        spec = load_config(text + "warmup_s = -0.0\n")
+        assert math.copysign(1.0, spec.loss_rates[0]) == 1.0
+        assert math.copysign(1.0, spec.warmup_s) == 1.0
 
     def test_comments_and_blanks_ignored(self):
         spec = load_config("# comment\n\n" + BASIC + "   # trailing comment\n")
@@ -142,7 +165,9 @@ class TestRunExperiment:
         spec = load_config(SMALL.replace("hops = 1,2", "hops = 1,2,4"))
         world = build_world(spec, Flavor.SAC, 2, 0.5, 1)
         assert world.net.topology.n_nodes == 3
-        assert world.receiver.node == world.sender.dst == 3
+        # data is delivered only at the chain's end
+        trace = run_until(world, 1.0)
+        assert any(r.kind is TraceKind.DELIVER and r.value == "data" for r in trace)
 
 
 class TestEmitCsv:

@@ -7,13 +7,14 @@ model behaviour may update a digest, and CHANGES.md must say so.
 """
 
 import hashlib
+import math
 from pathlib import Path
 
 import pytest
 
 from meshtcp.cc import Flavor
 from meshtcp.cli import main
-from meshtcp.engine import run_until
+from meshtcp.engine import RngStream, run_until
 from meshtcp.experiment import (
     build_world,
     emit_csv,
@@ -132,3 +133,31 @@ def test_cli_trace_matches_export():
     spec = spec_of("loss_sweep.cfg", loss_rates="1.0", duration="10", warmup_s="2")
     trace = run_until(build_world(spec, Flavor.SAC, 3, 1.0, 7), spec.duration)
     assert sha256(trace.export()) == CLI_OUTPUTS["trace_warmup"][1]["trace.tsv"]
+
+
+def nudge_loss_draws(monkeypatch, nudge):
+    """Pass every exponential draw through ``nudge``."""
+    draw = RngStream.exponential
+    monkeypatch.setattr(RngStream, "exponential", lambda self, rate: nudge(draw(self, rate)))
+
+
+def loss_sweep_digest():
+    spec = spec_of("loss_sweep.cfg", **SWEEP_OVERRIDES["loss_sweep.cfg"])
+    return sha256(emit_csv(run_experiment(spec)))
+
+
+@pytest.mark.parametrize("toward", [math.inf, -math.inf])
+def test_one_ulp_in_loss_draws_changes_no_digest(monkeypatch, toward):
+    # a libm whose log() differs in the last bit must give the same outputs:
+    # no result may hang on where a loss instant falls within one ulp
+    nudge_loss_draws(monkeypatch, lambda x: math.nextafter(x, toward))
+    spec = spec_of("loss_sweep.cfg", duration="10", warmup_s="2")
+    lossy = {f: sha256(run_single(spec, Flavor(f), 3, 1.0, 7).export()) for f in LOSSY_TRACE}
+    assert lossy == LOSSY_TRACE
+    assert loss_sweep_digest() == SWEEP_CSV["loss_sweep.cfg"]
+
+
+def test_one_percent_in_loss_draws_changes_the_sweep_digest(monkeypatch):
+    # keeps the one-ulp test live: the sweep digest does see the loss draws
+    nudge_loss_draws(monkeypatch, lambda x: x * 1.01)
+    assert loss_sweep_digest() != SWEEP_CSV["loss_sweep.cfg"]

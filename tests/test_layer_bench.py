@@ -52,7 +52,7 @@ def test_mesh_hop(benchmark):
     net = MeshNetwork(
         build_chain(3, LinkModel()), events=EventQueue(), trace=RunTrace(), seed=1
     )
-    seg = Segment(SegmentKind.DATA, 0, 1460, 1, 3)
+    seg = Segment(SegmentKind.DATA, 0, 1460)
     link = link_of(net, 1, 2)
 
     def hop():
@@ -86,7 +86,7 @@ def test_sender_ack(benchmark):
 
     def ack():
         seq = next(acks)  # each ACK covers one more segment, 1 ms apart
-        out = sender.on_ack_segment(Segment(SegmentKind.ACK, seq, 40, 2, 1), seq * 1e-3)
+        out = sender.on_ack_segment(Segment(SegmentKind.ACK, seq, 40), seq * 1e-3)
         world._sync_timer()
         return out
 

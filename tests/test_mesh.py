@@ -28,8 +28,8 @@ from meshtcp.mesh import (
 from meshtcp.world import MeshWorld
 
 
-def data_seg(seq, size=1460, src=1, dst=2):
-    return Segment(SegmentKind.DATA, seq, size, src, dst)
+def data_seg(seq, size=1460):
+    return Segment(SegmentKind.DATA, seq, size)
 
 
 def make_net(n_nodes=2, seed=1, scripted=None, **link_kwargs):
@@ -90,10 +90,32 @@ class TestTransmissionTiming:
 
     def test_ack_segment_timing(self):
         net, events, _ = make_net()
-        net.forward(2, Segment(SegmentKind.ACK, 1, 40, 2, 1), 0.0)
+        net.forward(2, Segment(SegmentKind.ACK, 1, 40), 0.0)
         t, kind, _ = events.pop()
         assert kind is EventKind.CHANNEL_FREE
         assert t == pytest.approx(0.00016)
+
+
+class TestRoutes:
+    def test_arrival_forwards_until_the_end_of_the_route(self):
+        # data runs up the chain and ends at the last node; an ACK runs
+        # down and ends at node 1
+        net, _, trace = make_net(n_nodes=4)
+        data, ack = data_seg(0), Segment(SegmentKind.ACK, 1, 40)
+        net.send(data, 0.0)
+        net.send(ack, 0.0)
+        assert list(link_of(net, 1, 2).queue) == [data]
+        assert list(link_of(net, 4, 3).queue) == [ack]
+        assert not net.arrive(2, data, 0.01)
+        assert list(link_of(net, 2, 3).queue) == [data]
+        assert not net.arrive(3, ack, 0.01)
+        assert list(link_of(net, 3, 2).queue) == [ack]
+        assert not link_of(net, 2, 1).queue and not link_of(net, 3, 4).queue
+        assert net.arrive(4, data, 0.02)
+        assert net.arrive(1, ack, 0.02)
+        delivered = [(r.seq, r.value) for r in trace if r.kind is TraceKind.DELIVER]
+        assert delivered == [(0, "data"), (1, "ack")]
+        assert net.carried == 0
 
 
 def queue_drops(trace):
@@ -131,8 +153,8 @@ class TestChannelArbitration:
         # two links of one group: the second request waits for the first
         net, events, _ = make_net(n_nodes=3)
         transmissions = record_transmissions(net)
-        net.enqueue(link_of(net, 1, 2), data_seg(0, dst=3), 0.0)
-        net.enqueue(link_of(net, 2, 3), data_seg(1, src=2, dst=3), 0.0)
+        net.enqueue(link_of(net, 1, 2), data_seg(0), 0.0)
+        net.enqueue(link_of(net, 2, 3), data_seg(1), 0.0)
         assert len(transmissions) == 1  # second transmission not started yet
         while events:
             t, kind, payload = events.pop()
@@ -144,23 +166,23 @@ class TestChannelArbitration:
     def test_disjoint_groups_transmit_concurrently(self):
         net, _, _ = make_net(n_nodes=5, queue_capacity=10)
         transmissions = record_transmissions(net)
-        net.enqueue(link_of(net, 1, 2), data_seg(0, dst=5), 0.0)      # hop 1, group 0
-        net.enqueue(link_of(net, 4, 5), data_seg(1, src=4, dst=5), 0.0)  # hop 4, group 1
+        net.enqueue(link_of(net, 1, 2), data_seg(0), 0.0)  # hop 1, group 0
+        net.enqueue(link_of(net, 4, 5), data_seg(1), 0.0)  # hop 4, group 1
         starts = sorted((g, s) for g, s, _ in transmissions)
         assert starts == [(0, 0.0), (1, 0.0)]
 
     def test_start_on_held_channel_raises(self):
         net, _, _ = make_net(n_nodes=3)
-        net.enqueue(link_of(net, 1, 2), data_seg(0, dst=3), 0.0)  # holds group 0
+        net.enqueue(link_of(net, 1, 2), data_seg(0), 0.0)  # holds group 0
         waiting = link_of(net, 2, 3)
-        waiting.queue.append(data_seg(1, src=2, dst=3))
+        waiting.queue.append(data_seg(1))
         with pytest.raises(ContractError, match="group 0 is held"):
             net._start_transmission(waiting, 0.001)
 
     def test_free_by_non_holder_raises(self):
         net, _, _ = make_net(n_nodes=3)
-        net.enqueue(link_of(net, 1, 2), data_seg(0, dst=3), 0.0)  # holds group 0
-        net.enqueue(link_of(net, 2, 3), data_seg(1, src=2, dst=3), 0.0)  # waits
+        net.enqueue(link_of(net, 1, 2), data_seg(0), 0.0)  # holds group 0
+        net.enqueue(link_of(net, 2, 3), data_seg(1), 0.0)  # waits
         with pytest.raises(ContractError, match="without holding"):
             net.on_channel_free(link_of(net, 2, 3), 0.00584)
         net.on_channel_free(link_of(net, 1, 2), 0.00584)  # hands over to hop 2
@@ -199,16 +221,15 @@ class TestScriptedDrops:
     def test_exact_nth_transmissions_dropped(self):
         s = ScriptedDrops((DropDirective(1, 10, 1), DropDirective(1, 10, 2)))
         seg = data_seg(10)
-        assert s.decide(1, True, seg)      # 1st transmission
-        assert s.decide(1, True, seg)      # 2nd transmission
-        assert not s.decide(1, True, seg)  # 3rd passes
-        assert not s.decide(1, True, data_seg(11))
+        assert s.decide(1, seg)      # 1st transmission
+        assert s.decide(1, seg)      # 2nd transmission
+        assert not s.decide(1, seg)  # 3rd passes
+        assert not s.decide(1, data_seg(11))
 
-    def test_acks_and_reverse_direction_unaffected(self):
+    def test_acks_unaffected(self):
         s = ScriptedDrops((DropDirective(1, 10, 1),))
-        ack = Segment(SegmentKind.ACK, 10, 40, 2, 1)
-        assert not s.decide(1, False, ack)
-        assert not s.decide(1, False, data_seg(10))
+        ack = Segment(SegmentKind.ACK, 10, 40)
+        assert not s.decide(1, ack)
 
     def test_directive_validation(self):
         with pytest.raises(ConfigError):

@@ -203,7 +203,7 @@ def test_link_is_idle_exactly_when_its_queue_is_empty(monkeypatch):
                 waited += waiting
                 expected = 1 if link.queue else 0
                 assert sending + waiting == expected, (
-                    f"hop {link.hop} forward={link.forward} at t={time}: "
+                    f"hop {link.hop} to node {link.dst} at t={time}: "
                     f"{len(link.queue)} queued, {sending=} {waiting=}"
                 )
 
