@@ -19,13 +19,13 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterator
 
-from .cc import Flavor
 from .engine import RunTrace, TraceKind, TraceRecord, format_record
 from .errors import ConfigError, ContractError, MetricUndefinedError
 from .experiment import (
     ExperimentSpec,
     emit_csv,
     load_config,
+    parse_flavor,
     run_experiment,
     run_single,
 )
@@ -83,7 +83,10 @@ def _parse_overrides(pairs: list[str]) -> dict[str, str]:
         if "=" not in pair:
             raise ConfigError(f"override must be KEY=VALUE, got {pair!r}")
         key, _, value = pair.partition("=")
-        overrides[key.strip()] = value.strip()
+        key = key.strip()
+        if key in overrides:
+            raise ConfigError(f"override: duplicate key {key!r}")
+        overrides[key] = value.strip()
     return overrides
 
 
@@ -95,16 +98,10 @@ def _load_spec(args: argparse.Namespace) -> ExperimentSpec:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     overrides = _parse_overrides(args.override)
     if getattr(args, "seed", None) is not None and args.command == "run":
+        if "seeds" in overrides:
+            raise ConfigError("--seed and --override both set 'seeds'")
         overrides["seeds"] = str(args.seed)
     return load_config(text, overrides)
-
-
-def _flavor(name: str) -> Flavor:
-    try:
-        return Flavor(name)
-    except ValueError:
-        known = ", ".join(f.value for f in Flavor)
-        raise ConfigError(f"unknown flavor {name!r} (known: {known})") from None
 
 
 def _outdir(args: argparse.Namespace) -> Path:
@@ -153,11 +150,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     spec = _load_spec(args)
-    flavor = _flavor(args.flavor)
-    if not 1 <= args.hops <= max(spec.hop_counts):
-        raise ConfigError(
-            f"hops must be in 1..{max(spec.hop_counts)} for this config"
-        )
+    flavor = parse_flavor(args.flavor, "--flavor")
+    if not 1 <= args.hops <= max(spec.hops):
+        raise ConfigError(f"hops must be in 1..{max(spec.hops)} for this config")
     if len(spec.loss_rates) != 1:
         raise ConfigError(
             f"trace runs one loss rate but the config lists {len(spec.loss_rates)}; "
@@ -186,8 +181,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     from statistics import mean
 
     spec = _load_spec(args)
-    baseline = _flavor(args.baseline)
-    candidate = _flavor(args.candidate)
+    baseline = parse_flavor(args.baseline, "--baseline")
+    candidate = parse_flavor(args.candidate, "--candidate")
     out = _outdir(args)
     # both sweeps visit the (hops, loss_rate, seed) points in the same order
     pairs = list(

@@ -97,8 +97,8 @@ class SenderEndpoint:
         self.cc: CcVars = init_sender(flavor, mss_bytes)
         self.high_sent = 0
         self.rtt_est = RttEstimator(rto_min=rto_min, rto_max=rto_max)
-        self.send_timestamps: dict[int, float] = {}
-        self.retransmit_flags: set[int] = set()
+        # send time of each unacked seq; None once it was retransmitted
+        self.send_timestamps: dict[int, float | None] = {}
         self.app_limit = app_limit
         self.trace = trace
         # Timer state: None when stopped. The simulation keeps one expiry
@@ -127,10 +127,7 @@ class SenderEndpoint:
 
     def _rtt_sample(self, ack_seq: int, now: float) -> float | None:
         """Karn's rule: never sample a segment that was retransmitted."""
-        seq = ack_seq - 1
-        if seq in self.retransmit_flags:
-            return None
-        sent_at = self.send_timestamps.get(seq)
+        sent_at = self.send_timestamps.get(ack_seq - 1)
         if sent_at is None:
             return None
         return now - sent_at
@@ -139,7 +136,6 @@ class SenderEndpoint:
         """Forget the seqs an advancing ACK covered; every key is >= old_ack."""
         for seq in range(old_ack, ack_seq):
             self.send_timestamps.pop(seq, None)
-            self.retransmit_flags.discard(seq)
 
     def start(self, now: float) -> list[Segment]:
         """Record the initial window and send the first segments."""
@@ -163,7 +159,7 @@ class SenderEndpoint:
 
     def _retransmit(self, seqs: list[int], now: float) -> list[Segment]:
         if seqs:
-            self.retransmit_flags.update(seqs)
+            self.send_timestamps.update(dict.fromkeys(seqs))  # Karn's rule
             # classic single-timer behavior: sending a retransmission
             # restarts the clock covering the oldest outstanding segment
             self.rto_deadline = now + self.rtt_est.rto

@@ -131,15 +131,9 @@ class RngStream:
     named stream never perturbs an existing one.
     """
 
-    def __init__(self, seed: int, name: str = "") -> None:
-        self.seed = seed
-        self.name = name
+    def __init__(self, seed: int, name: str) -> None:
         digest = sha256(f"{seed}:{name}".encode()).digest()
         self._rng = random.Random(int.from_bytes(digest[:8], "big"))
-
-    def split(self, name: str) -> "RngStream":
-        child = f"{self.name}/{name}" if self.name else name
-        return RngStream(self.seed, child)
 
     def uniform(self) -> float:
         return self._rng.random()

@@ -10,6 +10,7 @@ loss-instant sequences and comparisons are paired.
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from typing import Mapping, NamedTuple
 
@@ -32,26 +33,26 @@ from .metrics import MetricsSummary, summarize
 from .world import MeshWorld
 from .endpoint import DEFAULT_RTO_MAX_S, DEFAULT_RTO_MIN_S
 
-_REQUIRED_KEYS = ("flavors", "hops", "loss_rates", "seeds", "duration")
-# key: (ExperimentSpec field, value type, lower bound, bound is strict,
-# comma-separated list). Keys are parsed, and errors raised, in this order.
-_SCHEMA: dict[str, tuple[str, type, float | None, bool, bool]] = {
-    "flavors": ("flavors", Flavor, None, False, True),
-    "hops": ("hop_counts", int, 1, False, True),
-    "loss_rates": ("loss_rates", float, 0.0, False, True),
-    "seeds": ("seeds", int, None, False, True),
-    "duration": ("duration", float, 0.0, True, False),
-    "bandwidth_bps": ("bandwidth_bps", float, 0.0, True, False),
-    "prop_delay_s": ("prop_delay_s", float, 0.0, False, False),
-    "queue_capacity": ("queue_capacity", int, 1, False, False),
-    "mss_bytes": ("mss_bytes", int, MSS_MIN_BYTES, False, False),
-    "ack_bytes": ("ack_bytes", int, 1, False, False),
-    "interference_range": ("interference_range", int, 0, False, False),
-    "rto_min_s": ("rto_min_s", float, 0.0, True, False),
-    "rto_max_s": ("rto_max_s", float, 0.0, True, False),
-    "app_limit": ("app_limit", int, 1, False, False),
-    "scripted_drops": ("scripted_drops", DropDirective, None, False, False),
-    "warmup_s": ("warmup_s", float, 0.0, False, False),
+# key: (value type, lower bound, bound is strict, comma-separated list).
+# Each key names its ExperimentSpec field, and a key is required iff that
+# field has no default. Keys are parsed, and errors raised, in this order.
+_SCHEMA: dict[str, tuple[type, float | None, bool, bool]] = {
+    "flavors": (Flavor, None, False, True),
+    "hops": (int, 1, False, True),
+    "loss_rates": (float, 0.0, False, True),
+    "seeds": (int, None, False, True),
+    "duration": (float, 0.0, True, False),
+    "bandwidth_bps": (float, 0.0, True, False),
+    "prop_delay_s": (float, 0.0, False, False),
+    "queue_capacity": (int, 1, False, False),
+    "mss_bytes": (int, MSS_MIN_BYTES, False, False),
+    "ack_bytes": (int, 1, False, False),
+    "interference_range": (int, 0, False, False),
+    "rto_min_s": (float, 0.0, True, False),
+    "rto_max_s": (float, 0.0, True, False),
+    "app_limit": (int, 1, False, False),
+    "scripted_drops": (DropDirective, None, False, False),
+    "warmup_s": (float, 0.0, False, False),
 }
 
 CSV_HEADER = (
@@ -62,7 +63,7 @@ CSV_HEADER = (
 
 class ExperimentSpec(NamedTuple):
     flavors: tuple[Flavor, ...]
-    hop_counts: tuple[int, ...]
+    hops: tuple[int, ...]
     loss_rates: tuple[float, ...]
     seeds: tuple[int, ...]
     duration: float
@@ -83,7 +84,7 @@ class ExperimentSpec(NamedTuple):
         return [
             (flavor, hops, rate, seed)
             for flavor in sorted(self.flavors, key=lambda f: f.value)
-            for hops in sorted(self.hop_counts)
+            for hops in sorted(self.hops)
             for rate in sorted(self.loss_rates)
             for seed in sorted(self.seeds)
         ]
@@ -125,6 +126,15 @@ def _split_list(raw: str, where: str, key: str) -> list[str]:
     return items
 
 
+def parse_flavor(raw: str, where: str) -> Flavor:
+    """The flavor named ``raw``; an unknown name is an error at ``where``."""
+    try:
+        return Flavor(raw)
+    except ValueError:
+        known = ", ".join(f.value for f in Flavor)
+        raise ConfigError(f"{where}: unknown flavor {raw!r} (known: {known})") from None
+
+
 def _parse_value(
     raw: str,
     where: str,
@@ -136,15 +146,16 @@ def _parse_value(
     """One value of type ``kind``, at least ``minimum`` (above it if strict)."""
     if kind is DropDirective:
         return _parse_scripted(raw, where)
+    if kind is Flavor:
+        return parse_flavor(raw, where)
     try:
         value = kind(raw)
     except ValueError:
-        if kind is Flavor:
-            known = ", ".join(f.value for f in Flavor)
-            raise ConfigError(f"{where}: unknown flavor {raw!r} (known: {known})") from None
         noun = "an integer" if kind is int else "a number"
         raise ConfigError(f"{where}: {key} must be {noun}, got {raw!r}") from None
     if kind is float:
+        if not -math.inf < value < math.inf:
+            raise ConfigError(f"{where}: {key} must be a finite number, got {raw!r}")
         value += 0.0  # -0.0 becomes 0.0
     if minimum is not None and (value < minimum or (strict and value <= minimum)):
         op = ">" if strict else ">="
@@ -178,12 +189,13 @@ def load_config(text: str, overrides: Mapping[str, str] | None = None) -> Experi
             raise ConfigError(f"override: unknown key {key!r}")
         mapping[key] = (str(raw), "override")
 
-    missing = [key for key in _REQUIRED_KEYS if key not in mapping]
+    defaults = ExperimentSpec._field_defaults
+    missing = [key for key in _SCHEMA if key not in mapping and key not in defaults]
     if missing:
         raise ConfigError(f"missing required keys: {', '.join(missing)}")
 
     fields = {}
-    for key, (field, kind, minimum, strict, is_list) in _SCHEMA.items():
+    for key, (kind, minimum, strict, is_list) in _SCHEMA.items():
         if key not in mapping:
             continue
         raw, where = mapping[key]
@@ -195,7 +207,7 @@ def load_config(text: str, overrides: Mapping[str, str] | None = None) -> Experi
             if value in values[:i]:
                 shown = value.value if kind is Flavor else value
                 raise ConfigError(f"{where}: {key} lists {shown} more than once")
-        fields[field] = values if is_list else values[0]
+        fields[key] = values if is_list else values[0]
     spec = ExperimentSpec(**fields)
 
     if spec.mss_bytes > MSS_MAX_BYTES:
@@ -208,7 +220,7 @@ def load_config(text: str, overrides: Mapping[str, str] | None = None) -> Experi
     if spec.warmup_s >= spec.duration:
         raise ConfigError("warmup_s must be below duration")
     for directive in spec.scripted_drops:
-        if directive.hop > max(spec.hop_counts):
+        if directive.hop > max(spec.hops):
             raise ConfigError(
                 f"scripted drop on hop {directive.hop} beyond the chain"
             )

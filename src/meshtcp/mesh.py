@@ -14,6 +14,7 @@ exact loss scenarios.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from typing import NamedTuple
 
@@ -93,13 +94,10 @@ class LossProcess:
     def __init__(self, stream: RngStream, rate: float) -> None:
         self.rate = rate
         self._stream = stream
-        self._next: float | None = None
+        # at rate 0 there is no loss instant
+        self._next = stream.exponential(rate) if rate > 0 else math.inf
 
     def decide(self, start: float, tx_time: float) -> bool:
-        if self.rate <= 0:
-            return False
-        if self._next is None:
-            self._next = self._stream.exponential(self.rate)
         while self._next < start:
             self._next += self._stream.exponential(self.rate)
         return self._next < start + tx_time
@@ -211,14 +209,13 @@ class MeshNetwork:
         self._out: list[list[_Link | None]] = [
             [None, None] for _ in range(topology.n_nodes + 1)
         ]
-        root = RngStream(seed)
         model = topology.link
         for hop in range(1, topology.n_nodes):
             group = self.groups[topology.group_of(hop)]
             for forward in (True, False):
                 src, dst = (hop, hop + 1) if forward else (hop + 1, hop)
                 name = f"loss/hop{hop}/{'fwd' if forward else 'rev'}"
-                loss = LossProcess(root.split(name), model.loss_rate)
+                loss = LossProcess(RngStream(seed, name), model.loss_rate)
                 self._out[src][forward] = _Link(dst, hop, model, group, loss)
 
     def send(self, seg: Segment, now: float) -> None:

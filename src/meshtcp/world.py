@@ -1,6 +1,6 @@
 """One simulated run: one TCP flow over its own chain network.
 
-The flow, flow 0, runs from node 1 to the last node of the chain. The world
+The flow runs from node 1 to the last node of the chain. The world
 wires the run: it owns the event queue, hands the run's trace (one it is
 given, or a fresh one that keeps its records) to the network and the sender,
 and dispatches events to them and the receiver. It keeps one queued RTO

@@ -78,6 +78,23 @@ def test_run_seed_override(tmp_path):
     assert all(",9," in line for line in lines[1:])
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "--override", "seeds=1", "--override", "seeds=2"],
+        ["run", "--out", "o", "--override", "seeds = 1", "--override", "seeds=2"],
+        ["run", "--out", "o", "--seed", "9", "--override", "seeds=1"],
+    ],
+)
+def test_repeated_seeds_setting_exits_2_naming_the_key(tmp_path, capsys, monkeypatch, argv):
+    # a second setting of one key is an error, as in the config file, not
+    # a silent last-wins
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "--config", write(tmp_path, GOOD)]) == 2
+    assert "'seeds'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_run_override_key(tmp_path):
     cfg = write(tmp_path, GOOD)
     out = tmp_path / "o"
@@ -125,6 +142,21 @@ def test_trace_rejects_bad_flavor_and_hops(tmp_path):
     assert main(["trace", "--config", cfg, "--flavor", "sac", "--hops", "7",
                  "--seed", "1", "--out", out]) == 2
     assert not (tmp_path / "t").exists()  # rejected before --out is created
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["trace", "--flavor", "cubic", "--hops", "1", "--seed", "1"], "--flavor"),
+        (["compare", "--baseline", "cubic", "--candidate", "sac"], "--baseline"),
+        (["compare", "--baseline", "newreno", "--candidate", "cubic"], "--candidate"),
+    ],
+)
+def test_unknown_flavor_flag_exits_2_naming_the_flag(tmp_path, capsys, argv, flag):
+    cfg = write(tmp_path, GOOD)
+    assert main([*argv, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    known = ", ".join(f.value for f in cc.Flavor)
+    assert f"{flag}: unknown flavor 'cubic' (known: {known})" in capsys.readouterr().err
 
 
 def test_trace_needs_exactly_one_loss_rate(tmp_path, capsys):

@@ -276,9 +276,9 @@ _ACK_OPS = st.lists(
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(flavor=st.sampled_from(list(Flavor)), ops=_ACK_OPS)
 def test_ack_path_keeps_exactly_the_unacked_send_state(flavor, ops):
-    """After every ACK or RTO, send_timestamps/retransmit_flags hold exactly
-    what a filter over everything recorded so far keeps: the seqs at or
-    above cc.last_ack."""
+    """After every ACK or RTO, send_timestamps holds exactly what a filter
+    over everything recorded so far keeps: the seqs at or above cc.last_ack,
+    with no send time for a retransmitted one."""
     s = make_sender(flavor)
     now = 0.0
     sent_at: dict[int, float] = {}
@@ -307,6 +307,7 @@ def test_ack_path_keeps_exactly_the_unacked_send_state(flavor, ops):
             out = []
         record(out)
         ack = s.cc.last_ack
-        assert s.send_timestamps == {q: t for q, t in sent_at.items() if q >= ack}
-        assert s.retransmit_flags == {q for q in retransmitted if q >= ack}
+        assert s.send_timestamps == {
+            q: None if q in retransmitted else t for q, t in sent_at.items() if q >= ack
+        }
         assert set(s.send_timestamps) == set(range(ack, s.high_sent))

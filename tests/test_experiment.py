@@ -8,7 +8,9 @@ from meshtcp.cc import Flavor
 from meshtcp.engine import TraceKind, run_until
 from meshtcp.errors import ConfigError
 from meshtcp.experiment import (
+    _SCHEMA,
     CSV_HEADER,
+    ExperimentSpec,
     ResultRow,
     build_world,
     emit_csv,
@@ -49,8 +51,15 @@ class TestLoadConfig:
             load_config(BASIC.replace("sac,newreno", "cubic"))
 
     def test_empty_config_rejected(self):
-        with pytest.raises(ConfigError, match="missing required"):
+        # the required keys are the fields without a default, in field order
+        with pytest.raises(
+            ConfigError, match="^missing required keys: flavors, hops, loss_rates, seeds, duration$"
+        ):
             load_config("")
+
+    def test_keys_are_the_spec_fields(self):
+        # each key names its ExperimentSpec field, in the same order
+        assert tuple(_SCHEMA) == ExperimentSpec._fields
 
     def test_unknown_key_names_line(self):
         with pytest.raises(ConfigError, match="line 6"):
@@ -158,7 +167,6 @@ class TestRunExperiment:
         for src, dst in ((1, 2), (2, 1), (2, 3), (3, 2)):
             s1 = link_of(w_reno.net, src, dst).loss._stream
             s2 = link_of(w_sac.net, src, dst).loss._stream
-            assert (s1.seed, s1.name) == (s2.seed, s2.name)
             assert [s1.uniform() for _ in range(5)] == [s2.uniform() for _ in range(5)]
 
     def test_each_point_builds_a_chain_the_flow_spans(self):
@@ -233,6 +241,12 @@ BELOW_BOUND = {
 }
 
 
+FLOAT_KEYS = (
+    "loss_rates", "duration", "bandwidth_bps", "prop_delay_s", "rto_min_s",
+    "rto_max_s", "warmup_s",
+)
+
+
 def config_with(key, raw):
     """BASIC with ``key = raw`` in place or appended, and its line number."""
     lines = BASIC.splitlines()
@@ -259,6 +273,21 @@ class TestNumericKeys:
     def test_below_bound_names_key_and_line(self, key):
         text, lineno = config_with(key, BELOW_BOUND[key])
         with pytest.raises(ConfigError, match=f"line {lineno}: {key} must be >"):
+            load_config(text)
+
+    # a nan fails no comparison, so it would pass every bound, and an inf
+    # passes every one here
+    @pytest.mark.parametrize(
+        "key, raw",
+        [(key, raw) for key in FLOAT_KEYS for raw in ("nan", "inf")]
+        + [("loss_rates", "0,nan"), ("loss_rates", "nan,nan")],
+    )
+    def test_non_finite_names_key_and_line(self, key, raw):
+        text, lineno = config_with(key, raw)
+        bad = raw.rpartition(",")[2]
+        with pytest.raises(
+            ConfigError, match=f"line {lineno}: {key} must be a finite number, got '{bad}'"
+        ):
             load_config(text)
 
 
