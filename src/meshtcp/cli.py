@@ -25,6 +25,7 @@ from .experiment import (
     ExperimentSpec,
     emit_csv,
     load_config,
+    number,
     parse_flavor,
     run_experiment,
     run_single,
@@ -59,13 +60,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run the full sweep, write results.csv")
     add_common(p_run)
-    p_run.add_argument("--seed", type=int, help="replace the seed list with one seed")
+    p_run.add_argument("--seed", type=number, help="replace the seed list with one seed")
 
     p_trace = sub.add_parser("trace", help="run one combination, dump its trace")
     add_common(p_trace)
     p_trace.add_argument("--flavor", required=True)
-    p_trace.add_argument("--hops", required=True, type=int)
-    p_trace.add_argument("--seed", required=True, type=int)
+    p_trace.add_argument("--hops", required=True, type=number)
+    p_trace.add_argument("--seed", required=True, type=number)
 
     p_cmp = sub.add_parser("compare", help="paired comparison of two flavors")
     add_common(p_cmp)
@@ -183,6 +184,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     spec = _load_spec(args)
     baseline = parse_flavor(args.baseline, "--baseline")
     candidate = parse_flavor(args.candidate, "--candidate")
+    if candidate is baseline:
+        raise ConfigError(f"--baseline and --candidate both name {baseline.value!r}")
     out = _outdir(args)
     # both sweeps visit the (hops, loss_rate, seed) points in the same order
     pairs = list(

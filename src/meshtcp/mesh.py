@@ -84,6 +84,11 @@ def build_chain(
     return ChainTopology(n_nodes, link, interference_range)
 
 
+def reads_seed(loss_rate: float, scripted: bool) -> bool:
+    """Whether a run draws on its seed: not at rate 0 or under a drop table."""
+    return loss_rate > 0 and not scripted
+
+
 class LossProcess:
     """Poisson loss instants with exponentially distributed gaps.
 
@@ -91,10 +96,9 @@ class LossProcess:
     depends only on (seed, stream name), never on who is transmitting.
     """
 
-    def __init__(self, stream: RngStream, rate: float) -> None:
+    def __init__(self, stream: RngStream | None, rate: float) -> None:
         self.rate = rate
         self._stream = stream
-        # at rate 0 there is no loss instant
         self._next = stream.exponential(rate) if rate > 0 else math.inf
 
     def decide(self, start: float, tx_time: float) -> bool:
@@ -210,12 +214,13 @@ class MeshNetwork:
             [None, None] for _ in range(topology.n_nodes + 1)
         ]
         model = topology.link
+        rate = model.loss_rate if reads_seed(model.loss_rate, scripted is not None) else 0.0
         for hop in range(1, topology.n_nodes):
             group = self.groups[topology.group_of(hop)]
             for forward in (True, False):
                 src, dst = (hop, hop + 1) if forward else (hop + 1, hop)
                 name = f"loss/hop{hop}/{'fwd' if forward else 'rev'}"
-                loss = LossProcess(RngStream(seed, name), model.loss_rate)
+                loss = LossProcess(RngStream(seed, name) if rate else None, rate)
                 self._out[src][forward] = _Link(dst, hop, model, group, loss)
 
     def send(self, seg: Segment, now: float) -> None:

@@ -95,6 +95,23 @@ def test_repeated_seeds_setting_exits_2_naming_the_key(tmp_path, capsys, monkeyp
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--seed", "1_0"],
+        ["trace", "--flavor", "sac", "--hops", "1_0", "--seed", "1"],
+        ["trace", "--flavor", "sac", "--hops", "1", "--seed", "\uff17"],
+    ],
+    ids=["run_seed_separator", "trace_hops_separator", "trace_seed_fullwidth"],
+)
+def test_integer_flag_takes_only_a_plain_ascii_literal(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--config", write(tmp_path, GOOD), "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert "invalid number value" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_run_override_key(tmp_path):
     cfg = write(tmp_path, GOOD)
     out = tmp_path / "o"
@@ -289,6 +306,16 @@ def test_compare_reversed_verdict_exits_3(tmp_path):
     )
     assert rc == 3
     assert "verdict=fail" in (out / "summary.txt").read_text()
+
+
+def test_compare_of_a_flavor_with_itself_exits_2(tmp_path, capsys):
+    # the two sweeps would be one run twice, and its verdict would say nothing
+    out = tmp_path / "cmp"
+    rc = main(["compare", "--config", write(tmp_path, SCRIPTED), "--baseline", "sac",
+               "--candidate", "sac", "--out", str(out)])
+    assert rc == 2
+    assert "--baseline and --candidate both name 'sac'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_compare_undefined_throughput_exits_3_without_verdict(tmp_path, capsys):

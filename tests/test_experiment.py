@@ -1,9 +1,14 @@
 import math
 import pickle
+import re
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import link_of
+from meshtcp import experiment, mesh
 from meshtcp.cc import Flavor
 from meshtcp.engine import TraceKind, run_until
 from meshtcp.errors import ConfigError
@@ -16,8 +21,12 @@ from meshtcp.experiment import (
     emit_csv,
     load_config,
     run_experiment,
+    run_single,
 )
 from meshtcp.mesh import DropDirective, LinkModel
+from meshtcp.metrics import summarize
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 BASIC = """\
 flavors = sac,newreno
@@ -178,6 +187,67 @@ class TestRunExperiment:
         assert any(r.kind is TraceKind.DELIVER and r.value == "data" for r in trace)
 
 
+def point_by_point(spec):
+    """The sweep's rows, each from its own run."""
+    return [
+        ResultRow(*summarize(run_single(spec, *point), warmup=spec.warmup_s), *point)
+        for point in spec.combinations()
+    ]
+
+
+class TestSeedFreePoints:
+    @settings(max_examples=12, deadline=None, derandomize=True, database=None)
+    @given(
+        flavors=st.lists(st.sampled_from(Flavor), min_size=1, max_size=2, unique=True),
+        hops=st.lists(st.integers(1, 3), min_size=1, max_size=2, unique=True),
+        lossy=st.lists(st.sampled_from((0.5, 2.0, 8.0)), max_size=2, unique=True),
+        seeds=st.lists(st.integers(1, 50), min_size=2, max_size=3, unique=True),
+        scripted=st.booleans(),
+    )
+    def test_sweep_equals_its_points_run_one_by_one(
+        self, flavors, hops, lossy, seeds, scripted
+    ):
+        spec = ExperimentSpec(
+            tuple(flavors), tuple(hops), (0.0, *lossy), tuple(seeds), duration=3.0,
+            app_limit=150, rto_min_s=1.0,
+            scripted_drops=(DropDirective(1, 10, 1), DropDirective(1, 10, 2)) if scripted else (),
+        )
+        assert run_experiment(spec) == point_by_point(spec)
+
+    def test_a_point_that_reads_no_seed_is_given_none(self, monkeypatch):
+        # anything a seed-free point drew from its seed would differ between
+        # seeds, and the sweep would be wrong to run it once
+        def no_stream(*args):
+            raise AssertionError("a loss stream was built")
+
+        monkeypatch.setattr(mesh, "RngStream", no_stream)
+        lossless = load_config(SMALL, {"loss_rates": "0"})
+        scripted = load_config(
+            (CONFIGS / "retransmission_loss.cfg").read_text(), {"loss_rates": "0.5"}
+        )
+        for spec in (lossless, scripted):
+            trace = run_single(spec, Flavor.SAC, 1, spec.loss_rates[0], 1)
+            assert any(r.kind is TraceKind.DELIVER for r in trace)
+        with pytest.raises(AssertionError, match="loss stream"):
+            build_world(load_config(SMALL), Flavor.SAC, 1, 0.5, 1)
+
+    def test_loss_sweep_runs_each_lossless_point_once(self, monkeypatch):
+        built = []
+        build = experiment.build_world
+
+        def counting(spec, flavor, hops, rate, seed, trace=None):
+            built.append((rate, seed))
+            return build(spec, flavor, hops, rate, seed, trace)
+
+        monkeypatch.setattr(experiment, "build_world", counting)
+        spec = load_config((CONFIGS / "loss_sweep.cfg").read_text(), {"duration": "1"})
+        rows = run_experiment(spec)
+        # 5 flavors x 4 rates x 10 seeds; at rate 0 only the first seed runs
+        assert len(rows) == 200
+        assert len(built) == 155
+        assert [seed for rate, seed in built if rate == 0] == [1] * 5
+
+
 class TestEmitCsv:
     def test_header_only_when_empty(self):
         assert emit_csv([]) == CSV_HEADER + "\n"
@@ -287,6 +357,20 @@ class TestNumericKeys:
         bad = raw.rpartition(",")[2]
         with pytest.raises(
             ConfigError, match=f"line {lineno}: {key} must be a finite number, got '{bad}'"
+        ):
+            load_config(text)
+
+    # int() and float() also read digit separators and non-ASCII digits
+    @pytest.mark.parametrize(
+        "key, raw, noun",
+        [("hops", "1_0", "an integer"), ("loss_rates", "0_0.5", "a number"),
+         ("seeds", "\uff17", "an integer"), ("scripted_drops", "1:1_0:1", "an integer")],
+    )
+    def test_only_plain_ascii_literals(self, key, raw, noun):
+        text, lineno = config_with(key, raw)
+        bad = raw.split(":")[1] if key == "scripted_drops" else raw
+        with pytest.raises(
+            ConfigError, match=re.escape(f"line {lineno}: {key} must be {noun}, got '{bad}'")
         ):
             load_config(text)
 

@@ -48,6 +48,10 @@ SWEEP_CSV = {
     "loss_sweep.cfg": "f5149e72179ff03712dcc9354186e515edc04ad99c22b0dc5aecca78326041a3",
 }
 
+# the same sweep over several seeds and a lossy rate: every row of a
+# scripted sweep is the same run, whatever its seed or rate
+SCRIPTED_SEEDS_CSV = "d525746508c15a2b95cf0cb38cb8827b1862c873f6f57731a63b2e96ed13661d"
+
 # RunTrace.export() of retransmission_loss.cfg: scripted drops, 1 hop
 SCRIPTED_TRACE = {
     "sac": "42fe18859bbc61bc74b556b5b9364ddeb394946de54e00cf7218e08127b8185c",
@@ -104,6 +108,11 @@ CLI_OUTPUTS = {
 def test_sweep_csv_digest(name):
     spec = spec_of(name, **SWEEP_OVERRIDES[name])
     assert sha256(emit_csv(run_experiment(spec))) == SWEEP_CSV[name]
+
+
+def test_scripted_sweep_over_seeds_digest():
+    spec = spec_of("retransmission_loss.cfg", seeds="1,2,3", loss_rates="0,0.5")
+    assert sha256(emit_csv(run_experiment(spec))) == SCRIPTED_SEEDS_CSV
 
 
 @pytest.mark.parametrize("flavor", sorted(SCRIPTED_TRACE))
