@@ -142,27 +142,21 @@ def on_new_ack(
     sack_blocks: tuple[tuple[int, int], ...] = (),
 ) -> tuple[CcVars, list[int]]:
     """Process an advancing cumulative ACK."""
-    if ack_seq <= cc.last_ack:
+    # one unpacking is much cheaper than a field lookup per value
+    (flavor, phase, cwnd, ssthresh, last_ack, high_seq, rlp, _, add_dupacks, acc,
+     base_rtt, last_rtt, scoreboard, sack_retx) = cc
+    if ack_seq <= last_ack:
         raise ContractError(
-            f"on_new_ack requires an advancing ACK: {ack_seq} <= {cc.last_ack}"
+            f"on_new_ack requires an advancing ACK: {ack_seq} <= {last_ack}"
         )
-    newly_acked = ack_seq - cc.last_ack
+    newly_acked = ack_seq - last_ack
     retransmit: list[int] = []
 
-    phase = cc.phase
-    cwnd = cc.cwnd
-    high_seq = cc.high_seq
-    rlp = cc.rlp
-    add_dupacks = cc.add_dupacks
-    acc = cc.ca_accumulator
-    scoreboard = cc.sack_scoreboard
-    sack_retx = cc.sack_retx
-    base_rtt = cc.vegas_base_rtt
-    last_rtt = cc.vegas_last_rtt
-
-    if cc.flavor is _SACK:
-        scoreboard = _merged_scoreboard(scoreboard, sack_blocks, ack_seq)
-        sack_retx = frozenset(s for s in sack_retx if s >= ack_seq)
+    if flavor is _SACK:  # an empty scoreboard and retx set stay empty
+        if scoreboard or sack_blocks:
+            scoreboard = _merged_scoreboard(scoreboard, sack_blocks, ack_seq)
+        if sack_retx:
+            sack_retx = frozenset(s for s in sack_retx if s >= ack_seq)
 
     if rtt_sample is not None:
         base_rtt = rtt_sample if base_rtt is None else min(base_rtt, rtt_sample)
@@ -170,11 +164,11 @@ def on_new_ack(
 
     if phase is _FRR:
         full_ack = high_seq is not None and ack_seq >= high_seq
-        if full_ack or cc.flavor in (_RENO, _VEGAS):
+        if full_ack or flavor in (_RENO, _VEGAS):
             # The recovery point is covered, or the flavor is Reno-style
             # and any advancing ACK ends recovery.
             phase = _CA
-            cwnd = cc.ssthresh
+            cwnd = ssthresh
             high_seq = None
             rlp = None
             add_dupacks = 0
@@ -182,7 +176,7 @@ def on_new_ack(
             sack_retx = frozenset()
         else:
             # Partial ACK: plug the next hole, deflate, stay in recovery.
-            if cc.flavor is _SACK:
+            if flavor is _SACK:
                 hole = _lowest_hole(ack_seq, high_seq, scoreboard, sack_retx)
                 if hole is not None:
                     retransmit.append(hole)
@@ -190,27 +184,26 @@ def on_new_ack(
             else:
                 retransmit.append(ack_seq)
             cwnd = max(cwnd - newly_acked + 1, 1)
-            if cc.flavor is _SAC:
+            if flavor is _SAC:
                 add_dupacks = 0
     elif phase is _SS:
         cwnd += 1
-        if cwnd > cc.ssthresh:
+        if cwnd > ssthresh:
             phase = _CA
             acc = 0
     else:  # CA
         acc += 1
         if acc >= cwnd:
             acc = 0
-            if cc.flavor is _VEGAS:
+            if flavor is _VEGAS:
                 cwnd = _vegas_adjust(cwnd, base_rtt, last_rtt)
             else:
                 cwnd += 1
 
+    # positional: keywords cost about twice as much on every ACK
     return CcVars(
-        cc.flavor, phase, cwnd, cc.ssthresh, last_ack=ack_seq, high_seq=high_seq,
-        rlp=rlp, dupacks=0, add_dupacks=add_dupacks, ca_accumulator=acc,
-        vegas_base_rtt=base_rtt, vegas_last_rtt=last_rtt,
-        sack_scoreboard=scoreboard, sack_retx=sack_retx,
+        flavor, phase, cwnd, ssthresh, ack_seq, high_seq, rlp, 0,
+        add_dupacks, acc, base_rtt, last_rtt, scoreboard, sack_retx,
     ), retransmit
 
 
@@ -221,26 +214,18 @@ def on_dupack(
     sack_blocks: tuple[tuple[int, int], ...] = (),
 ) -> tuple[CcVars, list[int]]:
     """Process a duplicate ACK (same cumulative value as the last one)."""
-    if ack_seq != cc.last_ack:
+    (flavor, phase, cwnd, ssthresh, last_ack, high_seq, rlp, dupacks, add_dupacks, acc,
+     base_rtt, last_rtt, scoreboard, sack_retx) = cc
+    if ack_seq != last_ack:
         raise ContractError(
-            f"on_dupack requires ack == last_ack: {ack_seq} != {cc.last_ack}"
+            f"on_dupack requires ack == last_ack: {ack_seq} != {last_ack}"
         )
     if high_sent < ack_seq:
         raise ContractError(f"high_sent {high_sent} below ack {ack_seq}")
 
     retransmit: list[int] = []
-    dupacks = cc.dupacks + 1
-    phase = cc.phase
-    cwnd = cc.cwnd
-    ssthresh = cc.ssthresh
-    high_seq = cc.high_seq
-    rlp = cc.rlp
-    add_dupacks = cc.add_dupacks
-    acc = cc.ca_accumulator
-    scoreboard = cc.sack_scoreboard
-    sack_retx = cc.sack_retx
-
-    if cc.flavor is _SACK:
+    dupacks += 1
+    if flavor is _SACK and (scoreboard or sack_blocks):
         scoreboard = _merged_scoreboard(scoreboard, sack_blocks, ack_seq)
 
     if phase is not _FRR:
@@ -251,16 +236,16 @@ def on_dupack(
             ssthresh = max(flight // 2, MIN_SSTHRESH)
             cwnd = ssthresh + DUPACK_THRESHOLD
             acc = 0
-            if cc.flavor is _SAC:
+            if flavor is _SAC:
                 rlp = flight
                 add_dupacks = 0
-            if cc.flavor is _SACK:
+            if flavor is _SACK:
                 sack_retx = frozenset({ack_seq})
             phase = _FRR
             retransmit.append(ack_seq)
     else:
         cwnd += 1  # window inflation: one segment has left the network
-        if cc.flavor is _SAC:
+        if flavor is _SAC:
             add_dupacks += 1
             if rlp is not None and add_dupacks >= rlp - 1:
                 # Enough dupacks arrived to prove the retransmission was
@@ -268,17 +253,15 @@ def on_dupack(
                 retransmit.append(ack_seq)
                 cwnd = max(cwnd // 2, 1)
                 add_dupacks = 0
-        elif cc.flavor is _SACK:
+        elif flavor is _SACK:
             hole = _lowest_hole(ack_seq, high_seq, scoreboard, sack_retx)
             if hole is not None:
                 retransmit.append(hole)
                 sack_retx = sack_retx | {hole}
 
     return CcVars(
-        cc.flavor, phase, cwnd, ssthresh, last_ack=cc.last_ack, high_seq=high_seq,
-        rlp=rlp, dupacks=dupacks, add_dupacks=add_dupacks, ca_accumulator=acc,
-        vegas_base_rtt=cc.vegas_base_rtt, vegas_last_rtt=cc.vegas_last_rtt,
-        sack_scoreboard=scoreboard, sack_retx=sack_retx,
+        flavor, phase, cwnd, ssthresh, last_ack, high_seq, rlp, dupacks,
+        add_dupacks, acc, base_rtt, last_rtt, scoreboard, sack_retx,
     ), retransmit
 
 

@@ -3,9 +3,9 @@
 The sender owns sequence bookkeeping, the RTO estimator and timer state,
 and translates network events (ACK arrivals, timer expiries) into the pure
 congestion-control operations plus concrete segments to transmit; it
-records its own window and phase changes in the run trace. The
-receiver generates one cumulative ACK per arriving data segment and keeps
-an out-of-order buffer.
+records its own window and phase changes in the run trace. It may carry
+several flavors while they act alike. The receiver generates one
+cumulative ACK per arriving data segment and keeps an out-of-order buffer.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ class SegmentKind(Enum):
 
 # bound once for the per-event path; see the note in mesh.py
 _DATA, _ACK = SegmentKind.DATA, SegmentKind.ACK
-_SACK = Flavor.SACK
 _CWND_SAMPLE, _PHASE_CHANGE = TraceKind.CWND_SAMPLE, TraceKind.PHASE_CHANGE
 
 
@@ -49,9 +48,14 @@ class Segment(NamedTuple):
     sack: tuple[tuple[int, int], ...] = ()
     retx: bool = False
 
+    def __deepcopy__(self, memo) -> Segment:
+        return self  # immutable, so a copied world shares it
+
 
 class RttEstimator:
     """Smoothed RTT / variance estimator with exponential timeout backoff."""
+
+    __slots__ = ("rto_min", "rto_max", "srtt", "rttvar", "rto", "has_sample")
 
     def __init__(
         self, rto_min: float = DEFAULT_RTO_MIN_S, rto_max: float = DEFAULT_RTO_MAX_S
@@ -79,13 +83,24 @@ class RttEstimator:
         self.rto = min(self.rto * 2, self.rto_max)
 
 
+class Diverged(Exception):
+    """A sender's flavors react differently to one event. The one argument
+    lists the indices into ``flavors`` of each set that agrees, 0's first."""
+
+
 class SenderEndpoint:
     """One TCP sender. Methods mutate the endpoint and return the segments
-    to put on the wire, in transmission order."""
+    to put on the wire, in transmission order. Given several flavors, the
+    first one's state is ``cc`` and the others' are ``shadows``."""
+
+    __slots__ = (
+        "mss_bytes", "cc", "shadows", "high_sent", "rtt_est", "send_timestamps",
+        "app_limit", "trace", "rto_deadline",
+    )
 
     def __init__(
         self,
-        flavor: Flavor,
+        flavor: Flavor | tuple[Flavor, ...],
         mss_bytes: int,
         *,
         trace: RunTrace,
@@ -94,7 +109,9 @@ class SenderEndpoint:
         rto_max: float = DEFAULT_RTO_MAX_S,
     ) -> None:
         self.mss_bytes = mss_bytes
-        self.cc: CcVars = init_sender(flavor, mss_bytes)
+        flavors = (flavor,) if isinstance(flavor, Flavor) else flavor
+        self.cc: CcVars = init_sender(flavors[0], mss_bytes)
+        self.shadows = tuple(init_sender(f, mss_bytes) for f in flavors[1:])
         self.high_sent = 0
         self.rtt_est = RttEstimator(rto_min=rto_min, rto_max=rto_max)
         # send time of each unacked seq; None once it was retransmitted
@@ -109,6 +126,35 @@ class SenderEndpoint:
     @property
     def outstanding(self) -> int:
         return self.high_sent - self.cc.last_ack
+
+    @property
+    def flavors(self) -> tuple[Flavor, ...]:
+        return tuple(cc.flavor for cc in (self.cc, *self.shadows))
+
+    def keep(self, group: list[int]) -> None:
+        """Carry only the flavors at these indices of ``flavors``."""
+        states = (self.cc, *self.shadows)
+        self.cc, *shadows = (states[i] for i in group)
+        self.shadows = tuple(shadows)
+
+    def _cc_step(self, op, *args) -> tuple[CcVars, list[int]]:
+        """``op(cc, *args)``, the shadows taking the same step. If one differs
+        in what the sender uses (phase, cwnd, ssthresh, last_ack, the seqs
+        to retransmit), raise ``Diverged`` and change nothing."""
+        cc, retransmit = op(self.cc, *args)
+        if self.shadows:
+            seen, states = cc[1:5], []  # phase, cwnd, ssthresh, last_ack
+            for shadow in self.shadows:
+                state, retx = op(shadow, *args)
+                if retx != retransmit or state[1:5] != seen:
+                    groups: dict[tuple, list[int]] = {}
+                    for i, before in enumerate((self.cc, *self.shadows)):
+                        after, retx = op(before, *args)
+                        groups.setdefault((after[1:5], tuple(retx)), []).append(i)
+                    raise Diverged(list(groups.values()))
+                states.append(state)
+            self.shadows = tuple(states)
+        return cc, retransmit
 
     def _record(self, time: float, kind: TraceKind, seq: int, value) -> None:
         self.trace.add(time, kind, 0, seq, value)
@@ -174,19 +220,15 @@ class SenderEndpoint:
         if ack.kind is not _ACK or ack.seq < old_ack:
             raise ContractError(f"not an ACK >= {old_ack}: {ack.kind.value} {ack.seq}")
 
-        blocks = ack.sack if self.cc.flavor is _SACK else ()
+        # only sack reads the SACK blocks; every other flavor ignores them
         if ack.seq == old_ack:
-            cc, retransmit = cc_ops.on_dupack(
-                self.cc, ack.seq, self.high_sent, sack_blocks=blocks
-            )
+            cc, retransmit = self._cc_step(cc_ops.on_dupack, ack.seq, self.high_sent, ack.sack)
             self._set_cc(cc, now)
         else:
             sample = self._rtt_sample(ack.seq, now)
+            cc, retransmit = self._cc_step(cc_ops.on_new_ack, ack.seq, sample, ack.sack)
             if sample is not None and sample > 0:
                 self.rtt_est.update(sample)
-            cc, retransmit = cc_ops.on_new_ack(
-                self.cc, ack.seq, sample, sack_blocks=blocks
-            )
             self._set_cc(cc, now)
             self._prune_below(old_ack, ack.seq)
             if self.outstanding > 0:
@@ -204,9 +246,9 @@ class SenderEndpoint:
         with nothing outstanding raises ``ContractError``."""
         if self.outstanding == 0:
             raise ContractError(f"RTO fired with nothing outstanding at t={now}")
+        cc, retransmit = self._cc_step(cc_ops.on_timeout, self.high_sent)
         self.rtt_est.back_off()
         self._record(now, TraceKind.RTO, self.cc.last_ack, self.rtt_est.rto)
-        cc, retransmit = cc_ops.on_timeout(self.cc, self.high_sent)
         self._set_cc(cc, now)
         out = self._retransmit(retransmit, now)
         self.rto_deadline = now + self.rtt_est.rto
@@ -215,6 +257,8 @@ class SenderEndpoint:
 
 class ReceiverEndpoint:
     """One TCP receiver: cumulative ACK per arriving data segment."""
+
+    __slots__ = ("ack_bytes", "sack_enabled", "rcv_next", "ooo_buffer")
 
     def __init__(self, ack_bytes: int = 40, sack_enabled: bool = False) -> None:
         self.ack_bytes = ack_bytes

@@ -4,7 +4,6 @@ random streams, and the append-only run trace."""
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 import random
 from enum import Enum
@@ -32,9 +31,11 @@ class EventQueue:
     order they were scheduled in), which keeps runs reproducible.
     """
 
+    __slots__ = ("_heap", "_counter", "_watermark")
+
     def __init__(self) -> None:
         self._heap: list[tuple[float, int, EventKind, object]] = []
-        self._counter = itertools.count()
+        self._counter = 0  # a plain int, so the queue copies and pickles
         self._watermark = 0.0  # time of the last event taken off the heap
 
     def push(self, time: float, kind: EventKind, payload: object = None) -> None:
@@ -42,7 +43,8 @@ class EventQueue:
             raise ContractError(
                 f"event scheduled in the past: t={time} < clock {self._watermark}"
             )
-        heapq.heappush(self._heap, (time, next(self._counter), kind, payload))
+        self._counter = counter = self._counter + 1
+        heapq.heappush(self._heap, (time, counter, kind, payload))
 
     def pop(self) -> tuple[float, EventKind, object]:
         time, _, kind, payload = heapq.heappop(self._heap)
@@ -90,7 +92,8 @@ class RunTrace:
 
     By default the trace keeps its records. Given a ``consumer``, it hands
     each record to it as it is added and keeps none, so its memory does not
-    grow with the length of the run.
+    grow with the length of the run; such a streaming trace cannot be
+    copied, as its records are already gone.
     """
 
     def __init__(self, consumer: Callable[[TraceRecord], None] | None = None) -> None:
@@ -112,6 +115,15 @@ class RunTrace:
             )
         self._last_time = time
         self._consume(TraceRecord(time, kind, flow_id, seq, value))
+
+    def __deepcopy__(self, memo) -> RunTrace:
+        # a generic copy would keep the bound append of the original list
+        if self._consume != self.records.append:
+            raise ContractError("a streaming trace cannot be copied")
+        twin = RunTrace()
+        twin.records.extend(self.records)  # records are immutable and shared
+        twin._last_time = self._last_time
+        return twin
 
     def export(self) -> str:
         return "".join(map(format_record, self.records))
@@ -143,6 +155,13 @@ class RngStream:
             raise ContractError(f"exponential rate must be positive, got {rate}")
         return -math.log(1.0 - self._rng.random()) / rate
 
+    def __deepcopy__(self, memo) -> RngStream:
+        # through the state tuple, which a generic copy walks word by word
+        twin = RngStream.__new__(RngStream)
+        twin._rng = random.Random.__new__(random.Random)  # not seeded in vain
+        twin._rng.setstate(self._rng.getstate())
+        return twin
+
 
 def run_until(world, t_end: float) -> RunTrace:
     """Dispatch events in order until the queue empties or time passes t_end.
@@ -153,11 +172,12 @@ def run_until(world, t_end: float) -> RunTrace:
     events = world.events
     heap = events._heap
     pop = heapq.heappop
+    handle = world.handle
     while heap and heap[0][0] <= t_end:
         time, _, kind, payload = pop(heap)
         events._watermark = time
         try:
-            world.handle(time, kind, payload)
+            handle(time, kind, payload)
         except ContractError as exc:
             raise ContractError(
                 f"dispatch failed at t={time:.9f} ({kind.value}): {exc}"

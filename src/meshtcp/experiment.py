@@ -5,14 +5,15 @@ comma-separated lists. A sweep runs every (flavor, hops, loss_rate, seed)
 combination on a fresh chain of ``hops + 1`` nodes with the flow from node
 1 to the last node. Link loss streams are keyed by seed and hop only, never
 by flavor, so two flavors at the same (hops, loss_rate, seed) see identical
-loss-instant sequences and comparisons are paired.
+loss-instant sequences and comparisons are paired; one world carries all
+flavors of a point until they act differently.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from typing import Mapping, NamedTuple
+from typing import Iterator, Mapping, NamedTuple
 
 from .cc import MSS_MAX_BYTES, MSS_MIN_BYTES, Flavor
 from .engine import RunTrace, run_until
@@ -237,13 +238,14 @@ def load_config(text: str, overrides: Mapping[str, str] | None = None) -> Experi
 
 def build_world(
     spec: ExperimentSpec,
-    flavor: Flavor,
+    flavor: Flavor | tuple[Flavor, ...],
     hops: int,
     loss_rate: float,
     seed: int,
     trace: RunTrace | None = None,
 ) -> MeshWorld:
-    """Fresh world for one sweep point, feeding ``trace`` if one is given."""
+    """Fresh world for one sweep point and one or more flavors, feeding
+    ``trace`` if one is given."""
     link = LinkModel(
         bandwidth_bps=spec.bandwidth_bps,
         prop_delay_s=spec.prop_delay_s,
@@ -266,6 +268,32 @@ def build_world(
     )
 
 
+def _run_worlds(
+    spec: ExperimentSpec,
+    flavor: Flavor | tuple[Flavor, ...],
+    hops: int,
+    loss_rate: float,
+    seed: int,
+    trace: RunTrace | None = None,
+) -> Iterator[MeshWorld]:
+    """Run the point's world to spec.duration, then each copy it splits
+    into, and yield each one. A ``ContractError`` names the point and the
+    flavors of the world it was raised in."""
+    worlds = [build_world(spec, flavor, hops, loss_rate, seed, trace)]
+    try:
+        while worlds:
+            world = worlds.pop()
+            run_until(world, spec.duration)
+            worlds += world.forks
+            yield world
+    except ContractError as exc:
+        names = ",".join(f.value for f in world.sender.flavors)
+        raise ContractError(
+            f"combination flavor={names} hops={hops} "
+            f"loss_rate={loss_rate} seed={seed} aborted: {exc}"
+        ) from exc
+
+
 def run_single(
     spec: ExperimentSpec,
     flavor: Flavor,
@@ -274,31 +302,25 @@ def run_single(
     seed: int,
     trace: RunTrace | None = None,
 ) -> RunTrace:
-    """Run one combination to spec.duration; return the trace it fed.
-
-    A ``ContractError`` raised by the run names the combination.
-    """
-    try:
-        world = build_world(spec, flavor, hops, loss_rate, seed, trace)
-        return run_until(world, spec.duration)
-    except ContractError as exc:
-        raise ContractError(
-            f"combination flavor={flavor.value} hops={hops} "
-            f"loss_rate={loss_rate} seed={seed} aborted: {exc}"
-        ) from exc
+    """Run one combination to spec.duration; return the trace it fed."""
+    (world,) = _run_worlds(spec, flavor, hops, loss_rate, seed, trace)
+    return world.trace
 
 
 def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
     """Run the full sweep; one row per combination, lexicographic order."""
+    flavors = tuple(sorted(spec.flavors, key=lambda f: f.value))
+    scripted = bool(spec.scripted_drops)
+    points = {}  # a point that reads no seed is one run, whatever its seed
     rows = []
-    seed_free = {}  # a point that reads no seed is one run, whatever its seed
     for flavor, hops, rate, seed in spec.combinations():
-        summary = seed_free.get((flavor, hops, rate))
-        if summary is None:
-            summary = summarize(run_single(spec, flavor, hops, rate, seed), warmup=spec.warmup_s)
-            if not reads_seed(rate, bool(spec.scripted_drops)):
-                seed_free[flavor, hops, rate] = summary
-        rows.append(ResultRow(*summary, flavor, hops, rate, seed))
+        point = (hops, rate, seed if reads_seed(rate, scripted) else None)
+        if point not in points:
+            points[point] = summaries = {}  # of each flavor at the point
+            for world in _run_worlds(spec, flavors, hops, rate, seed):
+                summary = summarize(world.trace, warmup=spec.warmup_s)
+                summaries.update(dict.fromkeys(world.sender.flavors, summary))
+        rows.append(ResultRow(*points[point][flavor], flavor, hops, rate, seed))
     return rows
 
 

@@ -96,15 +96,17 @@ class LossProcess:
     depends only on (seed, stream name), never on who is transmitting.
     """
 
+    __slots__ = ("rate", "_stream", "next_instant")
+
     def __init__(self, stream: RngStream | None, rate: float) -> None:
         self.rate = rate
         self._stream = stream
-        self._next = stream.exponential(rate) if rate > 0 else math.inf
+        self.next_instant = stream.exponential(rate) if rate > 0 else math.inf
 
     def decide(self, start: float, tx_time: float) -> bool:
-        while self._next < start:
-            self._next += self._stream.exponential(self.rate)
-        return self._next < start + tx_time
+        while self.next_instant < start:
+            self.next_instant += self._stream.exponential(self.rate)
+        return self.next_instant < start + tx_time
 
 
 class _DropFields(NamedTuple):
@@ -126,6 +128,8 @@ class DropDirective(_DropFields):
 
 class ScriptedDrops:
     """Explicit drop table; when present it replaces the stochastic model."""
+
+    __slots__ = ("_wanted", "_counts")
 
     def __init__(self, directives: tuple[DropDirective, ...]) -> None:
         self._wanted = set(directives)  # each equals its (hop, seq, nth) tuple
@@ -151,19 +155,20 @@ _DROP_QUEUE, _DROP_WIRELESS = TraceKind.DROP_QUEUE, TraceKind.DROP_WIRELESS
 
 class _Link:
     """Runtime state of one directed link; caches the model's per-segment
-    parameters."""
+    parameters. ``next`` is the link a segment takes after this one, None
+    at the end of its route."""
 
     __slots__ = (
-        "dst", "hop", "model", "queue", "group", "loss",
+        "hop", "model", "queue", "group", "loss", "next",
         "queue_capacity", "bandwidth_bps", "prop_delay_s",
     )
 
-    def __init__(self, dst, hop, model, group, loss):
-        self.dst = dst
+    def __init__(self, hop, model, group, loss):
         self.hop = hop
         self.model = model
         self.group = group
         self.loss = loss
+        self.next: _Link | None = None
         # queue[0] is on the air or waiting in the group's FIFO; an empty
         # queue means the link is idle
         self.queue: deque[Segment] = deque()
@@ -186,12 +191,17 @@ class _Group:
 class MeshNetwork:
     """Event-driven transport fabric over a ChainTopology.
 
-    Owns link queues, channel arbitration and the error model; deliveries
-    are reported by scheduling SEGMENT_ARRIVAL events for the next node.
+    Owns link queues, channel arbitration and the error model; a
+    SEGMENT_ARRIVAL event carries the link its segment takes next.
     It is the only writer of the in-flight count ``carried``: ``send``
     adds a segment, and ``_retire`` records its delivery or drop and
     removes it, raising ``ContractError`` if nothing is in flight.
     """
+
+    # "__dict__" keeps room for what a test wraps on one network
+    __slots__ = (
+        "topology", "events", "trace", "scripted", "carried", "groups", "_out", "__dict__",
+    )
 
     def __init__(
         self,
@@ -218,10 +228,12 @@ class MeshNetwork:
         for hop in range(1, topology.n_nodes):
             group = self.groups[topology.group_of(hop)]
             for forward in (True, False):
-                src, dst = (hop, hop + 1) if forward else (hop + 1, hop)
                 name = f"loss/hop{hop}/{'fwd' if forward else 'rev'}"
                 loss = LossProcess(RngStream(seed, name) if rate else None, rate)
-                self._out[src][forward] = _Link(dst, hop, model, group, loss)
+                self._out[hop if forward else hop + 1][forward] = _Link(hop, model, group, loss)
+        for node in range(2, topology.n_nodes):
+            self._out[node - 1][True].next = self._out[node][True]
+            self._out[node + 1][False].next = self._out[node][False]
 
     def send(self, seg: Segment, now: float) -> None:
         """Originate a segment at the start of its route: record its SEND
@@ -231,11 +243,11 @@ class MeshNetwork:
         self.carried += 1
         self.forward(1 if seg.kind is _DATA else self.topology.n_nodes, seg, now)
 
-    def arrive(self, node: int, seg: Segment, now: float) -> bool:
-        """A segment reached ``node``. Forward it, or, at the end of its
-        route, record the delivery and return True."""
-        if node != (self.topology.n_nodes if seg.kind is _DATA else 1):
-            self.forward(node, seg, now)
+    def arrive(self, link: _Link | None, seg: Segment, now: float) -> bool:
+        """A segment crossed a hop. Queue it on ``link``, its next one, or,
+        at the end of its route (None), record the delivery and return True."""
+        if link is not None:
+            self.enqueue(link, seg, now)
             return False
         self._retire(_DELIVER, seg, now)
         return True
@@ -248,7 +260,7 @@ class MeshNetwork:
         self.carried -= 1
 
     def forward(self, node: int, seg: Segment, now: float) -> None:
-        """Move one segment a single hop: data up the chain, an ACK down."""
+        """Queue a segment at ``node``: data up the chain, an ACK down."""
         self.enqueue(self._out[node][seg.kind is _DATA], seg, now)
 
     def enqueue(self, link: _Link, seg: Segment, now: float) -> None:
@@ -276,16 +288,18 @@ class MeshNetwork:
             )
         group.busy_link = link
         tx_time = seg.size_bytes * 8.0 / link.bandwidth_bps
+        end = now + tx_time
         if self.scripted is not None:
             dropped = self.scripted.decide(link.hop, seg)
         else:
-            dropped = link.loss.decide(now, tx_time)
-        end = now + tx_time
+            # no loss instant before the end means none inside the transmission
+            loss = link.loss
+            dropped = loss.next_instant < end and loss.decide(now, tx_time)
         self.events.push(end, _CHANNEL_FREE, link)
         if dropped:
             self._retire(_DROP_WIRELESS, seg, now)
         else:
-            self.events.push(end + link.prop_delay_s, _SEGMENT_ARRIVAL, (link.dst, seg))
+            self.events.push(end + link.prop_delay_s, _SEGMENT_ARRIVAL, (link.next, seg))
 
     def on_channel_free(self, link: _Link, now: float) -> None:
         """A transmission on this link just ended; hand the channel on."""

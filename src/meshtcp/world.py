@@ -5,16 +5,18 @@ wires the run: it owns the event queue, hands the run's trace (one it is
 given, or a fresh one that keeps its records) to the network and the sender,
 and dispatches events to them and the receiver. It keeps one queued RTO
 expiry.
+
+A world may carry several flavors, which share the run until their
+congestion control first acts differently; there it splits (``_split``).
 """
 
 from __future__ import annotations
-
-import itertools
 
 from .cc import Flavor
 from .endpoint import (
     DEFAULT_RTO_MAX_S,
     DEFAULT_RTO_MIN_S,
+    Diverged,
     ReceiverEndpoint,
     Segment,
     SegmentKind,
@@ -35,15 +37,23 @@ from .mesh import (
 _SEGMENT_ARRIVAL, _CHANNEL_FREE = EventKind.SEGMENT_ARRIVAL, EventKind.CHANNEL_FREE
 _TIMER_EXPIRY, _APP_TICK = EventKind.TIMER_EXPIRY, EventKind.APP_TICK
 _DATA = SegmentKind.DATA
+_SACK = Flavor.SACK
 
 
 class MeshWorld:
     """A fully wired simulation, ready for ``engine.run_until``."""
 
+    # slots, here and in the state a world owns: a copy made by ``_split``
+    # keeps them, where a copied ``__dict__`` slows lookups in both worlds
+    __slots__ = (
+        "events", "trace", "net", "_queued_expiry", "_expiry_token", "sender",
+        "receiver", "forks",
+    )
+
     def __init__(
         self,
         topology: ChainTopology,
-        flavor: Flavor,
+        flavor: Flavor | tuple[Flavor, ...],
         *,
         seed: int,
         app_limit: int | None = None,
@@ -62,19 +72,20 @@ class MeshWorld:
         # (time, token) of the one live TIMER_EXPIRY in the queue; an entry
         # whose token is not this one was replaced and is discarded
         self._queued_expiry: tuple[float, int] | None = None
-        self._expiry_tokens = itertools.count()
+        self._expiry_token = 0
 
         self.sender = SenderEndpoint(
             flavor, mss_bytes, trace=self.trace,
             app_limit=app_limit, rto_min=rto_min, rto_max=rto_max,
         )
-        self.receiver = ReceiverEndpoint(ack_bytes, sack_enabled=flavor is Flavor.SACK)
+        self.receiver = ReceiverEndpoint(ack_bytes, sack_enabled=_SACK in self.sender.flavors)
+        self.forks: list[MeshWorld] = []
         self.events.push(0.0, EventKind.APP_TICK, None)
 
     def handle(self, time: float, kind: EventKind, payload) -> None:
         if kind is _SEGMENT_ARRIVAL:
-            node, seg = payload
-            if self.net.arrive(node, seg, time):
+            link, seg = payload
+            if self.net.arrive(link, seg, time):
                 self._on_delivery(time, seg)
         elif kind is _CHANNEL_FREE:
             self.net.on_channel_free(payload, time)
@@ -90,8 +101,7 @@ class MeshWorld:
         if seg.kind is _DATA:
             self.net.send(self.receiver.on_data(seg, time), time)
         else:
-            self._send_all(self.sender.on_ack_segment(seg, time), time)
-            self._sync_timer()
+            self._react(time, seg)
 
     def _on_timer(self, time: float, token: int) -> None:
         queued = self._queued_expiry
@@ -104,8 +114,32 @@ class MeshWorld:
         if deadline > time:
             self._queue_expiry(deadline)  # restarted since it was queued
             return
-        self._send_all(self.sender.on_rto(time), time)
+        self._react(time, None)
+
+    def _react(self, time: float, ack: Segment | None) -> None:
+        """Let the sender take ``ack``, or its RTO if None, and send what it
+        returns; if its flavors disagree, split them first."""
+        sender = self.sender
+        try:
+            out = sender.on_rto(time) if ack is None else sender.on_ack_segment(ack, time)
+        except Diverged as exc:
+            return self._split(exc.args[0], time, ack)
+        self._send_all(out, time)
         self._sync_timer()
+
+    def _split(self, groups: list[list[int]], time: float, ack: Segment | None) -> None:
+        """Copy the world, as it is, for every group of agreeing flavors but
+        the first, which stays; the copies go to ``forks``. Each world keeps
+        its group's cc states and takes the event again."""
+        import copy  # only a world that splits needs it
+
+        forks, self.forks = self.forks, []  # a copy starts with none
+        twins = [copy.deepcopy(self) for _ in groups[1:]]
+        self.forks = forks + twins
+        for world, group in zip((self, *twins), groups):
+            world.sender.keep(group)
+            world.receiver.sack_enabled = _SACK in world.sender.flavors
+            world._react(time, ack)
 
     def _send_all(self, segments: list[Segment], time: float) -> None:
         for seg in segments:
@@ -124,6 +158,6 @@ class MeshWorld:
                 self._queue_expiry(deadline)
 
     def _queue_expiry(self, deadline: float) -> None:
-        token = next(self._expiry_tokens)
+        self._expiry_token = token = self._expiry_token + 1
         self.events.push(deadline, _TIMER_EXPIRY, token)
         self._queued_expiry = (deadline, token)

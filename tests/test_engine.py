@@ -1,4 +1,5 @@
 import ast
+import copy
 import hashlib
 import random
 from pathlib import Path
@@ -110,6 +111,33 @@ def test_rng_exponential_positive_and_rate_checked():
     assert all(d > 0 for d in draws)
     with pytest.raises(ContractError):
         s.exponential(0.0)
+
+
+def test_rng_stream_copy_continues_the_same_draws():
+    stream = RngStream(42, "loss/hop1/fwd")
+    stream.uniform()
+    twin = copy.deepcopy(stream)
+    assert [twin.exponential(2.0) for _ in range(5)] == [
+        stream.exponential(2.0) for _ in range(5)
+    ]
+
+
+def test_trace_copy_keeps_its_records_apart():
+    # a copied bound append would keep feeding the original's list
+    trace = RunTrace()
+    trace.add(0.5, TraceKind.SEND, 0, 0, "data")
+    twin = copy.deepcopy(trace)
+    twin.add(1.0, TraceKind.SEND, 0, 1, "data")
+    assert [r.seq for r in trace] == [0]
+    assert [r.seq for r in twin] == [0, 1]
+    with pytest.raises(ContractError):
+        twin.add(0.75, TraceKind.SEND, 0, 2, "data")
+
+
+def test_streaming_trace_refuses_a_copy():
+    trace = RunTrace(lambda record: None)
+    with pytest.raises(ContractError, match="streaming"):
+        copy.deepcopy(trace)
 
 
 def test_trace_rejects_time_regression():

@@ -11,7 +11,7 @@ from conftest import link_of
 from meshtcp import experiment, mesh
 from meshtcp.cc import Flavor
 from meshtcp.engine import TraceKind, run_until
-from meshtcp.errors import ConfigError
+from meshtcp.errors import ConfigError, ContractError
 from meshtcp.experiment import (
     _SCHEMA,
     CSV_HEADER,
@@ -198,21 +198,51 @@ def point_by_point(spec):
 class TestSeedFreePoints:
     @settings(max_examples=12, deadline=None, derandomize=True, database=None)
     @given(
-        flavors=st.lists(st.sampled_from(Flavor), min_size=1, max_size=2, unique=True),
         hops=st.lists(st.integers(1, 3), min_size=1, max_size=2, unique=True),
         lossy=st.lists(st.sampled_from((0.5, 2.0, 8.0)), max_size=2, unique=True),
         seeds=st.lists(st.integers(1, 50), min_size=2, max_size=3, unique=True),
         scripted=st.booleans(),
     )
-    def test_sweep_equals_its_points_run_one_by_one(
-        self, flavors, hops, lossy, seeds, scripted
-    ):
+    def test_sweep_equals_its_points_run_one_by_one(self, hops, lossy, seeds, scripted):
+        # the sweep runs each point's five flavors in one world that splits
+        # where their congestion control first acts differently
         spec = ExperimentSpec(
-            tuple(flavors), tuple(hops), (0.0, *lossy), tuple(seeds), duration=3.0,
+            tuple(Flavor), tuple(hops), (0.0, *lossy), tuple(seeds), duration=3.0,
             app_limit=150, rto_min_s=1.0,
             scripted_drops=(DropDirective(1, 10, 1), DropDirective(1, 10, 2)) if scripted else (),
         )
         assert run_experiment(spec) == point_by_point(spec)
+
+    def test_a_shared_world_splits_into_each_flavors_own_run(self):
+        # at this point sack once differs from its group only in what it
+        # retransmits, and it reads SACK blocks from a receiver it shares
+        spec = load_config(SMALL, {"hops": "4", "loss_rates": "2.0", "duration": "10"})
+        point = (4, 2.0, 1)
+        traces, worlds = {}, 0
+        for world in experiment._run_worlds(spec, tuple(Flavor), *point):
+            worlds += 1
+            traces.update(dict.fromkeys(world.sender.flavors, list(world.trace)))
+        assert worlds > 1
+        assert set(traces) == set(Flavor)
+        for flavor in Flavor:
+            assert traces[flavor] == list(run_single(spec, flavor, *point)), flavor
+
+    def test_an_error_in_a_shared_world_names_every_flavor_it_carries(self, monkeypatch):
+        # retiring each delivery twice fails on the first one, before any split
+        arrive = mesh.MeshNetwork.arrive
+
+        def arrive_twice(self, link, seg, now):
+            delivered = arrive(self, link, seg, now)
+            if delivered:
+                arrive(self, link, seg, now)
+            return delivered
+
+        monkeypatch.setattr(mesh.MeshNetwork, "arrive", arrive_twice)
+        spec = load_config(SMALL, {"hops": "1", "seeds": "1"})
+        with pytest.raises(ContractError, match=(
+            r"^combination flavor=reno,sac hops=1 loss_rate=0.5 seed=1 aborted: "
+        )):
+            run_experiment(spec)
 
     def test_a_point_that_reads_no_seed_is_given_none(self, monkeypatch):
         # anything a seed-free point drew from its seed would differ between
@@ -242,10 +272,11 @@ class TestSeedFreePoints:
         monkeypatch.setattr(experiment, "build_world", counting)
         spec = load_config((CONFIGS / "loss_sweep.cfg").read_text(), {"duration": "1"})
         rows = run_experiment(spec)
-        # 5 flavors x 4 rates x 10 seeds; at rate 0 only the first seed runs
+        # 5 flavors x 4 rates x 10 seeds; one world per point carries all
+        # five flavors, and at rate 0 only the first seed runs
         assert len(rows) == 200
-        assert len(built) == 155
-        assert [seed for rate, seed in built if rate == 0] == [1] * 5
+        assert len(built) == 31
+        assert [seed for rate, seed in built if rate == 0] == [1]
 
 
 class TestEmitCsv:

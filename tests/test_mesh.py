@@ -106,13 +106,18 @@ class TestRoutes:
         net.send(ack, 0.0)
         assert list(link_of(net, 1, 2).queue) == [data]
         assert list(link_of(net, 4, 3).queue) == [ack]
-        assert not net.arrive(2, data, 0.01)
+        # each link names the one after it, and the last one none
+        assert link_of(net, 1, 2).next is link_of(net, 2, 3)
+        assert link_of(net, 3, 4).next is None
+        assert link_of(net, 4, 3).next is link_of(net, 3, 2)
+        assert link_of(net, 2, 1).next is None
+        assert not net.arrive(link_of(net, 1, 2).next, data, 0.01)
         assert list(link_of(net, 2, 3).queue) == [data]
-        assert not net.arrive(3, ack, 0.01)
+        assert not net.arrive(link_of(net, 4, 3).next, ack, 0.01)
         assert list(link_of(net, 3, 2).queue) == [ack]
         assert not link_of(net, 2, 1).queue and not link_of(net, 3, 4).queue
-        assert net.arrive(4, data, 0.02)
-        assert net.arrive(1, ack, 0.02)
+        assert net.arrive(link_of(net, 3, 4).next, data, 0.02)
+        assert net.arrive(link_of(net, 2, 1).next, ack, 0.02)
         delivered = [(r.seq, r.value) for r in trace if r.kind is TraceKind.DELIVER]
         assert delivered == [(0, "data"), (1, "ack")]
         assert net.carried == 0

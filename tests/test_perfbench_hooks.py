@@ -60,6 +60,8 @@ def test_child_setup_builds_the_first_sweep_point():
 def test_child_count_sees_every_event(tmp_path):
     result = _child("count", "--out", str(tmp_path / "out"))
     assert result["exit_code"] == 0
+    # sac and newreno share one world until sac resends the lost
+    # retransmission, so the events before that are handled once
     assert result["events"] == {
-        "app_tick": 2, "channel_free": 804, "segment_arrival": 800, "timer_expiry": 6,
+        "app_tick": 1, "channel_free": 755, "segment_arrival": 753, "timer_expiry": 6,
     }

@@ -197,13 +197,14 @@ def test_link_is_idle_exactly_when_its_queue_is_empty(monkeypatch):
         handle(self, time, kind, payload)
         net = self.net
         for hop in range(1, net.topology.n_nodes):
-            for link in (link_of(net, hop, hop + 1), link_of(net, hop + 1, hop)):
+            for src, dst in ((hop, hop + 1), (hop + 1, hop)):
+                link = link_of(net, src, dst)
                 sending = link.group.busy_link is link
                 waiting = sum(other is link for other in link.group.fifo)
                 waited += waiting
                 expected = 1 if link.queue else 0
                 assert sending + waiting == expected, (
-                    f"hop {link.hop} to node {link.dst} at t={time}: "
+                    f"hop {link.hop} to node {dst} at t={time}: "
                     f"{len(link.queue)} queued, {sending=} {waiting=}"
                 )
 
