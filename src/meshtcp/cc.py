@@ -26,11 +26,9 @@ from __future__ import annotations
 from enum import Enum
 from typing import Iterable, NamedTuple
 
-from .errors import ConfigError, ContractError
+from .errors import ContractError
 
 INITIAL_SSTHRESH_BYTES = 65535
-MSS_MIN_BYTES = 64
-MSS_MAX_BYTES = 65535
 DUPACK_THRESHOLD = 3
 MIN_SSTHRESH = 2
 VEGAS_ALPHA = 1.0
@@ -85,10 +83,6 @@ _SAC, _RENO, _SACK, _VEGAS = Flavor.SAC, Flavor.RENO, Flavor.SACK, Flavor.VEGAS
 
 def init_sender(flavor: Flavor, mss_bytes: int) -> CcVars:
     """Fresh sender state: one-segment window, byte-derived ssthresh."""
-    if not MSS_MIN_BYTES <= mss_bytes <= MSS_MAX_BYTES:
-        raise ConfigError(
-            f"mss_bytes must be in [{MSS_MIN_BYTES}, {MSS_MAX_BYTES}], got {mss_bytes}"
-        )
     ssthresh = max(INITIAL_SSTHRESH_BYTES // mss_bytes, MIN_SSTHRESH)
     return CcVars(flavor=flavor, phase=CcPhase.SS, cwnd=1, ssthresh=ssthresh)
 

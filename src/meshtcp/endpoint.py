@@ -18,6 +18,8 @@ from .cc import CcVars, Flavor, init_sender
 from .engine import RunTrace, TraceKind
 from .errors import ContractError
 
+DEFAULT_MSS_BYTES = 1460
+DEFAULT_ACK_BYTES = 40
 DEFAULT_RTO_MIN_S = 0.2
 DEFAULT_RTO_MAX_S = 60.0
 INITIAL_RTO_S = 1.0
@@ -241,18 +243,17 @@ class SenderEndpoint:
         return out
 
     def on_rto(self, now: float) -> list[Segment]:
-        """RTO fired: back off, collapse the window, retransmit last_ack.
-        The timer runs only while something is outstanding, so an expiry
-        with nothing outstanding raises ``ContractError``."""
+        """RTO fired: back off, collapse the window, retransmit last_ack,
+        which restarts the timer. The timer runs only while something is
+        outstanding, so an expiry with nothing outstanding raises
+        ``ContractError``."""
         if self.outstanding == 0:
             raise ContractError(f"RTO fired with nothing outstanding at t={now}")
         cc, retransmit = self._cc_step(cc_ops.on_timeout, self.high_sent)
         self.rtt_est.back_off()
         self._record(now, TraceKind.RTO, self.cc.last_ack, self.rtt_est.rto)
         self._set_cc(cc, now)
-        out = self._retransmit(retransmit, now)
-        self.rto_deadline = now + self.rtt_est.rto
-        return out
+        return self._retransmit(retransmit, now)
 
 
 class ReceiverEndpoint:
@@ -260,7 +261,7 @@ class ReceiverEndpoint:
 
     __slots__ = ("ack_bytes", "sack_enabled", "rcv_next", "ooo_buffer")
 
-    def __init__(self, ack_bytes: int = 40, sack_enabled: bool = False) -> None:
+    def __init__(self, ack_bytes: int = DEFAULT_ACK_BYTES, sack_enabled: bool = False) -> None:
         self.ack_bytes = ack_bytes
         self.sack_enabled = sack_enabled
         self.rcv_next = 0

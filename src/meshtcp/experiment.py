@@ -15,25 +15,25 @@ import math
 from collections import namedtuple
 from typing import Iterator, Mapping, NamedTuple
 
-from .cc import MSS_MAX_BYTES, MSS_MIN_BYTES, Flavor
+from .cc import Flavor
+from .endpoint import DEFAULT_ACK_BYTES, DEFAULT_MSS_BYTES, DEFAULT_RTO_MAX_S, DEFAULT_RTO_MIN_S
 from .engine import RunTrace, run_until
 from .errors import ConfigError, ContractError
 from .mesh import (
-    DEFAULT_ACK_BYTES,
     DEFAULT_BANDWIDTH_BPS,
     DEFAULT_INTERFERENCE_RANGE,
-    DEFAULT_MSS_BYTES,
     DEFAULT_PROP_DELAY_S,
     DEFAULT_QUEUE_CAPACITY,
     DropDirective,
     LinkModel,
     ScriptedDrops,
     build_chain,
-    reads_seed,
 )
 from .metrics import MetricsSummary, summarize
 from .world import MeshWorld
-from .endpoint import DEFAULT_RTO_MAX_S, DEFAULT_RTO_MIN_S
+
+MSS_MIN_BYTES = 64
+MSS_MAX_BYTES = 65535
 
 # key: (value type, lower bound, bound is strict, comma-separated list).
 # Each key names its ExperimentSpec field, and a key is required iff that
@@ -183,7 +183,10 @@ def _parse_scripted(raw: str, where: str) -> tuple[DropDirective, ...]:
             raise ConfigError(
                 f"{where}: scripted_drops entries are 'link:seq:nth', got {part!r}"
             )
-        hop, seq, nth = (_parse_value(p, where, "scripted_drops", int) for p in pieces)
+        hop, seq, nth = (
+            _parse_value(p, where, "scripted_drops", int, minimum)
+            for p, minimum in zip(pieces, (1, 0, 1))
+        )
         directives.append(DropDirective(hop, seq, nth))
     if not directives:
         raise ConfigError(f"{where}: scripted_drops is empty")
@@ -228,11 +231,17 @@ def load_config(text: str, overrides: Mapping[str, str] | None = None) -> Experi
         raise ConfigError("rto_max_s must be >= rto_min_s")
     if spec.warmup_s >= spec.duration:
         raise ConfigError("warmup_s must be below duration")
-    for directive in spec.scripted_drops:
-        if directive.hop > max(spec.hops):
+    if spec.scripted_drops:
+        where = mapping["scripted_drops"][1]
+        if any(spec.loss_rates):
             raise ConfigError(
-                f"scripted drop on hop {directive.hop} beyond the chain"
+                f"{where}: scripted_drops replaces the loss model, so loss_rates must be 0"
             )
+        for directive in spec.scripted_drops:
+            if directive.hop > max(spec.hops):
+                raise ConfigError(
+                    f"{where}: scripted drop on hop {directive.hop} beyond the chain"
+                )
     return spec
 
 
@@ -310,11 +319,10 @@ def run_single(
 def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
     """Run the full sweep; one row per combination, lexicographic order."""
     flavors = tuple(sorted(spec.flavors, key=lambda f: f.value))
-    scripted = bool(spec.scripted_drops)
-    points = {}  # a point that reads no seed is one run, whatever its seed
+    points = {}  # a lossless point reads no seed: one run, whatever its seed
     rows = []
     for flavor, hops, rate, seed in spec.combinations():
-        point = (hops, rate, seed if reads_seed(rate, scripted) else None)
+        point = (hops, rate, seed if rate else None)
         if point not in points:
             points[point] = summaries = {}  # of each flavor at the point
             for world in _run_worlds(spec, flavors, hops, rate, seed):

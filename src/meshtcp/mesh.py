@@ -20,38 +20,22 @@ from typing import NamedTuple
 
 from .endpoint import Segment, SegmentKind
 from .engine import EventKind, EventQueue, RngStream, RunTrace, TraceKind
-from .errors import ConfigError, ContractError
+from .errors import ContractError
 
 DEFAULT_BANDWIDTH_BPS = 2_000_000.0
 DEFAULT_PROP_DELAY_S = 0.001
 DEFAULT_QUEUE_CAPACITY = 50
 DEFAULT_INTERFERENCE_RANGE = 2
-DEFAULT_MSS_BYTES = 1460
-DEFAULT_ACK_BYTES = 40
 
 
-# A NamedTuple class may not define __init__, so the checked value types
-# below are subclasses of their field tuples that validate in __init__.
-class _LinkFields(NamedTuple):
+class LinkModel(NamedTuple):
+    """Static per-hop parameters. ``loss_rate`` is the Poisson rate of
+    wireless loss instants, per directed link, in events per second."""
+
     bandwidth_bps: float = DEFAULT_BANDWIDTH_BPS
     prop_delay_s: float = DEFAULT_PROP_DELAY_S
     queue_capacity: int = DEFAULT_QUEUE_CAPACITY
     loss_rate: float = 0.0
-
-
-class LinkModel(_LinkFields):
-    """Static per-hop parameters. ``loss_rate`` is the Poisson rate of
-    wireless loss instants, per directed link, in events per second."""
-
-    __slots__ = ()
-
-    def __init__(self, *args, **kwargs) -> None:
-        if self.bandwidth_bps <= 0:
-            raise ConfigError(f"bandwidth must be positive, got {self.bandwidth_bps}")
-        if self.queue_capacity < 1:
-            raise ConfigError(f"queue capacity must be >= 1, got {self.queue_capacity}")
-        if self.loss_rate < 0:
-            raise ConfigError(f"loss rate must be >= 0, got {self.loss_rate}")
 
 
 class ChainTopology(NamedTuple):
@@ -77,16 +61,7 @@ def build_chain(
 ) -> ChainTopology:
     """Uniform chain of n_nodes whose interference groups span
     ``interference_range + 1`` consecutive hops."""
-    if n_nodes < 2:
-        raise ConfigError(f"a chain needs at least 2 nodes, got {n_nodes}")
-    if interference_range < 0:
-        raise ConfigError(f"interference range must be >= 0, got {interference_range}")
     return ChainTopology(n_nodes, link, interference_range)
-
-
-def reads_seed(loss_rate: float, scripted: bool) -> bool:
-    """Whether a run draws on its seed: not at rate 0 or under a drop table."""
-    return loss_rate > 0 and not scripted
 
 
 class LossProcess:
@@ -109,21 +84,13 @@ class LossProcess:
         return self.next_instant < start + tx_time
 
 
-class _DropFields(NamedTuple):
-    hop: int
-    seq: int
-    nth: int
-
-
-class DropDirective(_DropFields):
+class DropDirective(NamedTuple):
     """Drop the nth transmission (1-based) of data segment ``seq`` on hop
     ``hop``."""
 
-    __slots__ = ()
-
-    def __init__(self, *args, **kwargs) -> None:
-        if self.hop < 1 or self.seq < 0 or self.nth < 1:
-            raise ConfigError(f"bad drop directive {self.hop}:{self.seq}:{self.nth}")
+    hop: int
+    seq: int
+    nth: int
 
 
 class ScriptedDrops:
@@ -198,10 +165,7 @@ class MeshNetwork:
     removes it, raising ``ContractError`` if nothing is in flight.
     """
 
-    # "__dict__" keeps room for what a test wraps on one network
-    __slots__ = (
-        "topology", "events", "trace", "scripted", "carried", "groups", "_out", "__dict__",
-    )
+    __slots__ = ("topology", "events", "trace", "scripted", "carried", "groups", "_out")
 
     def __init__(
         self,
@@ -224,7 +188,7 @@ class MeshNetwork:
             [None, None] for _ in range(topology.n_nodes + 1)
         ]
         model = topology.link
-        rate = model.loss_rate if reads_seed(model.loss_rate, scripted is not None) else 0.0
+        rate = model.loss_rate
         for hop in range(1, topology.n_nodes):
             group = self.groups[topology.group_of(hop)]
             for forward in (True, False):

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from .cc import Flavor
 from .endpoint import (
+    DEFAULT_ACK_BYTES,
+    DEFAULT_MSS_BYTES,
     DEFAULT_RTO_MAX_S,
     DEFAULT_RTO_MIN_S,
     Diverged,
@@ -24,13 +26,7 @@ from .endpoint import (
 )
 from .engine import EventKind, EventQueue, RunTrace
 from .errors import ContractError
-from .mesh import (
-    DEFAULT_ACK_BYTES,
-    DEFAULT_MSS_BYTES,
-    ChainTopology,
-    MeshNetwork,
-    ScriptedDrops,
-)
+from .mesh import ChainTopology, MeshNetwork, ScriptedDrops
 
 
 # bound once for the per-event path; see the note in mesh.py

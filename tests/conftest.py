@@ -1,6 +1,11 @@
 """Shared invariant checkers used by unit and acceptance tests."""
 
+from collections import defaultdict
+
+import pytest
+
 from meshtcp.engine import TraceKind
+from meshtcp.mesh import MeshNetwork
 
 LEGAL_PHASE_EDGES = {
     ("SS", "CA"),
@@ -69,26 +74,29 @@ def check_conservation(world, trace):
     assert balance == carried, f"trace balance {balance} != in-flight counter {carried}"
 
 
-def record_transmissions(net):
-    """Log every transmission ``net`` starts from now on as (group, start,
-    end), in ``net.transmissions``, by wrapping its ``_start_transmission``."""
-    net.transmissions = log = []
-    start = net._start_transmission
+@pytest.fixture
+def transmissions(monkeypatch):
+    """Log every transmission a network starts as (group, start, end), one
+    list per network: ``transmissions[net]``. Wraps
+    ``MeshNetwork._start_transmission`` on the class, so a world copied
+    from another logs its own network's transmissions."""
+    logs = defaultdict(list)
+    start = MeshNetwork._start_transmission
 
-    def recorded(link, now):
-        start(link, now)
+    def recorded(net, link, now):
+        start(net, link, now)
         end = now + link.queue[0].size_bytes * 8.0 / link.bandwidth_bps
-        log.append((link.group.index, now, end))
+        logs[net].append((link.group.index, now, end))
 
-    net._start_transmission = recorded
-    return log
+    monkeypatch.setattr(MeshNetwork, "_start_transmission", recorded)
+    return logs
 
 
-def check_group_exclusivity(world):
+def check_group_exclusivity(log):
     """No two transmissions within one interference group may overlap.
-    Needs ``record_transmissions(world.net)`` before the run."""
+    ``log`` is one network's list from the ``transmissions`` fixture."""
     by_group = {}
-    for group, start, end in world.net.transmissions:
+    for group, start, end in log:
         by_group.setdefault(group, []).append((start, end))
     for group, intervals in by_group.items():
         intervals.sort()

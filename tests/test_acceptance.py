@@ -16,7 +16,6 @@ from conftest import (
     check_group_exclusivity,
     check_phase_edges,
     check_window_discipline,
-    record_transmissions,
 )
 from meshtcp.cc import Flavor
 from meshtcp.cli import main
@@ -342,7 +341,7 @@ def test_a9_metric_oracles():
     print("[A9] metric formula oracles: PASS")
 
 
-def test_a10_invariant_fuzz():
+def test_a10_invariant_fuzz(transmissions):
     rng = random.Random(0xA10)
     for i in range(100):
         flavor = rng.choice(list(Flavor))
@@ -352,13 +351,12 @@ def test_a10_invariant_fuzz():
         queue = rng.choice([5, 20, 50])
         topo = build_chain(hops + 1, LinkModel(loss_rate=rate, queue_capacity=queue))
         world = MeshWorld(topo, flavor, seed=seed)
-        record_transmissions(world.net)
         trace = run_until(world, 3.0)
         check_conservation(world, trace)
         check_phase_edges(trace)
         check_cwnd_positive(trace)
         check_window_discipline(trace)
-        check_group_exclusivity(world)
+        check_group_exclusivity(transmissions[world.net])
     print("[A10] conservation and window-discipline fuzz (100 configs): PASS")
 
 

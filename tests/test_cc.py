@@ -11,7 +11,7 @@ from meshtcp.cc import (
     on_new_ack,
     on_timeout,
 )
-from meshtcp.errors import ConfigError, ContractError
+from meshtcp.errors import ContractError
 
 LEGAL_EDGES = {
     (CcPhase.SS, CcPhase.CA),
@@ -36,13 +36,6 @@ def test_init_sender_newreno_512():
     assert cc.cwnd == 1
     assert cc.ssthresh == 127
     assert cc.phase is CcPhase.SS
-
-
-def test_init_sender_rejects_oversized_mss():
-    with pytest.raises(ConfigError):
-        init_sender(Flavor.VEGAS, 70000)
-    with pytest.raises(ConfigError):
-        init_sender(Flavor.RENO, 63)
 
 
 def test_new_ack_slow_start_growth():

@@ -95,6 +95,16 @@ def test_repeated_seeds_setting_exits_2_naming_the_key(tmp_path, capsys, monkeyp
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("argv", [["run", "--out", "o"], ["validate"]])
+def test_drop_table_beside_a_loss_rate_exits_2(tmp_path, capsys, monkeypatch, argv):
+    # each rate under a drop table would be the same run under another label
+    monkeypatch.chdir(tmp_path)
+    cfg = write(tmp_path, SCRIPTED.replace("loss_rates = 0", "loss_rates = 0,0.5"))
+    assert main([*argv, "--config", cfg]) == 2
+    assert "line 8: scripted_drops replaces the loss model" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [

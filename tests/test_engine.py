@@ -105,6 +105,20 @@ def test_src_calls_nothing_that_varies_by_version_or_process():
     assert calls == []
 
 
+def test_only_the_config_and_cli_layers_use_config_error():
+    # load_config checks each config fact once, and the CLI its own flags;
+    # the layers below take the values they are given
+    users = set()
+    for path in sorted(Path(meshtcp.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                if any(alias.name == "ConfigError" for alias in node.names):
+                    users.add(path.name)
+            elif isinstance(node, ast.Attribute) and node.attr == "ConfigError":
+                users.add(path.name)
+    assert users == {"cli.py", "experiment.py"}
+
+
 def test_rng_exponential_positive_and_rate_checked():
     s = RngStream(7, "e")
     draws = [s.exponential(2.0) for _ in range(100)]

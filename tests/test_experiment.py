@@ -112,7 +112,7 @@ class TestLoadConfig:
             load_config(BASIC.replace("duration = 60", "duration = 0"))
 
     def test_scripted_drops_parse(self):
-        spec = load_config(BASIC + "scripted_drops = 1:10:1;1:10:2\n")
+        spec = load_config(BASIC + "scripted_drops = 1:10:1;1:10:2\n", {"loss_rates": "0"})
         assert [(d.hop, d.seq, d.nth) for d in spec.scripted_drops] == [
             (1, 10, 1),
             (1, 10, 2),
@@ -123,8 +123,19 @@ class TestLoadConfig:
             load_config(BASIC + "scripted_drops = 1:10\n")
 
     def test_scripted_drop_beyond_chain(self):
-        with pytest.raises(ConfigError, match="beyond the chain"):
-            load_config(BASIC + "scripted_drops = 9:10:1\n")
+        with pytest.raises(ConfigError, match="line 6: scripted drop on hop 9 beyond the chain"):
+            load_config(BASIC + "scripted_drops = 9:10:1\n", {"loss_rates": "0"})
+
+    @pytest.mark.parametrize(
+        "raw, bound, got", [("0:10:1", 1, 0), ("1:-1:1", 0, -1), ("1:10:0", 1, 0)]
+    )
+    def test_scripted_drop_below_bound_names_line(self, raw, bound, got):
+        # a hop and an nth count from 1, a seq from 0
+        text, lineno = config_with("scripted_drops", raw)
+        with pytest.raises(
+            ConfigError, match=f"^line {lineno}: scripted_drops must be >= {bound}, got {got}$"
+        ):
+            load_config(text, {"loss_rates": "0"})
 
     def test_app_limit_unbounded_and_numeric(self):
         assert load_config(BASIC + "app_limit = unbounded\n").app_limit is None
@@ -205,10 +216,11 @@ class TestSeedFreePoints:
     )
     def test_sweep_equals_its_points_run_one_by_one(self, hops, lossy, seeds, scripted):
         # the sweep runs each point's five flavors in one world that splits
-        # where their congestion control first acts differently
+        # where their congestion control first acts differently; a drop
+        # table runs at loss rate 0 only
         spec = ExperimentSpec(
-            tuple(Flavor), tuple(hops), (0.0, *lossy), tuple(seeds), duration=3.0,
-            app_limit=150, rto_min_s=1.0,
+            tuple(Flavor), tuple(hops), (0.0,) if scripted else (0.0, *lossy), tuple(seeds),
+            duration=3.0, app_limit=150, rto_min_s=1.0,
             scripted_drops=(DropDirective(1, 10, 1), DropDirective(1, 10, 2)) if scripted else (),
         )
         assert run_experiment(spec) == point_by_point(spec)
@@ -252,10 +264,10 @@ class TestSeedFreePoints:
 
         monkeypatch.setattr(mesh, "RngStream", no_stream)
         lossless = load_config(SMALL, {"loss_rates": "0"})
-        scripted = load_config(
-            (CONFIGS / "retransmission_loss.cfg").read_text(), {"loss_rates": "0.5"}
-        )
-        for spec in (lossless, scripted):
+        scripted_cfg = (CONFIGS / "retransmission_loss.cfg").read_text()
+        with pytest.raises(ConfigError, match="loss_rates must be 0"):
+            load_config(scripted_cfg, {"loss_rates": "0.5"})
+        for spec in (lossless, load_config(scripted_cfg)):
             trace = run_single(spec, Flavor.SAC, 1, spec.loss_rates[0], 1)
             assert any(r.kind is TraceKind.DELIVER for r in trace)
         with pytest.raises(AssertionError, match="loss stream"):
@@ -311,7 +323,7 @@ class TestEmitCsv:
 
 def test_values_survive_a_pickle_round_trip():
     # what a worker process of a parallel sweep would receive and send back
-    spec = load_config(BASIC + "scripted_drops = 1:10:1;1:10:2\n")
+    spec = load_config(BASIC + "scripted_drops = 1:10:1;1:10:2\n", {"loss_rates": "0"})
     row = ResultRow(
         throughput=55.5, goodput=None, plr=0.0125, mean_delay=0.125, rto_count=2,
         retransmit_count=9, delivered_count=3000, flavor=Flavor.SAC, hops=4,

@@ -10,7 +10,6 @@ from conftest import (
     check_phase_edges,
     check_window_discipline,
     link_of,
-    record_transmissions,
 )
 from meshtcp.cc import Flavor
 from meshtcp.endpoint import SenderEndpoint
@@ -24,7 +23,6 @@ def run_world(flavor, hops=1, seed=1, duration=5.0, link=None, scripted=None,
               app_limit=None):
     topo = build_chain(hops + 1, link or LinkModel())
     world = MeshWorld(topo, flavor, seed=seed, app_limit=app_limit, scripted=scripted)
-    record_transmissions(world.net)
     return world, run_until(world, duration)
 
 
@@ -49,7 +47,7 @@ def test_double_drop_script_newreno_times_out_sac_does_not():
     assert summarize(sac_trace).rto_count == 0
 
 
-def test_invariants_on_lossy_runs():
+def test_invariants_on_lossy_runs(transmissions):
     for flavor in (Flavor.SAC, Flavor.NEWRENO, Flavor.VEGAS):
         world, trace = run_world(
             flavor, hops=3, seed=9, duration=8.0,
@@ -59,7 +57,7 @@ def test_invariants_on_lossy_runs():
         check_cwnd_positive(trace)
         check_window_discipline(trace)
         check_conservation(world, trace)
-        check_group_exclusivity(world)
+        check_group_exclusivity(transmissions[world.net])
 
 
 def test_one_ack_per_delivered_data_segment():
@@ -90,7 +88,7 @@ def test_same_seed_same_trace_different_seed_differs():
     assert a.export() != c.export()
 
 
-def test_fuzz_invariants_random_configurations():
+def test_fuzz_invariants_random_configurations(transmissions):
     rng = random.Random(0xF00D)
     for _ in range(25):
         flavor = rng.choice(list(Flavor))
@@ -106,7 +104,7 @@ def test_fuzz_invariants_random_configurations():
         check_cwnd_positive(trace)
         check_window_discipline(trace)
         check_conservation(world, trace)
-        check_group_exclusivity(world)
+        check_group_exclusivity(transmissions[world.net])
 
 
 # Events handled per kind, frozen from the simulator before the per-event
