@@ -158,89 +158,82 @@ class SenderEndpoint:
             self.shadows = tuple(states)
         return cc, retransmit
 
-    def _record(self, time: float, kind: TraceKind, seq: int, value) -> None:
-        self.trace.add(time, kind, 0, seq, value)
-
     def _set_cc(self, cc: CcVars, now: float) -> None:
         """Adopt a new congestion state; record the window (ssthresh in the
         seq column) if it changed, then the phase if that changed."""
         old, self.cc = self.cc, cc
         if cc.cwnd != old.cwnd or cc.ssthresh != old.ssthresh:
-            self._record(now, _CWND_SAMPLE, cc.ssthresh, cc.cwnd)
+            self.trace.add(now, _CWND_SAMPLE, 0, cc.ssthresh, cc.cwnd)
         if cc.phase is not old.phase:
-            self._record(now, _PHASE_CHANGE, 0, cc.phase._value_)
-
-    def _data_segment(self, seq: int, retx: bool) -> Segment:
-        return Segment(_DATA, seq, self.mss_bytes, retx=retx)
-
-    def _rtt_sample(self, ack_seq: int, now: float) -> float | None:
-        """Karn's rule: never sample a segment that was retransmitted."""
-        sent_at = self.send_timestamps.get(ack_seq - 1)
-        if sent_at is None:
-            return None
-        return now - sent_at
-
-    def _prune_below(self, old_ack: int, ack_seq: int) -> None:
-        """Forget the seqs an advancing ACK covered; every key is >= old_ack."""
-        for seq in range(old_ack, ack_seq):
-            self.send_timestamps.pop(seq, None)
+            self.trace.add(now, _PHASE_CHANGE, 0, 0, cc.phase._value_)
 
     def start(self, now: float) -> list[Segment]:
         """Record the initial window and send the first segments."""
-        self._record(now, _CWND_SAMPLE, self.cc.ssthresh, self.cc.cwnd)
+        self.trace.add(now, _CWND_SAMPLE, 0, self.cc.ssthresh, self.cc.cwnd)
         return self.fill_window(now)
 
     def fill_window(self, now: float) -> list[Segment]:
         """Emit new data segments until the window or the app limit binds."""
-        window = min(self.cc.cwnd, RECEIVER_WINDOW)
+        high = self.high_sent
+        cc = self.cc
+        stop = cc.last_ack + min(cc.cwnd, RECEIVER_WINDOW)
+        limit = self.app_limit
+        if limit is not None and limit < stop:
+            stop = limit
+        if high >= stop:
+            return []
+        mss, timestamps = self.mss_bytes, self.send_timestamps
         out: list[Segment] = []
-        while self.outstanding < window and (
-            self.app_limit is None or self.high_sent < self.app_limit
-        ):
-            seq = self.high_sent
-            self.send_timestamps[seq] = now
-            self.high_sent += 1
-            out.append(self._data_segment(seq, retx=False))
-        if out and self.rto_deadline is None:
+        for seq in range(high, stop):
+            timestamps[seq] = now
+            out.append(Segment(_DATA, seq, mss, (), False))
+        self.high_sent = stop
+        if self.rto_deadline is None:
             self.rto_deadline = now + self.rtt_est.rto
         return out
 
     def _retransmit(self, seqs: list[int], now: float) -> list[Segment]:
-        if seqs:
-            self.send_timestamps.update(dict.fromkeys(seqs))  # Karn's rule
-            # classic single-timer behavior: sending a retransmission
-            # restarts the clock covering the oldest outstanding segment
-            self.rto_deadline = now + self.rtt_est.rto
-        return [self._data_segment(seq, retx=True) for seq in seqs]
+        """Resend ``seqs``, which is not empty."""
+        self.send_timestamps.update(dict.fromkeys(seqs))  # Karn's rule
+        # classic single-timer behavior: sending a retransmission
+        # restarts the clock covering the oldest outstanding segment
+        self.rto_deadline = now + self.rtt_est.rto
+        mss = self.mss_bytes
+        return [Segment(_DATA, seq, mss, (), True) for seq in seqs]
 
     def on_ack_segment(self, ack: Segment, now: float) -> list[Segment]:
         """Classify an arriving ACK, run the congestion machine, and return
         the segments to transmit (retransmissions first, then new data).
         ACKs take one FIFO path, so they arrive in the order they were made;
         a non-ACK or an ACK below ``last_ack`` raises ``ContractError``."""
+        kind, seq, _, sack, _ = ack
         old_ack = self.cc.last_ack
-        if ack.kind is not _ACK or ack.seq < old_ack:
-            raise ContractError(f"not an ACK >= {old_ack}: {ack.kind.value} {ack.seq}")
+        if kind is not _ACK or seq < old_ack:
+            raise ContractError(f"not an ACK >= {old_ack}: {kind.value} {seq}")
 
         # only sack reads the SACK blocks; every other flavor ignores them
-        if ack.seq == old_ack:
-            cc, retransmit = self._cc_step(cc_ops.on_dupack, ack.seq, self.high_sent, ack.sack)
+        if seq == old_ack:
+            cc, retransmit = self._cc_step(cc_ops.on_dupack, seq, self.high_sent, sack)
             self._set_cc(cc, now)
         else:
-            sample = self._rtt_sample(ack.seq, now)
-            cc, retransmit = self._cc_step(cc_ops.on_new_ack, ack.seq, sample, ack.sack)
+            # Karn's rule: a retransmitted segment's send time is None
+            timestamps = self.send_timestamps
+            sent_at = timestamps.get(seq - 1)
+            sample = None if sent_at is None else now - sent_at
+            cc, retransmit = self._cc_step(cc_ops.on_new_ack, seq, sample, sack)
+            rtt_est = self.rtt_est
             if sample is not None and sample > 0:
-                self.rtt_est.update(sample)
+                rtt_est.update(sample)
             self._set_cc(cc, now)
-            self._prune_below(old_ack, ack.seq)
-            if self.outstanding > 0:
-                self.rto_deadline = now + self.rtt_est.rto
-            else:
-                self.rto_deadline = None
+            for covered in range(old_ack, seq):  # every key is >= old_ack
+                timestamps.pop(covered, None)
+            self.rto_deadline = now + rtt_est.rto if self.high_sent > seq else None
 
-        out = self._retransmit(retransmit, now)
-        out.extend(self.fill_window(now))
-        return out
+        if retransmit:
+            out = self._retransmit(retransmit, now)
+            out.extend(self.fill_window(now))
+            return out
+        return self.fill_window(now)
 
     def on_rto(self, now: float) -> list[Segment]:
         """RTO fired: back off, collapse the window, retransmit last_ack,
@@ -251,7 +244,7 @@ class SenderEndpoint:
             raise ContractError(f"RTO fired with nothing outstanding at t={now}")
         cc, retransmit = self._cc_step(cc_ops.on_timeout, self.high_sent)
         self.rtt_est.back_off()
-        self._record(now, TraceKind.RTO, self.cc.last_ack, self.rtt_est.rto)
+        self.trace.add(now, TraceKind.RTO, 0, self.cc.last_ack, self.rtt_est.rto)
         self._set_cc(cc, now)
         return self._retransmit(retransmit, now)
 
@@ -268,8 +261,7 @@ class ReceiverEndpoint:
         self.ooo_buffer: set[int] = set()
 
     def _sack_blocks(self, trigger: int | None) -> tuple[tuple[int, int], ...]:
-        if not self.sack_enabled or not self.ooo_buffer:
-            return ()
+        """The SACK blocks of a non-empty out-of-order buffer."""
         runs: list[tuple[int, int]] = []
         seqs = sorted(self.ooo_buffer)
         start = prev = seqs[0]
@@ -284,19 +276,20 @@ class ReceiverEndpoint:
         runs.sort(key=lambda r: (0 if trigger is not None and r[0] <= trigger < r[1] else 1, -r[0]))
         return tuple(runs[:MAX_SACK_BLOCKS])
 
-    def _ack(self, trigger: int | None) -> Segment:
-        return Segment(_ACK, self.rcv_next, self.ack_bytes, self._sack_blocks(trigger))
-
     def on_data(self, seg: Segment, now: float) -> Segment:
         """Consume one data segment and produce the ACK for it."""
         if seg.kind is not _DATA:
             raise ContractError("receiver got a non-data segment")
-        if seg.seq == self.rcv_next:
-            self.rcv_next += 1
-            while self.rcv_next in self.ooo_buffer:
-                self.ooo_buffer.remove(self.rcv_next)
-                self.rcv_next += 1
-            return self._ack(None)
-        if seg.seq > self.rcv_next:
-            self.ooo_buffer.add(seg.seq)
-        return self._ack(seg.seq if seg.seq > self.rcv_next else None)
+        seq, nxt, ooo = seg.seq, self.rcv_next, self.ooo_buffer
+        trigger = None
+        if seq == nxt:
+            nxt += 1
+            while nxt in ooo:
+                ooo.remove(nxt)
+                nxt += 1
+            self.rcv_next = nxt
+        elif seq > nxt:
+            ooo.add(seq)
+            trigger = seq
+        sack = self._sack_blocks(trigger) if ooo and self.sack_enabled else ()
+        return Segment(_ACK, nxt, self.ack_bytes, sack, False)

@@ -114,7 +114,8 @@ class RunTrace:
                 f"trace times must be non-decreasing: {time} < {self._last_time}"
             )
         self._last_time = time
-        self._consume(TraceRecord(time, kind, flow_id, seq, value))
+        # tuple.__new__ skips the namedtuple's Python-level __new__
+        self._consume(tuple.__new__(TraceRecord, (time, kind, flow_id, seq, value)))
 
     def __deepcopy__(self, memo) -> RunTrace:
         # a generic copy would keep the bound append of the original list

@@ -35,26 +35,27 @@ from .world import MeshWorld
 MSS_MIN_BYTES = 64
 MSS_MAX_BYTES = 65535
 
-# key: (value type, lower bound, bound is strict, comma-separated list).
-# Each key names its ExperimentSpec field, and a key is required iff that
-# field has no default. Keys are parsed, and errors raised, in this order.
-_SCHEMA: dict[str, tuple[type, float | None, bool, bool]] = {
-    "flavors": (Flavor, None, False, True),
-    "hops": (int, 1, False, True),
-    "loss_rates": (float, 0.0, False, True),
-    "seeds": (int, None, False, True),
-    "duration": (float, 0.0, True, False),
-    "bandwidth_bps": (float, 0.0, True, False),
-    "prop_delay_s": (float, 0.0, False, False),
-    "queue_capacity": (int, 1, False, False),
-    "mss_bytes": (int, MSS_MIN_BYTES, False, False),
-    "ack_bytes": (int, 1, False, False),
-    "interference_range": (int, 0, False, False),
-    "rto_min_s": (float, 0.0, True, False),
-    "rto_max_s": (float, 0.0, True, False),
-    "app_limit": (int, 1, False, False),
-    "scripted_drops": (DropDirective, None, False, False),
-    "warmup_s": (float, 0.0, False, False),
+# key: (value type, lower bound, lower bound is strict, upper bound,
+# comma-separated list). Each key names its ExperimentSpec field, and a key
+# is required iff that field has no default. Keys are parsed, and errors
+# raised, in this order.
+_SCHEMA: dict[str, tuple[type, float | None, bool, float | None, bool]] = {
+    "flavors": (Flavor, None, False, None, True),
+    "hops": (int, 1, False, None, True),
+    "loss_rates": (float, 0.0, False, None, True),
+    "seeds": (int, None, False, None, True),
+    "duration": (float, 0.0, True, None, False),
+    "bandwidth_bps": (float, 0.0, True, None, False),
+    "prop_delay_s": (float, 0.0, False, None, False),
+    "queue_capacity": (int, 1, False, None, False),
+    "mss_bytes": (int, MSS_MIN_BYTES, False, MSS_MAX_BYTES, False),
+    "ack_bytes": (int, 1, False, None, False),
+    "interference_range": (int, 0, False, None, False),
+    "rto_min_s": (float, 0.0, True, None, False),
+    "rto_max_s": (float, 0.0, True, None, False),
+    "app_limit": (int, 1, False, None, False),
+    "scripted_drops": (DropDirective, None, False, None, False),
+    "warmup_s": (float, 0.0, False, None, False),
 }
 
 CSV_HEADER = (
@@ -151,8 +152,10 @@ def _parse_value(
     kind: type,
     minimum: float | None = None,
     strict: bool = False,
+    maximum: float | None = None,
 ):
-    """One value of type ``kind``, at least ``minimum`` (above it if strict)."""
+    """One value of type ``kind``, at least ``minimum`` (above it if strict)
+    and at most ``maximum``."""
     if kind is DropDirective:
         return _parse_scripted(raw, where)
     if kind is Flavor:
@@ -169,6 +172,8 @@ def _parse_value(
     if minimum is not None and (value < minimum or (strict and value <= minimum)):
         op = ">" if strict else ">="
         raise ConfigError(f"{where}: {key} must be {op} {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise ConfigError(f"{where}: {key} must be <= {maximum}, got {value}")
     return value
 
 
@@ -207,14 +212,14 @@ def load_config(text: str, overrides: Mapping[str, str] | None = None) -> Experi
         raise ConfigError(f"missing required keys: {', '.join(missing)}")
 
     fields = {}
-    for key, (kind, minimum, strict, is_list) in _SCHEMA.items():
+    for key, (kind, minimum, strict, maximum, is_list) in _SCHEMA.items():
         if key not in mapping:
             continue
         raw, where = mapping[key]
         if key == "app_limit" and raw == "unbounded":
             continue
         items = _split_list(raw, where, key) if is_list else [raw]
-        values = tuple(_parse_value(v, where, key, kind, minimum, strict) for v in items)
+        values = tuple(_parse_value(v, where, key, kind, minimum, strict, maximum) for v in items)
         for i, value in enumerate(values):
             if value in values[:i]:
                 shown = value.value if kind is Flavor else value
@@ -222,11 +227,6 @@ def load_config(text: str, overrides: Mapping[str, str] | None = None) -> Experi
         fields[key] = values if is_list else values[0]
     spec = ExperimentSpec(**fields)
 
-    if spec.mss_bytes > MSS_MAX_BYTES:
-        where = mapping["mss_bytes"][1]
-        raise ConfigError(
-            f"{where}: mss_bytes must be <= {MSS_MAX_BYTES}, got {spec.mss_bytes}"
-        )
     if spec.rto_max_s < spec.rto_min_s:
         raise ConfigError("rto_max_s must be >= rto_min_s")
     if spec.warmup_s >= spec.duration:

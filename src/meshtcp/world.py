@@ -81,23 +81,22 @@ class MeshWorld:
     def handle(self, time: float, kind: EventKind, payload) -> None:
         if kind is _SEGMENT_ARRIVAL:
             link, seg = payload
-            if self.net.arrive(link, seg, time):
-                self._on_delivery(time, seg)
+            net = self.net
+            if net.arrive(link, seg, time):
+                if seg.kind is _DATA:
+                    net.send(self.receiver.on_data(seg, time), time)
+                else:
+                    self._react(time, seg)
         elif kind is _CHANNEL_FREE:
             self.net.on_channel_free(payload, time)
         elif kind is _TIMER_EXPIRY:
             self._on_timer(time, payload)
         elif kind is _APP_TICK:
-            self._send_all(self.sender.start(time), time)
+            for seg in self.sender.start(time):
+                self.net.send(seg, time)
             self._sync_timer()
         else:  # pragma: no cover - enum is closed
             raise ContractError(f"unknown event kind {kind}")
-
-    def _on_delivery(self, time: float, seg: Segment) -> None:
-        if seg.kind is _DATA:
-            self.net.send(self.receiver.on_data(seg, time), time)
-        else:
-            self._react(time, seg)
 
     def _on_timer(self, time: float, token: int) -> None:
         queued = self._queued_expiry
@@ -120,8 +119,14 @@ class MeshWorld:
             out = sender.on_rto(time) if ack is None else sender.on_ack_segment(ack, time)
         except Diverged as exc:
             return self._split(exc.args[0], time, ack)
-        self._send_all(out, time)
-        self._sync_timer()
+        send = self.net.send
+        for seg in out:
+            send(seg, time)
+        deadline = sender.rto_deadline  # as _sync_timer, without its frame
+        if deadline is not None:
+            queued = self._queued_expiry
+            if queued is None or deadline < queued[0]:
+                self._queue_expiry(deadline)
 
     def _split(self, groups: list[list[int]], time: float, ack: Segment | None) -> None:
         """Copy the world, as it is, for every group of agreeing flavors but
@@ -136,10 +141,6 @@ class MeshWorld:
             world.sender.keep(group)
             world.receiver.sack_enabled = _SACK in world.sender.flavors
             world._react(time, ack)
-
-    def _send_all(self, segments: list[Segment], time: float) -> None:
-        for seg in segments:
-            self.net.send(seg, time)
 
     def _sync_timer(self) -> None:
         """Queue an expiry unless one is queued at or before the deadline.

@@ -261,6 +261,16 @@ class TestReceiver:
         assert ack.sack[0] == (2, 4)
         assert len(ack.sack) == 3
 
+    def test_sack_blocks_without_trigger_highest_first(self):
+        r = self.make(sack_enabled=True)
+        r.rcv_next = 5
+        r.ooo_buffer = {7, 8, 11}
+        duplicate = r.on_data(data_segment(3), 1.0)
+        in_order = r.on_data(data_segment(5), 2.0)  # does not reach the buffer
+        assert (duplicate.seq, duplicate.sack) == (5, ((11, 12), (7, 9)))
+        assert (in_order.seq, in_order.sack) == (6, ((11, 12), (7, 9)))
+        assert r.ooo_buffer == {7, 8, 11}
+
 
 _ACK_OPS = st.lists(
     st.tuples(

@@ -1,6 +1,7 @@
 """Per-layer microbenchmarks: one engine push and pop, one mesh hop, one
-ACK through cc and one through the sender and its timer, one trace record
-kept in memory and one streamed as text.
+ACK through cc and one through the sender and its timer, one data segment
+through the receiver, one trace record kept in memory and one streamed as
+text.
 
 Each runs few rounds so the suite stays fast; raise ROUNDS for steadier
 figures. Every benchmark also checks the result of the operation it times.
@@ -16,7 +17,7 @@ pytest.importorskip("pytest_benchmark")
 from conftest import link_of  # noqa: E402
 from meshtcp import cc  # noqa: E402
 from meshtcp.cc import CcPhase, Flavor  # noqa: E402
-from meshtcp.endpoint import Segment, SegmentKind  # noqa: E402
+from meshtcp.endpoint import ReceiverEndpoint, Segment, SegmentKind  # noqa: E402
 from meshtcp.engine import (  # noqa: E402
     EventKind,
     EventQueue,
@@ -97,6 +98,18 @@ def test_sender_ack(benchmark):
     # it later and queued nothing
     timers = [e for e in world.events._heap if e[2] is EventKind.TIMER_EXPIRY]
     assert len(timers) == 2
+
+
+def test_receiver_data(benchmark):
+    receiver = ReceiverEndpoint(sack_enabled=True)
+    seqs = itertools.count()
+
+    def data():  # each segment is the next in order, so no SACK block
+        return receiver.on_data(Segment(SegmentKind.DATA, next(seqs), 1460), 0.0)
+
+    ack = _bench(benchmark, data)
+    assert ack.kind is SegmentKind.ACK and ack.sack == ()
+    assert ack.seq == receiver.rcv_next == next(seqs) >= ROUNDS * ITERATIONS
 
 
 def test_trace_add(benchmark):
