@@ -19,7 +19,7 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterator
 
-from .engine import RunTrace, TraceKind, TraceRecord, format_record
+from .engine import RunTrace, record_writer
 from .errors import ConfigError, ContractError, MetricUndefinedError
 from .experiment import (
     ExperimentSpec,
@@ -30,8 +30,6 @@ from .experiment import (
     run_experiment,
     run_single,
 )
-
-_CWND_SAMPLE = TraceKind.CWND_SAMPLE
 
 EXIT_OK = 0
 EXIT_CONTRACT = 1
@@ -160,19 +158,11 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             "pick one with --override loss_rates=<rate>"
         )
     out = _outdir(args)
-    warmup = spec.warmup_s
     # each record is written as it is made; the files get their names only
     # once the run has finished, so a failed run leaves neither behind
     with _writing(out / "trace.tsv", out / "cwnd.tsv") as partial:
         with open(partial[0], "w") as trace_file, open(partial[1], "w") as cwnd_file:
-            write_trace, write_cwnd = trace_file.write, cwnd_file.write
-
-            def write(record: TraceRecord) -> None:
-                write_trace(format_record(record))
-                if record.kind is _CWND_SAMPLE and record.time >= warmup:
-                    write_cwnd(f"{record.time:.9f}\t{record.value}\n")
-
-            trace = RunTrace(write)
+            trace = RunTrace(record_writer(trace_file.write, cwnd_file.write, spec.warmup_s))
             run_single(spec, flavor, args.hops, spec.loss_rates[0], args.seed, trace)
     return EXIT_OK
 

@@ -183,10 +183,11 @@ class SenderEndpoint:
         if high >= stop:
             return []
         mss, timestamps = self.mss_bytes, self.send_timestamps
+        new = tuple.__new__  # skips the namedtuple's Python-level __new__
         out: list[Segment] = []
         for seq in range(high, stop):
             timestamps[seq] = now
-            out.append(Segment(_DATA, seq, mss, (), False))
+            out.append(new(Segment, (_DATA, seq, mss, (), False)))
         self.high_sent = stop
         if self.rto_deadline is None:
             self.rto_deadline = now + self.rtt_est.rto
@@ -199,7 +200,7 @@ class SenderEndpoint:
         # restarts the clock covering the oldest outstanding segment
         self.rto_deadline = now + self.rtt_est.rto
         mss = self.mss_bytes
-        return [Segment(_DATA, seq, mss, (), True) for seq in seqs]
+        return [tuple.__new__(Segment, (_DATA, seq, mss, (), True)) for seq in seqs]
 
     def on_ack_segment(self, ack: Segment, now: float) -> list[Segment]:
         """Classify an arriving ACK, run the congestion machine, and return
@@ -292,4 +293,4 @@ class ReceiverEndpoint:
             ooo.add(seq)
             trigger = seq
         sack = self._sack_blocks(trigger) if ooo and self.sack_enabled else ()
-        return Segment(_ACK, nxt, self.ack_bytes, sack, False)
+        return tuple.__new__(Segment, (_ACK, nxt, self.ack_bytes, sack, False))

@@ -74,12 +74,36 @@ class TraceRecord(NamedTuple):
     value: int | float | str
 
 
-def format_record(record: TraceRecord) -> str:
-    """One tab-separated trace line, newline included."""
-    time, kind, flow_id, seq, value = record
-    if not isinstance(value, str):
-        value = str(value) if isinstance(value, int) else f"{value:.9f}"
-    return f"{time:.9f}\t{kind._value_}\t{flow_id}\t{seq}\t{value}\n"
+_CWND_SAMPLE = TraceKind.CWND_SAMPLE
+
+
+def record_writer(
+    write: Callable[[str], object],
+    write_cwnd: Callable[[str], object] | None = None,
+    warmup: float = 0.0,
+) -> Callable[[TraceRecord], None]:
+    """A trace consumer that passes each record's tab-separated line, newline
+    included, to ``write``. Given ``write_cwnd``, it also passes it
+    ``time<TAB>cwnd`` for each CWND_SAMPLE at or after ``warmup``.
+
+    The records one event makes mostly share its time object, so the time
+    is formatted only when the object differs from the previous record's;
+    one float object always formats to the same text.
+    """
+    last_time = stamp = None
+
+    def consume(record: TraceRecord) -> None:
+        nonlocal last_time, stamp
+        time, kind, flow_id, seq, value = record
+        if time is not last_time:
+            last_time, stamp = time, f"{time:.9f}"
+        if kind is _CWND_SAMPLE and write_cwnd is not None and time >= warmup:
+            write_cwnd(f"{stamp}\t{value}\n")
+        if not isinstance(value, str):
+            value = str(value) if isinstance(value, int) else f"{value:.9f}"
+        write(f"{stamp}\t{kind._value_}\t{flow_id}\t{seq}\t{value}\n")
+
+    return consume
 
 
 class RunTrace:
@@ -127,7 +151,12 @@ class RunTrace:
         return twin
 
     def export(self) -> str:
-        return "".join(map(format_record, self.records))
+        """The kept records as the text ``meshtcp trace`` writes to trace.tsv."""
+        lines: list[str] = []
+        consume = record_writer(lines.append)
+        for record in self.records:
+            consume(record)
+        return "".join(lines)
 
     def __len__(self) -> int:
         return len(self.records)

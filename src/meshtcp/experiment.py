@@ -228,9 +228,10 @@ def load_config(text: str, overrides: Mapping[str, str] | None = None) -> Experi
     spec = ExperimentSpec(**fields)
 
     if spec.rto_max_s < spec.rto_min_s:
-        raise ConfigError("rto_max_s must be >= rto_min_s")
+        where = mapping["rto_max_s" if "rto_max_s" in mapping else "rto_min_s"][1]
+        raise ConfigError(f"{where}: rto_max_s must be >= rto_min_s")
     if spec.warmup_s >= spec.duration:
-        raise ConfigError("warmup_s must be below duration")
+        raise ConfigError(f"{mapping['warmup_s'][1]}: warmup_s must be below duration")
     if spec.scripted_drops:
         where = mapping["scripted_drops"][1]
         if any(spec.loss_rates):

@@ -105,6 +105,36 @@ def test_drop_table_beside_a_loss_rate_exits_2(tmp_path, capsys, monkeypatch, ar
     assert not (tmp_path / "o").exists()
 
 
+# GOOD has six lines, so an appended key is on line 7 and the next on line 8
+@pytest.mark.parametrize(
+    "extra, overrides, where",
+    [
+        ("rto_min_s = 2\nrto_max_s = 1\n", [], "line 8"),
+        ("rto_max_s = 1\n", ["rto_min_s=2"], "line 7"),
+        ("rto_min_s = 61\n", [], "line 7"),  # above the default rto_max_s
+        ("rto_min_s = 2\n", ["rto_max_s=1"], "override"),
+    ],
+)
+def test_rto_bounds_error_names_rto_max_s_else_rto_min_s(
+    tmp_path, capsys, extra, overrides, where
+):
+    argv = [arg for pair in overrides for arg in ("--override", pair)]
+    assert main(["validate", "--config", write(tmp_path, GOOD + extra), *argv]) == 2
+    err = capsys.readouterr().err
+    assert err == f"configuration error: {where}: rto_max_s must be >= rto_min_s\n"
+
+
+@pytest.mark.parametrize(
+    "extra, overrides, where",
+    [("warmup_s = 9\n", [], "line 7"), ("warmup_s = 1\n", ["warmup_s=5"], "override")],
+)
+def test_warmup_error_names_warmup_s(tmp_path, capsys, extra, overrides, where):
+    argv = [arg for pair in overrides for arg in ("--override", pair)]
+    assert main(["validate", "--config", write(tmp_path, GOOD + extra), *argv]) == 2
+    err = capsys.readouterr().err
+    assert err == f"configuration error: {where}: warmup_s must be below duration\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

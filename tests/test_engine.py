@@ -5,6 +5,8 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import meshtcp
 from meshtcp.cc import Flavor
@@ -14,6 +16,8 @@ from meshtcp.engine import (
     RngStream,
     RunTrace,
     TraceKind,
+    TraceRecord,
+    record_writer,
     run_until,
 )
 from meshtcp.errors import ContractError
@@ -171,6 +175,66 @@ def test_trace_export_format():
     assert lines[1] == "0.250000000\tCWND_SAMPLE\t0\t44\t2"
     assert lines[2] == "0.500000000\tRTO\t0\t3\t0.400000000"
     assert RunTrace().export() == ""
+
+
+def _reference_lines(records, warmup):
+    """trace.tsv and cwnd.tsv lines, each record formatted on its own."""
+    trace_lines, cwnd_lines = [], []
+    for time, kind, flow_id, seq, value in records:
+        if isinstance(value, str):
+            shown = value
+        elif isinstance(value, int):
+            shown = "%d" % value
+        else:
+            shown = "%.9f" % value
+        trace_lines.append("%.9f\t%s\t%d\t%d\t%s\n" % (time, kind.value, flow_id, seq, shown))
+        if kind is TraceKind.CWND_SAMPLE and time >= warmup:
+            cwnd_lines.append("%.9f\t%s\n" % (time, value))
+    return trace_lines, cwnd_lines
+
+
+_WARMUPS = (0.0, 0.5, 1.25)
+
+# one record: how its time relates to the previous record's (the same
+# object, a new object of the same value, or a fresh time), the fresh time,
+# then kind, flow, seq and value. Fresh times include -0.0, equal to 0.0 but
+# printed apart, and each warm-up, so CWND_SAMPLEs fall below, at and above it.
+_STEP = st.tuples(
+    st.sampled_from(["same", "equal", "fresh"]),
+    st.one_of(st.just(-0.0), st.sampled_from(_WARMUPS), st.floats(-1.0, 3.0)),
+    st.one_of(st.just(TraceKind.CWND_SAMPLE), st.sampled_from(TraceKind)),
+    st.integers(0, 3),
+    st.integers(0, 10**6),
+    st.one_of(
+        st.integers(-5, 10**6),
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.sampled_from(["data", "ack", "SS", "CA", "FRR"]),
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(_STEP, max_size=30), st.sampled_from(_WARMUPS))
+def test_record_writer_matches_per_record_formatting(steps, warmup):
+    records, time = [], None
+    for how, fresh, kind, flow_id, seq, value in steps:
+        if time is None or how == "fresh":
+            time = fresh
+        elif how == "equal":
+            time = float(repr(time))  # a new object of the same value
+        records.append(TraceRecord(time, kind, flow_id, seq, value))
+    want_trace, want_cwnd = _reference_lines(records, warmup)
+    trace_lines, cwnd_lines = [], []
+    consume = record_writer(trace_lines.append, cwnd_lines.append, warmup)
+    for record in records:
+        consume(record)
+    assert trace_lines == want_trace
+    assert cwnd_lines == want_cwnd
+    alone = []  # no cwnd writer: the same trace lines and nothing else
+    consume = record_writer(alone.append, None, warmup)
+    for record in records:
+        consume(record)
+    assert alone == want_trace
 
 
 def _one_hop_world(seed=1):

@@ -1,7 +1,7 @@
 """Per-layer microbenchmarks: one engine push and pop, one mesh hop, one
 ACK through cc and one through the sender and its timer, one data segment
 through the receiver, one trace record kept in memory and one streamed as
-text.
+text, at a repeated time and at a new time.
 
 Each runs few rounds so the suite stays fast; raise ROUNDS for steadier
 figures. Every benchmark also checks the result of the operation it times.
@@ -23,7 +23,7 @@ from meshtcp.engine import (  # noqa: E402
     EventQueue,
     RunTrace,
     TraceKind,
-    format_record,
+    record_writer,
 )
 from meshtcp.mesh import LinkModel, MeshNetwork, build_chain  # noqa: E402
 from meshtcp.world import MeshWorld  # noqa: E402
@@ -119,9 +119,25 @@ def test_trace_add(benchmark):
 
 
 def test_trace_add_streamed(benchmark):
+    # every record has the same time object, so its text is reused
     sink = io.StringIO()
-    trace = RunTrace(lambda record: sink.write(format_record(record)))
+    trace = RunTrace(record_writer(sink.write))
     _bench(benchmark, trace.add, 1.0, TraceKind.SEND, 0, 7, "data")
     lines = sink.getvalue().splitlines()
     assert len(trace) == 0 and len(lines) >= ROUNDS * ITERATIONS
     assert set(lines) == {"1.000000000\tSEND\t0\t7\tdata"}
+
+
+def test_trace_add_streamed_new_times(benchmark):
+    # every record has a new time, so each is formatted
+    sink = io.StringIO()
+    trace = RunTrace(record_writer(sink.write))
+    times = (i * 1e-3 for i in itertools.count(1))
+
+    def add():
+        trace.add(next(times), TraceKind.SEND, 0, 7, "data")
+
+    _bench(benchmark, add)
+    lines = sink.getvalue().splitlines()
+    assert len(lines) == len(set(lines)) >= ROUNDS * ITERATIONS
+    assert lines[0] == "0.001000000\tSEND\t0\t7\tdata"
