@@ -223,7 +223,7 @@ class SenderEndpoint:
             sample = None if sent_at is None else now - sent_at
             cc, retransmit = self._cc_step(cc_ops.on_new_ack, seq, sample, sack)
             rtt_est = self.rtt_est
-            if sample is not None and sample > 0:
+            if sample is not None:
                 rtt_est.update(sample)
             self._set_cc(cc, now)
             for covered in range(old_ack, seq):  # every key is >= old_ack
@@ -251,13 +251,13 @@ class SenderEndpoint:
 
 
 class ReceiverEndpoint:
-    """One TCP receiver: cumulative ACK per arriving data segment."""
+    """One TCP receiver: cumulative ACK per arriving data segment, with
+    SACK blocks while it holds out-of-order data (RFC 2018)."""
 
-    __slots__ = ("ack_bytes", "sack_enabled", "rcv_next", "ooo_buffer")
+    __slots__ = ("ack_bytes", "rcv_next", "ooo_buffer")
 
-    def __init__(self, ack_bytes: int = DEFAULT_ACK_BYTES, sack_enabled: bool = False) -> None:
+    def __init__(self, ack_bytes: int = DEFAULT_ACK_BYTES) -> None:
         self.ack_bytes = ack_bytes
-        self.sack_enabled = sack_enabled
         self.rcv_next = 0
         self.ooo_buffer: set[int] = set()
 
@@ -292,5 +292,5 @@ class ReceiverEndpoint:
         elif seq > nxt:
             ooo.add(seq)
             trigger = seq
-        sack = self._sack_blocks(trigger) if ooo and self.sack_enabled else ()
+        sack = self._sack_blocks(trigger) if ooo else ()
         return tuple.__new__(Segment, (_ACK, nxt, self.ack_bytes, sack, False))

@@ -24,10 +24,9 @@ from .mesh import (
     DEFAULT_INTERFERENCE_RANGE,
     DEFAULT_PROP_DELAY_S,
     DEFAULT_QUEUE_CAPACITY,
+    ChainTopology,
     DropDirective,
     LinkModel,
-    ScriptedDrops,
-    build_chain,
 )
 from .metrics import MetricsSummary, summarize
 from .world import MeshWorld
@@ -262,8 +261,7 @@ def build_world(
         queue_capacity=spec.queue_capacity,
         loss_rate=loss_rate,
     )
-    topology = build_chain(hops + 1, link, spec.interference_range)
-    scripted = ScriptedDrops(spec.scripted_drops) if spec.scripted_drops else None
+    topology = ChainTopology(hops + 1, link, spec.interference_range, spec.scripted_drops)
     return MeshWorld(
         topology,
         flavor,
@@ -273,7 +271,6 @@ def build_world(
         ack_bytes=spec.ack_bytes,
         rto_min=spec.rto_min_s,
         rto_max=spec.rto_max_s,
-        scripted=scripted,
         trace=trace,
     )
 

@@ -8,8 +8,8 @@ interference groups of ``interference_range + 1`` consecutive hops; within
 a group at most one transmission is on the air at a time and waiting links
 are served in FIFO order. Wireless errors are a per-link Poisson process
 of loss instants: a transmission is lost iff an instant lands inside it.
-A scripted drop table can replace the stochastic model for reproducing
-exact loss scenarios.
+A drop table in the topology replaces that model on the data link of each
+hop it lists, for reproducing exact loss scenarios.
 """
 
 from __future__ import annotations
@@ -38,13 +38,24 @@ class LinkModel(NamedTuple):
     loss_rate: float = 0.0
 
 
+class DropDirective(NamedTuple):
+    """Drop the nth transmission (1-based) of data segment ``seq`` on hop
+    ``hop``."""
+
+    hop: int
+    seq: int
+    nth: int
+
+
 class ChainTopology(NamedTuple):
     """Nodes 1..n in a line; hop h is the link between nodes h and h+1.
-    Every hop has the same ``link`` parameters."""
+    Every hop has the same ``link`` parameters; the data link of each hop
+    that ``drops`` lists loses exactly the transmissions listed for it."""
 
     n_nodes: int
     link: LinkModel
-    interference_range: int
+    interference_range: int = DEFAULT_INTERFERENCE_RANGE
+    drops: tuple[DropDirective, ...] = ()
 
     def group_of(self, hop: int) -> int:
         return (hop - 1) // (self.interference_range + 1)
@@ -54,14 +65,7 @@ class ChainTopology(NamedTuple):
         return self.group_of(self.n_nodes - 1) + 1
 
 
-def build_chain(
-    n_nodes: int,
-    link: LinkModel,
-    interference_range: int = DEFAULT_INTERFERENCE_RANGE,
-) -> ChainTopology:
-    """Uniform chain of n_nodes whose interference groups span
-    ``interference_range + 1`` consecutive hops."""
-    return ChainTopology(n_nodes, link, interference_range)
+build_chain = ChainTopology
 
 
 class LossProcess:
@@ -78,37 +82,27 @@ class LossProcess:
         self._stream = stream
         self.next_instant = stream.exponential(rate) if rate > 0 else math.inf
 
-    def decide(self, start: float, tx_time: float) -> bool:
+    def decide(self, seg: Segment, start: float, tx_time: float) -> bool:
         while self.next_instant < start:
             self.next_instant += self._stream.exponential(self.rate)
         return self.next_instant < start + tx_time
 
 
-class DropDirective(NamedTuple):
-    """Drop the nth transmission (1-based) of data segment ``seq`` on hop
-    ``hop``."""
-
-    hop: int
-    seq: int
-    nth: int
-
-
 class ScriptedDrops:
-    """Explicit drop table; when present it replaces the stochastic model."""
+    """One data link's drop table: the nth transmission of seq is lost for
+    each (seq, nth) in ``wanted``."""
 
     __slots__ = ("_wanted", "_counts")
+    next_instant = -math.inf
 
-    def __init__(self, directives: tuple[DropDirective, ...]) -> None:
-        self._wanted = set(directives)  # each equals its (hop, seq, nth) tuple
-        self._counts: dict[tuple[int, int], int] = {}
+    def __init__(self, wanted: set[tuple[int, int]]) -> None:
+        self._wanted = wanted
+        self._counts: dict[int, int] = {}
 
-    def decide(self, hop: int, seg: Segment) -> bool:
-        if seg.kind is not _DATA:
-            return False
-        key = (hop, seg.seq)
-        n = self._counts.get(key, 0) + 1
-        self._counts[key] = n
-        return (hop, seg.seq, n) in self._wanted
+    def decide(self, seg: Segment, start: float, tx_time: float) -> bool:
+        seq = seg.seq
+        n = self._counts[seq] = self._counts.get(seq, 0) + 1
+        return (seq, n) in self._wanted
 
 
 # Enum members bound once: looking one up on its class costs about ten
@@ -123,7 +117,8 @@ _DROP_QUEUE, _DROP_WIRELESS = TraceKind.DROP_QUEUE, TraceKind.DROP_WIRELESS
 class _Link:
     """Runtime state of one directed link; caches the model's per-segment
     parameters. ``next`` is the link a segment takes after this one, None
-    at the end of its route."""
+    at the end of its route. ``loss``, a LossProcess or ScriptedDrops, loses
+    no transmission before its ``next_instant`` and ``decide``s the rest."""
 
     __slots__ = (
         "hop", "model", "queue", "group", "loss", "next",
@@ -165,7 +160,7 @@ class MeshNetwork:
     removes it, raising ``ContractError`` if nothing is in flight.
     """
 
-    __slots__ = ("topology", "events", "trace", "scripted", "carried", "groups", "_out")
+    __slots__ = ("topology", "events", "trace", "carried", "groups", "_out")
 
     def __init__(
         self,
@@ -174,12 +169,10 @@ class MeshNetwork:
         events: EventQueue,
         trace: RunTrace,
         seed: int,
-        scripted: ScriptedDrops | None = None,
     ) -> None:
         self.topology = topology
         self.events = events
         self.trace = trace
-        self.scripted = scripted
         self.carried = 0
 
         self.groups = [_Group(i) for i in range(topology.n_groups)]
@@ -191,9 +184,13 @@ class MeshNetwork:
         rate = model.loss_rate
         for hop in range(1, topology.n_nodes):
             group = self.groups[topology.group_of(hop)]
+            scripted = {(seq, nth) for h, seq, nth in topology.drops if h == hop}
             for forward in (True, False):
-                name = f"loss/hop{hop}/{'fwd' if forward else 'rev'}"
-                loss = LossProcess(RngStream(seed, name) if rate else None, rate)
+                if forward and scripted:
+                    loss = ScriptedDrops(scripted)
+                else:
+                    name = f"loss/hop{hop}/{'fwd' if forward else 'rev'}"
+                    loss = LossProcess(RngStream(seed, name) if rate else None, rate)
                 self._out[hop if forward else hop + 1][forward] = _Link(hop, model, group, loss)
         for node in range(2, topology.n_nodes):
             self._out[node - 1][True].next = self._out[node][True]
@@ -253,12 +250,8 @@ class MeshNetwork:
         group.busy_link = link
         tx_time = seg.size_bytes * 8.0 / link.bandwidth_bps
         end = now + tx_time
-        if self.scripted is not None:
-            dropped = self.scripted.decide(link.hop, seg)
-        else:
-            # no loss instant before the end means none inside the transmission
-            loss = link.loss
-            dropped = loss.next_instant < end and loss.decide(now, tx_time)
+        loss = link.loss
+        dropped = loss.next_instant < end and loss.decide(seg, now, tx_time)
         self.events.push(end, _CHANNEL_FREE, link)
         if dropped:
             self._retire(_DROP_WIRELESS, seg, now)

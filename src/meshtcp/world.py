@@ -26,14 +26,13 @@ from .endpoint import (
 )
 from .engine import EventKind, EventQueue, RunTrace
 from .errors import ContractError
-from .mesh import ChainTopology, MeshNetwork, ScriptedDrops
+from .mesh import ChainTopology, MeshNetwork
 
 
 # bound once for the per-event path; see the note in mesh.py
 _SEGMENT_ARRIVAL, _CHANNEL_FREE = EventKind.SEGMENT_ARRIVAL, EventKind.CHANNEL_FREE
 _TIMER_EXPIRY, _APP_TICK = EventKind.TIMER_EXPIRY, EventKind.APP_TICK
 _DATA = SegmentKind.DATA
-_SACK = Flavor.SACK
 
 
 class MeshWorld:
@@ -57,14 +56,11 @@ class MeshWorld:
         ack_bytes: int = DEFAULT_ACK_BYTES,
         rto_min: float = DEFAULT_RTO_MIN_S,
         rto_max: float = DEFAULT_RTO_MAX_S,
-        scripted: ScriptedDrops | None = None,
         trace: RunTrace | None = None,
     ) -> None:
         self.events = EventQueue()
         self.trace = RunTrace() if trace is None else trace
-        self.net = MeshNetwork(
-            topology, events=self.events, trace=self.trace, seed=seed, scripted=scripted
-        )
+        self.net = MeshNetwork(topology, events=self.events, trace=self.trace, seed=seed)
         # (time, token) of the one live TIMER_EXPIRY in the queue; an entry
         # whose token is not this one was replaced and is discarded
         self._queued_expiry: tuple[float, int] | None = None
@@ -74,7 +70,7 @@ class MeshWorld:
             flavor, mss_bytes, trace=self.trace,
             app_limit=app_limit, rto_min=rto_min, rto_max=rto_max,
         )
-        self.receiver = ReceiverEndpoint(ack_bytes, sack_enabled=_SACK in self.sender.flavors)
+        self.receiver = ReceiverEndpoint(ack_bytes)
         self.forks: list[MeshWorld] = []
         self.events.push(0.0, EventKind.APP_TICK, None)
 
@@ -139,7 +135,6 @@ class MeshWorld:
         self.forks = forks + twins
         for world, group in zip((self, *twins), groups):
             world.sender.keep(group)
-            world.receiver.sack_enabled = _SACK in world.sender.flavors
             world._react(time, ack)
 
     def _sync_timer(self) -> None:

@@ -307,7 +307,7 @@ def test_a8_error_model_calibration():
     for seed in range(1, 31):
         process = LossProcess(RngStream(seed, "loss/hop1/fwd"), lam)
         windows = int(horizon / tx)
-        counts.append(sum(process.decide(k * tx, tx) for k in range(windows)))
+        counts.append(sum(process.decide(None, k * tx, tx) for k in range(windows)))
     expected = lam * horizon
     tolerance = 3 * expected ** 0.5
     assert abs(mean(counts) - expected) < tolerance

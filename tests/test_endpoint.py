@@ -189,6 +189,15 @@ class TestKarnRule:
         assert s.rtt_est.has_sample
         assert s.rtt_est.srtt == pytest.approx(0.25)
 
+    def test_non_positive_sample_is_a_contract_error(self):
+        # a real sample spans a data and an ACK transmission, so it is
+        # positive; the estimator, not the sender, rejects any other
+        s = make_sender()
+        s.fill_window(0.0)
+        s.send_timestamps[0] = 0.3
+        with pytest.raises(ContractError, match="RTT sample must be positive"):
+            s.on_ack_segment(ack_segment(1), 0.3)
+
 
 class TestSenderRto:
     def test_rto_backs_off_and_collapses_window(self):
@@ -252,7 +261,7 @@ class TestReceiver:
         assert [a.seq for a in acks] == [1, 2, 3, 4, 5]
 
     def test_sack_blocks_trigger_first_capped_at_three(self):
-        r = self.make(sack_enabled=True)
+        r = self.make()
         r.rcv_next = 0
         for seq in (2, 5, 8, 11):
             r.on_data(data_segment(seq), 1.0)
@@ -262,7 +271,7 @@ class TestReceiver:
         assert len(ack.sack) == 3
 
     def test_sack_blocks_without_trigger_highest_first(self):
-        r = self.make(sack_enabled=True)
+        r = self.make()
         r.rcv_next = 5
         r.ooo_buffer = {7, 8, 11}
         duplicate = r.on_data(data_segment(3), 1.0)

@@ -123,6 +123,25 @@ def test_only_the_config_and_cli_layers_use_config_error():
     assert users == {"cli.py", "experiment.py"}
 
 
+def test_only_the_mesh_names_a_loss_decider():
+    # each link decides its own losses; the world and the config layer
+    # pass the drop table in the topology and never pick a loss model
+    users = set()
+    for path in sorted(Path(meshtcp.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names = {alias.name for alias in node.names}
+            elif isinstance(node, ast.Name):
+                names = {node.id}
+            elif isinstance(node, ast.Attribute):
+                names = {node.attr}
+            else:
+                continue
+            if names & {"LossProcess", "ScriptedDrops"}:
+                users.add(path.name)
+    assert users == {"mesh.py"}
+
+
 def test_rng_exponential_positive_and_rate_checked():
     s = RngStream(7, "e")
     draws = [s.exponential(2.0) for _ in range(100)]

@@ -101,7 +101,7 @@ def test_sender_ack(benchmark):
 
 
 def test_receiver_data(benchmark):
-    receiver = ReceiverEndpoint(sack_enabled=True)
+    receiver = ReceiverEndpoint()
     seqs = itertools.count()
 
     def data():  # each segment is the next in order, so no SACK block

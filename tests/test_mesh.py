@@ -31,11 +31,11 @@ def data_seg(seq, size=1460):
     return Segment(SegmentKind.DATA, seq, size)
 
 
-def make_net(n_nodes=2, seed=1, scripted=None, **link_kwargs):
+def make_net(n_nodes=2, seed=1, **link_kwargs):
     topo = build_chain(n_nodes, LinkModel(**link_kwargs))
     events = EventQueue()
     trace = RunTrace()
-    net = MeshNetwork(topo, events=events, trace=trace, seed=seed, scripted=scripted)
+    net = MeshNetwork(topo, events=events, trace=trace, seed=seed)
     return net, events, trace
 
 
@@ -182,14 +182,14 @@ class TestChannelArbitration:
 class TestLossProcess:
     def test_zero_rate_never_drops(self):
         p = LossProcess(RngStream(1, "x"), 0.0)
-        assert not any(p.decide(t * 0.006, 0.006) for t in range(1000))
+        assert not any(p.decide(None, t * 0.006, 0.006) for t in range(1000))
 
     def test_poisson_mean_single_seed(self):
         # oracle: loss instants at rate 0.2/s over 1000 s of continuous
         # transmission yield about 200 drops (3-sigma band of ~42)
         p = LossProcess(RngStream(42, "loss"), 0.2)
         tx = 0.02
-        drops = sum(p.decide(k * tx, tx) for k in range(int(1000 / tx)))
+        drops = sum(p.decide(None, k * tx, tx) for k in range(int(1000 / tx)))
         assert abs(drops - 200) < 3 * 200 ** 0.5
 
     def test_instants_identical_across_consumers(self):
@@ -197,9 +197,9 @@ class TestLossProcess:
         # decide windows are laid out
         p1 = LossProcess(RngStream(9, "l"), 1.0)
         p2 = LossProcess(RngStream(9, "l"), 1.0)
-        hits1 = [t for t in range(2000) if p1.decide(t * 0.01, 0.01)]
+        hits1 = [t for t in range(2000) if p1.decide(None, t * 0.01, 0.01)]
         # coarser windows over the same horizon
-        hits2 = [t for t in range(1000) if p2.decide(t * 0.02, 0.02)]
+        hits2 = [t for t in range(1000) if p2.decide(None, t * 0.02, 0.02)]
         # every fine-window hit lands inside a hit coarse window
         coarse = {h for h in hits2}
         assert all((t // 2) in coarse for t in hits1)
@@ -207,17 +207,30 @@ class TestLossProcess:
 
 class TestScriptedDrops:
     def test_exact_nth_transmissions_dropped(self):
-        s = ScriptedDrops((DropDirective(1, 10, 1), DropDirective(1, 10, 2)))
+        s = ScriptedDrops({(10, 1), (10, 2)})
         seg = data_seg(10)
-        assert s.decide(1, seg)      # 1st transmission
-        assert s.decide(1, seg)      # 2nd transmission
-        assert not s.decide(1, seg)  # 3rd passes
-        assert not s.decide(1, data_seg(11))
+        assert s.decide(seg, 0.0, 0.006)      # 1st transmission
+        assert s.decide(seg, 0.1, 0.006)      # 2nd transmission
+        assert not s.decide(seg, 0.2, 0.006)  # 3rd passes
+        assert not s.decide(data_seg(11), 0.3, 0.006)
 
-    def test_acks_unaffected(self):
-        s = ScriptedDrops((DropDirective(1, 10, 1),))
-        ack = Segment(SegmentKind.ACK, 10, 40)
-        assert not s.decide(1, ack)
+    def test_each_drop_stays_on_its_hop(self, transmissions):
+        # one group per hop: hop 2 is group 1, and its data link alone
+        # loses seq 10's first transmission
+        topo = build_chain(4, LinkModel(), interference_range=0, drops=(DropDirective(2, 10, 1),))
+        world = MeshWorld(topo, Flavor.NEWRENO, seed=1)
+        trace = run_until(world, 5.0)
+        drops = [r for r in trace if r.kind is TraceKind.DROP_WIRELESS]
+        assert [(r.seq, r.value) for r in drops] == [(10, "data")]
+        group1_starts = {start for group, start, _ in transmissions[world.net] if group == 1}
+        assert drops[0].time in group1_starts
+
+    def test_acks_are_never_dropped(self):
+        drops = tuple(DropDirective(1, s, 1) for s in range(1, 31))
+        world = MeshWorld(build_chain(2, LinkModel(), drops=drops), Flavor.SACK, seed=1)
+        trace = run_until(world, 5.0)
+        dropped = [r.value for r in trace if r.kind is TraceKind.DROP_WIRELESS]
+        assert dropped and set(dropped) == {"data"}
 
 
 class TestIntegratedRuns:

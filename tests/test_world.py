@@ -14,15 +14,15 @@ from conftest import (
 from meshtcp.cc import Flavor
 from meshtcp.endpoint import SenderEndpoint
 from meshtcp.engine import EventKind, TraceKind, run_until
-from meshtcp.mesh import DropDirective, LinkModel, ScriptedDrops, build_chain
+from meshtcp.mesh import DropDirective, LinkModel, build_chain
 from meshtcp.metrics import summarize
 from meshtcp.world import MeshWorld
 
 
-def run_world(flavor, hops=1, seed=1, duration=5.0, link=None, scripted=None,
+def run_world(flavor, hops=1, seed=1, duration=5.0, link=None, drops=(),
               app_limit=None):
-    topo = build_chain(hops + 1, link or LinkModel())
-    world = MeshWorld(topo, flavor, seed=seed, app_limit=app_limit, scripted=scripted)
+    topo = build_chain(hops + 1, link or LinkModel(), drops=drops)
+    world = MeshWorld(topo, flavor, seed=seed, app_limit=app_limit)
     return world, run_until(world, duration)
 
 
@@ -37,12 +37,8 @@ def test_lossless_run_clean_metrics():
 
 def test_double_drop_script_newreno_times_out_sac_does_not():
     script = (DropDirective(1, 10, 1), DropDirective(1, 10, 2))
-    _, nr_trace = run_world(
-        Flavor.NEWRENO, duration=5.0, scripted=ScriptedDrops(script)
-    )
-    _, sac_trace = run_world(
-        Flavor.SAC, duration=5.0, scripted=ScriptedDrops(script)
-    )
+    _, nr_trace = run_world(Flavor.NEWRENO, duration=5.0, drops=script)
+    _, sac_trace = run_world(Flavor.SAC, duration=5.0, drops=script)
     assert summarize(nr_trace).rto_count >= 1
     assert summarize(sac_trace).rto_count == 0
 
