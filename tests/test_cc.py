@@ -201,6 +201,38 @@ def test_sac_ssthresh_pinned_across_episode():
     assert cc.phase is CcPhase.CA
 
 
+def test_sac_resend_counts_dupacks_from_each_retransmission():
+    """Reads only what the operations return: the sac resend fires at the
+    (rlp-1)-th dupack after FRR entry, again rlp-1 dupacks after that
+    resend, and rlp-1 dupacks after a partial ACK's retransmission, however
+    many dupacks came before it."""
+    rlp = 20  # segments outstanding at FRR entry: 120 - 100
+
+    def dupacks_until_resend(cc, ack, limit):
+        for k in range(1, limit + 1):
+            cc, retx = on_dupack(cc, ack, 120)
+            if retx:
+                assert retx == [ack]
+                return cc, k
+        return cc, None
+
+    cc = CcVars(flavor=Flavor.SAC, phase=CcPhase.CA, cwnd=20, ssthresh=44,
+                last_ack=100)
+    for k in range(1, 4):
+        cc, retx = on_dupack(cc, 100, 120)
+        assert retx == ([100] if k == 3 else [])
+    cc, fired = dupacks_until_resend(cc, 100, 2 * rlp)
+    assert fired == rlp - 1
+    cc, fired = dupacks_until_resend(cc, 100, 2 * rlp)
+    assert fired == rlp - 1
+    cc, fired = dupacks_until_resend(cc, 100, rlp // 2)
+    assert fired is None
+    cc, retx = on_new_ack(cc, 105)  # partial ACK: retransmits 105
+    assert retx == [105]
+    cc, fired = dupacks_until_resend(cc, 105, 2 * rlp)
+    assert fired == rlp - 1
+
+
 def test_dupack_with_nothing_outstanding_cannot_enter_frr():
     cc = CcVars(flavor=Flavor.NEWRENO, phase=CcPhase.CA, cwnd=4, ssthresh=44,
                 last_ack=100, dupacks=2)
