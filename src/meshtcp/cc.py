@@ -55,9 +55,9 @@ class CcVars(NamedTuple):
     """Value-semantics congestion state for one sender.
 
     ``cwnd``/``ssthresh``/sequence fields are all counted in segments.
-    ``high_seq`` and ``rlp`` are only set while ``phase`` is FRR;
-    ``add_dupacks`` counts duplicate ACKs since the most recent
-    retransmission within the current FRR episode (sac only).
+    ``high_seq`` is set exactly while ``phase`` is FRR, and ``rlp`` exactly
+    while sac is in FRR. ``dupacks`` counts the duplicate ACKs since the
+    last advancing ACK, the FRR entry or sac's resend, whichever is latest.
     """
 
     flavor: Flavor
@@ -68,7 +68,6 @@ class CcVars(NamedTuple):
     high_seq: int | None = None
     rlp: int | None = None
     dupacks: int = 0
-    add_dupacks: int = 0
     ca_accumulator: int = 0
     vegas_base_rtt: float | None = None
     vegas_last_rtt: float | None = None
@@ -98,28 +97,28 @@ def _merged_scoreboard(
     return frozenset(merged)
 
 
-def _lowest_hole(
+def _resend_lowest_hole(
     last_ack: int,
-    high_seq: int | None,
+    high_seq: int,
     scoreboard: frozenset[int],
     done: frozenset[int],
-) -> int | None:
-    """Lowest missing segment below both the recovery point and the highest
-    scoreboard entry (loss evidence), skipping ones already retransmitted."""
+    retransmit: list[int],
+) -> frozenset[int]:
+    """Append to ``retransmit`` the lowest missing segment below both the
+    recovery point and the highest scoreboard entry (loss evidence), skipping
+    ones in ``done``; return ``done`` with it."""
     above = [s for s in scoreboard if s > last_ack]
-    if not above:
-        return None
-    stop = max(above)
-    if high_seq is not None:
-        stop = min(stop, high_seq)
-    for seq in range(last_ack, stop):
-        if seq not in scoreboard and seq not in done:
-            return seq
-    return None
+    if above:
+        for seq in range(last_ack, min(max(above), high_seq)):
+            if seq not in scoreboard and seq not in done:
+                retransmit.append(seq)
+                return done | {seq}
+    return done
 
 
 def _vegas_adjust(cwnd: int, base_rtt: float | None, last_rtt: float | None) -> int:
-    if base_rtt is None or last_rtt is None or last_rtt <= 0:
+    # both are set together, from a positive sample
+    if last_rtt is None:
         return cwnd
     diff = cwnd * (last_rtt - base_rtt) / last_rtt
     if diff < VEGAS_ALPHA:
@@ -137,7 +136,7 @@ def on_new_ack(
 ) -> tuple[CcVars, list[int]]:
     """Process an advancing cumulative ACK."""
     # one unpacking is much cheaper than a field lookup per value
-    (flavor, phase, cwnd, ssthresh, last_ack, high_seq, rlp, _, add_dupacks, acc,
+    (flavor, phase, cwnd, ssthresh, last_ack, high_seq, rlp, _, acc,
      base_rtt, last_rtt, scoreboard, sack_retx) = cc
     if ack_seq <= last_ack:
         raise ContractError(
@@ -157,29 +156,23 @@ def on_new_ack(
         last_rtt = rtt_sample
 
     if phase is _FRR:
-        full_ack = high_seq is not None and ack_seq >= high_seq
-        if full_ack or flavor in (_RENO, _VEGAS):
+        if ack_seq >= high_seq or flavor in (_RENO, _VEGAS):
             # The recovery point is covered, or the flavor is Reno-style
             # and any advancing ACK ends recovery.
             phase = _CA
             cwnd = ssthresh
-            high_seq = None
-            rlp = None
-            add_dupacks = 0
+            high_seq = rlp = None
             acc = 0
             sack_retx = frozenset()
         else:
             # Partial ACK: plug the next hole, deflate, stay in recovery.
             if flavor is _SACK:
-                hole = _lowest_hole(ack_seq, high_seq, scoreboard, sack_retx)
-                if hole is not None:
-                    retransmit.append(hole)
-                    sack_retx = sack_retx | {hole}
+                sack_retx = _resend_lowest_hole(
+                    ack_seq, high_seq, scoreboard, sack_retx, retransmit
+                )
             else:
                 retransmit.append(ack_seq)
             cwnd = max(cwnd - newly_acked + 1, 1)
-            if flavor is _SAC:
-                add_dupacks = 0
     elif phase is _SS:
         cwnd += 1
         if cwnd > ssthresh:
@@ -196,8 +189,8 @@ def on_new_ack(
 
     # positional: keywords cost about twice as much on every ACK
     return CcVars(
-        flavor, phase, cwnd, ssthresh, ack_seq, high_seq, rlp, 0,
-        add_dupacks, acc, base_rtt, last_rtt, scoreboard, sack_retx,
+        flavor, phase, cwnd, ssthresh, ack_seq, high_seq, rlp, 0, acc,
+        base_rtt, last_rtt, scoreboard, sack_retx,
     ), retransmit
 
 
@@ -208,7 +201,7 @@ def on_dupack(
     sack_blocks: tuple[tuple[int, int], ...] = (),
 ) -> tuple[CcVars, list[int]]:
     """Process a duplicate ACK (same cumulative value as the last one)."""
-    (flavor, phase, cwnd, ssthresh, last_ack, high_seq, rlp, dupacks, add_dupacks, acc,
+    (flavor, phase, cwnd, ssthresh, last_ack, high_seq, rlp, dupacks, acc,
      base_rtt, last_rtt, scoreboard, sack_retx) = cc
     if ack_seq != last_ack:
         raise ContractError(
@@ -229,33 +222,29 @@ def on_dupack(
             high_seq = high_sent
             ssthresh = max(flight // 2, MIN_SSTHRESH)
             cwnd = ssthresh + DUPACK_THRESHOLD
-            acc = 0
+            dupacks = acc = 0
             if flavor is _SAC:
                 rlp = flight
-                add_dupacks = 0
             if flavor is _SACK:
                 sack_retx = frozenset({ack_seq})
             phase = _FRR
             retransmit.append(ack_seq)
     else:
         cwnd += 1  # window inflation: one segment has left the network
-        if flavor is _SAC:
-            add_dupacks += 1
-            if rlp is not None and add_dupacks >= rlp - 1:
-                # Enough dupacks arrived to prove the retransmission was
-                # lost too; resend it now instead of waiting for the RTO.
-                retransmit.append(ack_seq)
-                cwnd = max(cwnd // 2, 1)
-                add_dupacks = 0
+        if flavor is _SAC and dupacks >= rlp - 1:
+            # Enough dupacks arrived to prove the retransmission was
+            # lost too; resend it now instead of waiting for the RTO.
+            retransmit.append(ack_seq)
+            cwnd = max(cwnd // 2, 1)
+            dupacks = 0
         elif flavor is _SACK:
-            hole = _lowest_hole(ack_seq, high_seq, scoreboard, sack_retx)
-            if hole is not None:
-                retransmit.append(hole)
-                sack_retx = sack_retx | {hole}
+            sack_retx = _resend_lowest_hole(
+                ack_seq, high_seq, scoreboard, sack_retx, retransmit
+            )
 
     return CcVars(
-        flavor, phase, cwnd, ssthresh, last_ack, high_seq, rlp, dupacks,
-        add_dupacks, acc, base_rtt, last_rtt, scoreboard, sack_retx,
+        flavor, phase, cwnd, ssthresh, last_ack, high_seq, rlp, dupacks, acc,
+        base_rtt, last_rtt, scoreboard, sack_retx,
     ), retransmit
 
 

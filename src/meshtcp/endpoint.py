@@ -66,7 +66,7 @@ class RttEstimator:
         self.rto_max = rto_max
         self.srtt = 0.0
         self.rttvar = 0.0
-        self.rto = INITIAL_RTO_S
+        self.rto = min(max(INITIAL_RTO_S, rto_min), rto_max)
         self.has_sample = False
 
     def update(self, sample: float) -> None:

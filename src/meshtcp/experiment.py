@@ -57,12 +57,6 @@ _SCHEMA: dict[str, tuple[type, float | None, bool, float | None, bool]] = {
     "warmup_s": (float, 0.0, False, None, False),
 }
 
-CSV_HEADER = (
-    "flavor,hops,loss_rate,seed,throughput,goodput,plr,mean_delay,"
-    "rto_count,retransmit_count,delivered_count"
-)
-
-
 class ExperimentSpec(NamedTuple):
     flavors: tuple[Flavor, ...]
     hops: tuple[int, ...]
@@ -93,9 +87,10 @@ class ExperimentSpec(NamedTuple):
 
 
 ResultRow = namedtuple(
-    "ResultRow", MetricsSummary._fields + ("flavor", "hops", "loss_rate", "seed")
+    "ResultRow", ("flavor", "hops", "loss_rate", "seed") + MetricsSummary._fields
 )
-ResultRow.__doc__ = "The metrics of one sweep point, with the point itself."
+ResultRow.__doc__ = "One sweep point and its metrics, in the CSV's column order."
+CSV_HEADER = ",".join(ResultRow._fields)
 
 
 def _parse_lines(text: str) -> dict[str, tuple[str, str]]:
@@ -326,21 +321,20 @@ def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
             for world in _run_worlds(spec, flavors, hops, rate, seed):
                 summary = summarize(world.trace, warmup=spec.warmup_s)
                 summaries.update(dict.fromkeys(world.sender.flavors, summary))
-        rows.append(ResultRow(*points[point][flavor], flavor, hops, rate, seed))
+        rows.append(ResultRow(flavor, hops, rate, seed, *points[point][flavor]))
     return rows
 
 
-def _fmt(value: float | None) -> str:
-    return "nan" if value is None else f"{value:.6f}"
+def _cell(value: Flavor | float | int | None) -> str:
+    if value is None:
+        return "nan"
+    if isinstance(value, float):
+        return f"{value:.6f}"
+    return value.value if isinstance(value, Flavor) else str(value)
 
 
 def emit_csv(rows: list[ResultRow]) -> str:
     """Byte-stable CSV: header plus one line per row."""
     lines = [CSV_HEADER]
-    for r in rows:
-        lines.append(
-            f"{r.flavor.value},{r.hops},{_fmt(r.loss_rate)},{r.seed},"
-            f"{_fmt(r.throughput)},{_fmt(r.goodput)},{_fmt(r.plr)},{_fmt(r.mean_delay)},"
-            f"{r.rto_count},{r.retransmit_count},{r.delivered_count}"
-        )
+    lines.extend(",".join(map(_cell, row)) for row in rows)
     return "\n".join(lines) + "\n"

@@ -88,12 +88,12 @@ def test_new_ack_partial_newreno_stays_and_retransmits():
     assert cc.cwnd == 13
 
 
-def test_new_ack_partial_sac_resets_add_dupacks():
+def test_new_ack_partial_sac_resets_dupacks():
     cc = CcVars(flavor=Flavor.SAC, phase=CcPhase.FRR, cwnd=14, ssthresh=5,
-                last_ack=10, high_seq=21, rlp=11, add_dupacks=6)
+                last_ack=10, high_seq=21, rlp=11, dupacks=6)
     cc, retx = on_new_ack(cc, 12)
     assert cc.phase is CcPhase.FRR
-    assert cc.add_dupacks == 0
+    assert cc.dupacks == 0
     assert retx == [12]
 
 
@@ -139,7 +139,7 @@ def test_dupack_third_enters_frr_with_sac_bookkeeping():
     assert cc.ssthresh == 10
     assert cc.cwnd == 13
     assert cc.rlp == 20
-    assert cc.add_dupacks == 0
+    assert cc.dupacks == 0
     assert cc.high_seq == 120
     assert retx == [100]
 
@@ -163,12 +163,12 @@ def test_dupack_inflation_in_frr_newreno():
 
 def test_sac_second_retransmission_fires_at_rlp_minus_one():
     cc = CcVars(flavor=Flavor.SAC, phase=CcPhase.FRR, cwnd=24, ssthresh=10,
-                last_ack=100, high_seq=120, rlp=20, add_dupacks=18, dupacks=21)
+                last_ack=100, high_seq=120, rlp=20, dupacks=18)
     cc, retx = on_dupack(cc, 100, 120)
     assert retx == [100]
     assert cc.cwnd == 12            # inflated to 25, then halved
     assert cc.ssthresh == 10        # pinned for the whole episode
-    assert cc.add_dupacks == 0      # re-armed
+    assert cc.dupacks == 0          # re-armed
 
 
 def test_sac_second_retransmission_never_fires_early():
@@ -264,11 +264,11 @@ def test_timeout_halves_flight_and_restarts_slow_start():
 
 def test_timeout_applies_to_sac_in_frr():
     cc = CcVars(flavor=Flavor.SAC, phase=CcPhase.FRR, cwnd=13, ssthresh=10,
-                last_ack=100, high_seq=120, rlp=20, add_dupacks=5)
+                last_ack=100, high_seq=120, rlp=20, dupacks=5)
     cc, _ = on_timeout(cc, 120)
     assert cc.cwnd == 1
     assert cc.phase is CcPhase.SS
-    assert cc.high_seq is None and cc.rlp is None and cc.add_dupacks == 0
+    assert cc.high_seq is None and cc.rlp is None and cc.dupacks == 0
 
 
 def test_timeout_degenerate_flight_clamps_ssthresh():

@@ -189,6 +189,19 @@ class TestRunExperiment:
             s2 = link_of(w_sac.net, src, dst).loss._stream
             assert [s1.uniform() for _ in range(5)] == [s2.uniform() for _ in range(5)]
 
+    @pytest.mark.parametrize(
+        "bound, rtos", [("rto_max_s = 0.5", [(0.5, 0.5)]), ("rto_min_s = 3", [(3.0, 6.0)])]
+    )
+    def test_first_rto_keeps_the_configured_bounds(self, bound, rtos):
+        # segment 0 is lost on its first transmission at time 0; RTO records
+        # carry (time, backed-off RTO)
+        spec = load_config(
+            "flavors = sac\nhops = 1\nloss_rates = 0\nseeds = 1\nduration = 10\n"
+            f"app_limit = 3\nscripted_drops = 1:0:1\n{bound}\n"
+        )
+        trace = run_single(spec, *spec.combinations()[0])
+        assert [(r.time, r.value) for r in trace if r.kind is TraceKind.RTO] == rtos
+
     def test_each_point_builds_a_chain_the_flow_spans(self):
         spec = load_config(SMALL.replace("hops = 1,2", "hops = 1,2,4"))
         world = build_world(spec, Flavor.SAC, 2, 0.5, 1)
@@ -201,7 +214,7 @@ class TestRunExperiment:
 def point_by_point(spec):
     """The sweep's rows, each from its own run."""
     return [
-        ResultRow(*summarize(run_single(spec, *point), warmup=spec.warmup_s), *point)
+        ResultRow(*point, *summarize(run_single(spec, *point), warmup=spec.warmup_s))
         for point in spec.combinations()
     ]
 
