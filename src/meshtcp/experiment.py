@@ -57,6 +57,7 @@ _SCHEMA: dict[str, tuple[type, float | None, bool, float | None, bool]] = {
     "warmup_s": (float, 0.0, False, None, False),
 }
 
+
 class ExperimentSpec(NamedTuple):
     flavors: tuple[Flavor, ...]
     hops: tuple[int, ...]

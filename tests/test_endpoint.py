@@ -64,12 +64,6 @@ class TestRttEstimator:
         with pytest.raises(ContractError):
             RttEstimator().update(0.0)
 
-    @pytest.mark.parametrize(
-        "rto_min, rto_max, rto", [(0.2, 60.0, 1.0), (0.2, 0.5, 0.5), (3.0, 60.0, 3.0)]
-    )
-    def test_initial_rto_is_clamped(self, rto_min, rto_max, rto):
-        assert RttEstimator(rto_min=rto_min, rto_max=rto_max).rto == rto
-
 
 class TestSenderWindow:
     def test_fill_from_empty(self):
