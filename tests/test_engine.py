@@ -215,12 +215,14 @@ def _reference_lines(records, warmup):
 _WARMUPS = (0.0, 0.5, 1.25)
 
 # one record: how its time relates to the previous record's (the same
-# object, a new object of the same value, or a fresh time), the fresh time,
-# then kind, flow, seq and value. Fresh times include -0.0, equal to 0.0 but
-# printed apart, and each warm-up, so CWND_SAMPLEs fall below, at and above it.
+# object, a new object of the same value, or the next fresh time), a fresh
+# time, then kind, flow, seq and value. The fresh times are taken in sorted
+# order, since a trace checks that times never go back. They include -0.0,
+# equal to 0.0 but printed apart, and each warm-up, so CWND_SAMPLEs fall
+# below, at and above it.
 _STEP = st.tuples(
     st.sampled_from(["same", "equal", "fresh"]),
-    st.one_of(st.just(-0.0), st.sampled_from(_WARMUPS), st.floats(-1.0, 3.0)),
+    st.one_of(st.just(-0.0), st.sampled_from(_WARMUPS), st.floats(0.0, 3.0)),
     st.one_of(st.just(TraceKind.CWND_SAMPLE), st.sampled_from(TraceKind)),
     st.integers(0, 3),
     st.integers(0, 10**6),
@@ -236,7 +238,8 @@ _STEP = st.tuples(
 @given(st.lists(_STEP, max_size=30), st.sampled_from(_WARMUPS))
 def test_record_writer_matches_per_record_formatting(steps, warmup):
     records, time = [], None
-    for how, fresh, kind, flow_id, seq, value in steps:
+    fresh_times = sorted(step[1] for step in steps)
+    for (how, _, kind, flow_id, seq, value), fresh in zip(steps, fresh_times):
         if time is None or how == "fresh":
             time = fresh
         elif how == "equal":
@@ -244,16 +247,25 @@ def test_record_writer_matches_per_record_formatting(steps, warmup):
         records.append(TraceRecord(time, kind, flow_id, seq, value))
     want_trace, want_cwnd = _reference_lines(records, warmup)
     trace_lines, cwnd_lines = [], []
-    consume = record_writer(trace_lines.append, cwnd_lines.append, warmup)
+    trace = RunTrace(record_writer(trace_lines.append, cwnd_lines.append, warmup))
     for record in records:
-        consume(record)
+        trace.add(*record)
     assert trace_lines == want_trace
     assert cwnd_lines == want_cwnd
+    assert len(trace) == 0 and list(trace) == []  # a streaming trace keeps none
+    # a record that goes back in time is refused before anything is written
+    with pytest.raises(ContractError, match="non-decreasing"):
+        trace.add((time or 0.0) - 1.0, TraceKind.CWND_SAMPLE, 0, 0, 1)
+    assert trace_lines == want_trace and cwnd_lines == want_cwnd
     alone = []  # no cwnd writer: the same trace lines and nothing else
-    consume = record_writer(alone.append, None, warmup)
+    trace = RunTrace(record_writer(alone.append, None, warmup))
     for record in records:
-        consume(record)
+        trace.add(*record)
     assert alone == want_trace
+    kept = RunTrace()  # the text export() makes of the same records, kept
+    for record in records:
+        kept.add(*record)
+    assert kept.export() == "".join(want_trace)
 
 
 def _one_hop_world(seed=1):
