@@ -19,7 +19,7 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterator
 
-from .engine import RunTrace, record_writer
+from .engine import RunTrace
 from .errors import ConfigError, ContractError, MetricUndefinedError
 from .experiment import (
     ExperimentSpec,
@@ -162,7 +162,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     # once the run has finished, so a failed run leaves neither behind
     with _writing(out / "trace.tsv", out / "cwnd.tsv") as partial:
         with open(partial[0], "w") as trace_file, open(partial[1], "w") as cwnd_file:
-            trace = RunTrace(record_writer(trace_file.write, cwnd_file.write, spec.warmup_s))
+            trace = RunTrace(trace_file.write, cwnd_file.write, spec.warmup_s)
             run_single(spec, flavor, args.hops, spec.loss_rates[0], args.seed, trace)
     return EXIT_OK
 

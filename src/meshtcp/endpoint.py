@@ -70,8 +70,7 @@ class RttEstimator:
         self.has_sample = False
 
     def update(self, sample: float) -> None:
-        if sample <= 0:
-            raise ContractError(f"RTT sample must be positive, got {sample}")
+        """Take a positive sample; the sender checks that it is."""
         if not self.has_sample:
             self.srtt = sample
             self.rttvar = sample / 2
@@ -206,7 +205,8 @@ class SenderEndpoint:
         """Classify an arriving ACK, run the congestion machine, and return
         the segments to transmit (retransmissions first, then new data).
         ACKs take one FIFO path, so they arrive in the order they were made;
-        a non-ACK or an ACK below ``last_ack`` raises ``ContractError``."""
+        a non-ACK, an ACK below ``last_ack`` or a non-positive RTT sample
+        raises ``ContractError``."""
         kind, seq, _, sack, _ = ack
         old_ack = self.cc.last_ack
         if kind is not _ACK or seq < old_ack:
@@ -221,6 +221,8 @@ class SenderEndpoint:
             timestamps = self.send_timestamps
             sent_at = timestamps.get(seq - 1)
             sample = None if sent_at is None else now - sent_at
+            if sample is not None and sample <= 0:  # before cc or the estimator
+                raise ContractError(f"RTT sample must be positive, got {sample}")
             cc, retransmit = self._cc_step(cc_ops.on_new_ack, seq, sample, sack)
             rtt_est = self.rtt_est
             if sample is not None:

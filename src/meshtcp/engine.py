@@ -77,35 +77,6 @@ class TraceRecord(NamedTuple):
 _CWND_SAMPLE = TraceKind.CWND_SAMPLE
 
 
-def record_writer(
-    write: Callable[[str], object],
-    write_cwnd: Callable[[str], object] | None = None,
-    warmup: float = 0.0,
-) -> Callable[[TraceRecord], None]:
-    """A trace consumer that passes each record's tab-separated line, newline
-    included, to ``write``. Given ``write_cwnd``, it also passes it
-    ``time<TAB>cwnd`` for each CWND_SAMPLE at or after ``warmup``.
-
-    The records one event makes mostly share its time object, so the time
-    is formatted only when the object differs from the previous record's;
-    one float object always formats to the same text.
-    """
-    last_time = stamp = None
-
-    def consume(record: TraceRecord) -> None:
-        nonlocal last_time, stamp
-        time, kind, flow_id, seq, value = record
-        if time is not last_time:
-            last_time, stamp = time, f"{time:.9f}"
-        if kind is _CWND_SAMPLE and write_cwnd is not None and time >= warmup:
-            write_cwnd(f"{stamp}\t{value}\n")
-        if not isinstance(value, str):
-            value = str(value) if isinstance(value, int) else f"{value:.9f}"
-        write(f"{stamp}\t{kind._value_}\t{flow_id}\t{seq}\t{value}\n")
-
-    return consume
-
-
 class RunTrace:
     """Append-only, time-ordered record of everything a run did.
 
@@ -114,16 +85,32 @@ class RunTrace:
     concurrent ssthresh in the seq column, so the whole window trajectory
     is recoverable from the trace alone.
 
-    By default the trace keeps its records. Given a ``consumer``, it hands
-    each record to it as it is added and keeps none, so its memory does not
-    grow with the length of the run; such a streaming trace cannot be
-    copied, as its records are already gone.
+    Without ``write``, the trace keeps its records. Given ``write``, it keeps
+    none: it passes each record's trace.tsv line, newline included, to
+    ``write`` as the record is added, so its memory does not grow with the
+    length of the run. Given ``write_cwnd`` too, it also passes it
+    ``time<TAB>cwnd`` for each CWND_SAMPLE at or after ``warmup``. Such a
+    streaming trace cannot be copied, as its records are already gone.
+
+    The records one event makes mostly share its time object, so a
+    streaming trace formats the time only when the object differs from the
+    previous record's; one float object always formats to the same text.
     """
 
-    def __init__(self, consumer: Callable[[TraceRecord], None] | None = None) -> None:
+    __slots__ = ("records", "_write", "_write_cwnd", "_warmup", "_last_time", "_stamp")
+
+    def __init__(
+        self,
+        write: Callable[[str], object] | None = None,
+        write_cwnd: Callable[[str], object] | None = None,
+        warmup: float = 0.0,
+    ) -> None:
         self.records: list[TraceRecord] = []
-        self._consume = self.records.append if consumer is None else consumer
+        self._write = write
+        self._write_cwnd = write_cwnd
+        self._warmup = warmup
         self._last_time = 0.0
+        self._stamp = "0.000000000"  # the text of _last_time
 
     def add(
         self,
@@ -133,17 +120,28 @@ class RunTrace:
         seq: int,
         value: int | float | str,
     ) -> None:
-        if time < self._last_time:
-            raise ContractError(
-                f"trace times must be non-decreasing: {time} < {self._last_time}"
-            )
+        last = self._last_time
+        if time < last:
+            raise ContractError(f"trace times must be non-decreasing: {time} < {last}")
         self._last_time = time
-        # tuple.__new__ skips the namedtuple's Python-level __new__
-        self._consume(tuple.__new__(TraceRecord, (time, kind, flow_id, seq, value)))
+        write = self._write
+        if write is None:
+            # tuple.__new__ skips the namedtuple's Python-level __new__
+            self.records.append(tuple.__new__(TraceRecord, (time, kind, flow_id, seq, value)))
+            return
+        if time is last:
+            stamp = self._stamp
+        else:
+            self._stamp = stamp = f"{time:.9f}"
+        if kind is _CWND_SAMPLE and self._write_cwnd is not None and time >= self._warmup:
+            self._write_cwnd(f"{stamp}\t{value}\n")
+        if not isinstance(value, str):
+            value = str(value) if isinstance(value, int) else f"{value:.9f}"
+        write(f"{stamp}\t{kind._value_}\t{flow_id}\t{seq}\t{value}\n")
 
     def __deepcopy__(self, memo) -> RunTrace:
-        # a generic copy would keep the bound append of the original list
-        if self._consume != self.records.append:
+        # a generic copy would walk every record, though each is immutable
+        if self._write is not None:
             raise ContractError("a streaming trace cannot be copied")
         twin = RunTrace()
         twin.records.extend(self.records)  # records are immutable and shared
@@ -153,9 +151,9 @@ class RunTrace:
     def export(self) -> str:
         """The kept records as the text ``meshtcp trace`` writes to trace.tsv."""
         lines: list[str] = []
-        consume = record_writer(lines.append)
+        add = RunTrace(lines.append).add
         for record in self.records:
-            consume(record)
+            add(*record)
         return "".join(lines)
 
     def __len__(self) -> int:

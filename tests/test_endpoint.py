@@ -61,8 +61,14 @@ class TestRttEstimator:
         assert est.rto == 2.5  # srtt 1.0 + 4 * rttvar 0.375, backoff gone
 
     def test_rejects_nonpositive_sample(self):
+        # the sender refuses the sample before its estimator takes it
+        s = make_sender()
+        s.fill_window(0.0)
+        s.send_timestamps[0] = 0.3
         with pytest.raises(ContractError):
-            RttEstimator().update(0.0)
+            s.on_ack_segment(ack_segment(1), 0.3)
+        assert not s.rtt_est.has_sample
+        assert (s.rtt_est.srtt, s.rtt_est.rttvar, s.rtt_est.rto) == (0.0, 0.0, 1.0)
 
 
 class TestSenderWindow:
@@ -191,12 +197,27 @@ class TestKarnRule:
 
     def test_non_positive_sample_is_a_contract_error(self):
         # a real sample spans a data and an ACK transmission, so it is
-        # positive; the estimator, not the sender, rejects any other
+        # positive; only a forged send time gives any other
         s = make_sender()
         s.fill_window(0.0)
         s.send_timestamps[0] = 0.3
         with pytest.raises(ContractError, match="RTT sample must be positive"):
             s.on_ack_segment(ack_segment(1), 0.3)
+
+
+    @pytest.mark.parametrize("sample", [0.0, -0.25])
+    @pytest.mark.parametrize("flavor", list(Flavor))
+    def test_non_positive_sample_is_refused_before_cc(self, flavor, sample):
+        # CA at the accumulator boundary, where vegas divides by the sample
+        s = make_sender(flavor)
+        s.cc = s.cc._replace(phase=CcPhase.CA, cwnd=4, ssthresh=2, ca_accumulator=3)
+        s.fill_window(0.0)
+        s.send_timestamps[0] = 0.3 - sample
+        before = (s.cc, dict(s.send_timestamps), s.rto_deadline, len(s.trace))
+        with pytest.raises(ContractError, match=f"RTT sample must be positive, got {sample}"):
+            s.on_ack_segment(ack_segment(1), 0.3)
+        assert (s.cc, dict(s.send_timestamps), s.rto_deadline, len(s.trace)) == before
+        assert not s.rtt_est.has_sample
 
 
 class TestSenderRto:

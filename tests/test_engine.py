@@ -17,7 +17,6 @@ from meshtcp.engine import (
     RunTrace,
     TraceKind,
     TraceRecord,
-    record_writer,
     run_until,
 )
 from meshtcp.errors import ContractError
@@ -236,7 +235,7 @@ _STEP = st.tuples(
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(st.lists(_STEP, max_size=30), st.sampled_from(_WARMUPS))
-def test_record_writer_matches_per_record_formatting(steps, warmup):
+def test_streaming_trace_matches_per_record_formatting(steps, warmup):
     records, time = [], None
     fresh_times = sorted(step[1] for step in steps)
     for (how, _, kind, flow_id, seq, value), fresh in zip(steps, fresh_times):
@@ -247,7 +246,7 @@ def test_record_writer_matches_per_record_formatting(steps, warmup):
         records.append(TraceRecord(time, kind, flow_id, seq, value))
     want_trace, want_cwnd = _reference_lines(records, warmup)
     trace_lines, cwnd_lines = [], []
-    trace = RunTrace(record_writer(trace_lines.append, cwnd_lines.append, warmup))
+    trace = RunTrace(trace_lines.append, cwnd_lines.append, warmup)
     for record in records:
         trace.add(*record)
     assert trace_lines == want_trace
@@ -258,7 +257,7 @@ def test_record_writer_matches_per_record_formatting(steps, warmup):
         trace.add((time or 0.0) - 1.0, TraceKind.CWND_SAMPLE, 0, 0, 1)
     assert trace_lines == want_trace and cwnd_lines == want_cwnd
     alone = []  # no cwnd writer: the same trace lines and nothing else
-    trace = RunTrace(record_writer(alone.append, None, warmup))
+    trace = RunTrace(alone.append, None, warmup)
     for record in records:
         trace.add(*record)
     assert alone == want_trace

@@ -23,7 +23,6 @@ from meshtcp.engine import (  # noqa: E402
     EventQueue,
     RunTrace,
     TraceKind,
-    record_writer,
 )
 from meshtcp.mesh import LinkModel, MeshNetwork, build_chain  # noqa: E402
 from meshtcp.world import MeshWorld  # noqa: E402
@@ -121,7 +120,7 @@ def test_trace_add(benchmark):
 def test_trace_add_streamed(benchmark):
     # every record has the same time object, so its text is reused
     sink = io.StringIO()
-    trace = RunTrace(record_writer(sink.write))
+    trace = RunTrace(sink.write)
     _bench(benchmark, trace.add, 1.0, TraceKind.SEND, 0, 7, "data")
     lines = sink.getvalue().splitlines()
     assert len(trace) == 0 and len(lines) >= ROUNDS * ITERATIONS
@@ -131,7 +130,7 @@ def test_trace_add_streamed(benchmark):
 def test_trace_add_streamed_new_times(benchmark):
     # every record has a new time, so each is formatted
     sink = io.StringIO()
-    trace = RunTrace(record_writer(sink.write))
+    trace = RunTrace(sink.write)
     times = (i * 1e-3 for i in itertools.count(1))
 
     def add():
