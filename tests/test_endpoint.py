@@ -204,7 +204,6 @@ class TestKarnRule:
         with pytest.raises(ContractError, match="RTT sample must be positive"):
             s.on_ack_segment(ack_segment(1), 0.3)
 
-
     @pytest.mark.parametrize("sample", [0.0, -0.25])
     @pytest.mark.parametrize("flavor", list(Flavor))
     def test_non_positive_sample_is_refused_before_cc(self, flavor, sample):
