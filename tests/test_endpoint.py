@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from meshtcp.cc import CcPhase, Flavor
 from meshtcp.endpoint import (
     RECEIVER_WINDOW,
+    Diverged,
     ReceiverEndpoint,
     RttEstimator,
     Segment,
@@ -246,6 +247,49 @@ class TestSenderRto:
         assert s.rto_deadline is None  # nothing sent, so no timer runs
         with pytest.raises(ContractError, match="nothing outstanding"):
             s.on_rto(1.0)
+
+
+class TestSharedFlavors:
+    """A sender carrying several flavors steps them all on each event, and
+    raises ``Diverged`` at the first one where they act differently."""
+
+    @staticmethod
+    def in_recovery(flavors):
+        """A sender whose flavors all entered FRR on the third dupack of
+        ACK 4, with 5 segments in flight: sac's rlp is 5, so its fourth
+        dupack in FRR resends seq 4, where no other flavor's does."""
+        s = make_sender(flavors)
+        s.fill_window(0.0)
+        for ack in range(1, 5):
+            s.on_ack_segment(ack_segment(ack), ack * 0.1)
+        for k in range(3):
+            s.on_ack_segment(ack_segment(4), 0.5 + k * 0.01)
+        assert [cc.phase for cc in (s.cc, *s.shadows)] == [CcPhase.FRR] * 5
+        return s
+
+    def test_agreeing_flavors_all_advance(self):
+        s = self.in_recovery(tuple(Flavor))
+        before = (s.cc, *s.shadows)
+        s.on_ack_segment(ack_segment(4), 0.6)
+        after = (s.cc, *s.shadows)
+        assert s.flavors == tuple(Flavor)
+        assert [new.cwnd - old.cwnd for old, new in zip(before, after)] == [1] * 5
+        assert [new.dupacks - old.dupacks for old, new in zip(before, after)] == [1] * 5
+
+    @pytest.mark.parametrize("sac_at", [0, 2, 4])
+    def test_sac_resend_raises_the_agreeing_groups_and_changes_nothing(self, sac_at):
+        others = [f for f in Flavor if f is not Flavor.SAC]
+        flavors = (*others[:sac_at], Flavor.SAC, *others[sac_at:])
+        s = self.in_recovery(flavors)
+        for k in range(3):
+            s.on_ack_segment(ack_segment(4), 0.6 + k * 0.01)
+        before = (s.cc, s.shadows, s.high_sent, dict(s.send_timestamps), len(s.trace.records))
+        with pytest.raises(Diverged) as raised:
+            s.on_ack_segment(ack_segment(4), 0.7)
+        rest = [i for i in range(5) if i != sac_at]
+        assert raised.value.args == ([rest, [sac_at]] if sac_at else [[0], rest],)
+        after = (s.cc, s.shadows, s.high_sent, dict(s.send_timestamps), len(s.trace.records))
+        assert after == before
 
 
 class TestReceiver:

@@ -8,8 +8,8 @@ from pathlib import Path
 
 from meshtcp.cc import Flavor
 from meshtcp.endpoint import SenderEndpoint
-from meshtcp.engine import run_until
-from meshtcp.mesh import LinkModel, build_chain
+from meshtcp.engine import TraceKind, run_until
+from meshtcp.mesh import ChainTopology, LinkModel, build_chain
 from meshtcp.world import MeshWorld
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -38,6 +38,30 @@ def test_tracer_installs_runs_and_uninstalls(monkeypatch):
         if (site["parent"], site["name"]) == ("world.handle", "endpoint.fill_window")
     ]
     assert from_handle == [1]  # the one app tick starts the sender
+
+
+def test_tracer_counts_originations_and_worlds(monkeypatch):
+    # mesh.forward counts a segment once, where it starts its route, and
+    # every world built runs one app tick
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from tracer import Tracer
+
+    tracer = Tracer()
+    tracer.install()
+    try:
+        worlds = [
+            MeshWorld(ChainTopology(4, LinkModel(loss_rate=1.0)), flavor, seed=3)
+            for flavor in (Flavor.SAC, Flavor.NEWRENO, Flavor.RENO)
+        ]
+        for world in worlds:
+            run_until(world, 3.0)
+    finally:
+        tracer.uninstall()
+    counters, _ = tracer.layers()
+    kinds = [r.kind for world in worlds for r in world.trace.records]
+    assert TraceKind.DROP_WIRELESS in kinds and TraceKind.RETX in kinds
+    assert counters["mesh.forward.calls"] == kinds.count(TraceKind.SEND) + kinds.count(TraceKind.RETX)
+    assert counters["world.events.app_tick"] == len(worlds)
 
 
 def _child(mode, *extra):
