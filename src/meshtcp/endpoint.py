@@ -141,20 +141,19 @@ class SenderEndpoint:
     def _cc_step(self, op, *args) -> tuple[CcVars, list[int]]:
         """``op(cc, *args)``, the shadows taking the same step. If one differs
         in what the sender uses (phase, cwnd, ssthresh, last_ack, the seqs
-        to retransmit), raise ``Diverged`` and change nothing."""
+        to retransmit), raise ``Diverged``, grouped from the same results,
+        and change nothing."""
         cc, retransmit = op(self.cc, *args)
         if self.shadows:
-            seen, states = cc[1:5], []  # phase, cwnd, ssthresh, last_ack
-            for shadow in self.shadows:
-                state, retx = op(shadow, *args)
+            results = [op(shadow, *args) for shadow in self.shadows]
+            seen = cc[1:5]  # phase, cwnd, ssthresh, last_ack
+            for state, retx in results:
                 if retx != retransmit or state[1:5] != seen:
                     groups: dict[tuple, list[int]] = {}
-                    for i, before in enumerate((self.cc, *self.shadows)):
-                        after, retx = op(before, *args)
+                    for i, (after, retx) in enumerate([(cc, retransmit), *results]):
                         groups.setdefault((after[1:5], tuple(retx)), []).append(i)
                     raise Diverged(list(groups.values()))
-                states.append(state)
-            self.shadows = tuple(states)
+            self.shadows = tuple([state for state, _ in results])
         return cc, retransmit
 
     def _set_cc(self, cc: CcVars, now: float) -> None:

@@ -156,9 +156,6 @@ class RunTrace:
             add(*record)
         return "".join(lines)
 
-    def __len__(self) -> int:
-        return len(self.records)
-
     def __iter__(self) -> Iterator[TraceRecord]:
         return iter(self.records)
 

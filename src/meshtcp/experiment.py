@@ -320,7 +320,7 @@ def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
         if point not in points:
             points[point] = summaries = {}  # of each flavor at the point
             for world in _run_worlds(spec, flavors, hops, rate, seed):
-                summary = summarize(world.trace, warmup=spec.warmup_s)
+                summary = summarize(world.trace.records, warmup=spec.warmup_s)
                 summaries.update(dict.fromkeys(world.sender.flavors, summary))
         rows.append(ResultRow(flavor, hops, rate, seed, *points[point][flavor]))
     return rows

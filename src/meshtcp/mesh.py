@@ -160,7 +160,7 @@ class MeshNetwork:
     removes it, raising ``ContractError`` if nothing is in flight.
     """
 
-    __slots__ = ("topology", "events", "trace", "carried", "groups", "_out")
+    __slots__ = ("events", "trace", "carried", "groups", "_data_head", "_ack_head")
 
     def __init__(
         self,
@@ -170,18 +170,15 @@ class MeshNetwork:
         trace: RunTrace,
         seed: int,
     ) -> None:
-        self.topology = topology
         self.events = events
         self.trace = trace
         self.carried = 0
 
         self.groups = [_Group(i) for i in range(topology.n_groups)]
-        # per node: [link toward the lower neighbour, toward the higher one]
-        self._out: list[list[_Link | None]] = [
-            [None, None] for _ in range(topology.n_nodes + 1)
-        ]
         model = topology.link
         rate = model.loss_rate
+        data: list[_Link] = []
+        ack: list[_Link] = []
         for hop in range(1, topology.n_nodes):
             group = self.groups[topology.group_of(hop)]
             scripted = {(seq, nth) for h, seq, nth in topology.drops if h == hop}
@@ -191,10 +188,12 @@ class MeshNetwork:
                 else:
                     name = f"loss/hop{hop}/{'fwd' if forward else 'rev'}"
                     loss = LossProcess(RngStream(seed, name) if rate else None, rate)
-                self._out[hop if forward else hop + 1][forward] = _Link(hop, model, group, loss)
-        for node in range(2, topology.n_nodes):
-            self._out[node - 1][True].next = self._out[node][True]
-            self._out[node + 1][False].next = self._out[node][False]
+                (data if forward else ack).append(_Link(hop, model, group, loss))
+        ack.reverse()  # data crosses hops 1..h, an ACK hops h..1
+        for route in (data, ack):
+            for link, after in zip(route, route[1:]):
+                link.next = after
+        self._data_head, self._ack_head = data[0], ack[0]
 
     def send(self, seg: Segment, now: float) -> None:
         """Originate a segment at the start of its route: record its SEND
@@ -202,7 +201,7 @@ class MeshNetwork:
         kind = _RETX if seg.retx else _SEND
         self.trace.add(now, kind, 0, seg.seq, seg.kind._value_)
         self.carried += 1
-        self.forward(1 if seg.kind is _DATA else self.topology.n_nodes, seg, now)
+        self.forward(seg, now)
 
     def arrive(self, link: _Link | None, seg: Segment, now: float) -> bool:
         """A segment crossed a hop. Queue it on ``link``, its next one, or,
@@ -220,9 +219,10 @@ class MeshNetwork:
         self.trace.add(now, kind, 0, seg.seq, seg.kind._value_)
         self.carried -= 1
 
-    def forward(self, node: int, seg: Segment, now: float) -> None:
-        """Queue a segment at ``node``: data up the chain, an ACK down."""
-        self.enqueue(self._out[node][seg.kind is _DATA], seg, now)
+    def forward(self, seg: Segment, now: float) -> None:
+        """Queue a segment on the first link of its route: data up the
+        chain, an ACK down."""
+        self.enqueue(self._data_head if seg.kind is _DATA else self._ack_head, seg, now)
 
     def enqueue(self, link: _Link, seg: Segment, now: float) -> None:
         """Drop-tail FIFO; the segment being transmitted occupies a slot.

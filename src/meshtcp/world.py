@@ -88,9 +88,7 @@ class MeshWorld:
         elif kind is _TIMER_EXPIRY:
             self._on_timer(time, payload)
         elif kind is _APP_TICK:
-            for seg in self.sender.start(time):
-                self.net.send(seg, time)
-            self._sync_timer()
+            self._send(self.sender.start(time), time)
         else:  # pragma: no cover - enum is closed
             raise ContractError(f"unknown event kind {kind}")
 
@@ -103,7 +101,7 @@ class MeshWorld:
         if deadline is None:
             return  # cancelled since it was queued
         if deadline > time:
-            self._queue_expiry(deadline)  # restarted since it was queued
+            self._send((), time)  # restarted since it was queued
             return
         self._react(time, None)
 
@@ -115,14 +113,25 @@ class MeshWorld:
             out = sender.on_rto(time) if ack is None else sender.on_ack_segment(ack, time)
         except Diverged as exc:
             return self._split(exc.args[0], time, ack)
+        self._send(out, time)
+
+    def _send(self, segs, time: float) -> None:
+        """Put ``segs`` on the network, then queue an expiry unless one is
+        queued at or before the sender's RTO deadline.
+
+        A deadline that moved later is caught up with when the queued
+        expiry fires, so a re-arm on every ACK pushes nothing.
+        """
         send = self.net.send
-        for seg in out:
+        for seg in segs:
             send(seg, time)
-        deadline = sender.rto_deadline  # as _sync_timer, without its frame
+        deadline = self.sender.rto_deadline
         if deadline is not None:
             queued = self._queued_expiry
             if queued is None or deadline < queued[0]:
-                self._queue_expiry(deadline)
+                self._expiry_token = token = self._expiry_token + 1
+                self.events.push(deadline, _TIMER_EXPIRY, token)
+                self._queued_expiry = (deadline, token)
 
     def _split(self, groups: list[list[int]], time: float, ack: Segment | None) -> None:
         """Copy the world, as it is, for every group of agreeing flavors but
@@ -136,20 +145,3 @@ class MeshWorld:
         for world, group in zip((self, *twins), groups):
             world.sender.keep(group)
             world._react(time, ack)
-
-    def _sync_timer(self) -> None:
-        """Queue an expiry unless one is queued at or before the deadline.
-
-        A deadline that moved later is caught up with when the queued
-        expiry fires, so a re-arm on every ACK pushes nothing.
-        """
-        deadline = self.sender.rto_deadline
-        if deadline is not None:
-            queued = self._queued_expiry
-            if queued is None or deadline < queued[0]:
-                self._queue_expiry(deadline)
-
-    def _queue_expiry(self, deadline: float) -> None:
-        self._expiry_token = token = self._expiry_token + 1
-        self.events.push(deadline, _TIMER_EXPIRY, token)
-        self._queued_expiry = (deadline, token)

@@ -54,10 +54,23 @@ def check_window_discipline(trace):
             )
 
 
+def route(head):
+    """The links a segment crosses from ``head`` to the end of its route."""
+    links = []
+    while head is not None:
+        assert head not in links, f"the route crosses hop {head.hop} twice"
+        links.append(head)
+        head = head.next
+    return links
+
+
 def link_of(net, src, dst):
-    """The directed link of ``net`` from node ``src`` to its neighbour ``dst``."""
-    assert abs(dst - src) == 1 and 1 <= min(src, dst) < net.topology.n_nodes
-    return net._out[src][dst > src]
+    """The directed link of ``net`` from node ``src`` to its neighbour ``dst``,
+    found on the route that crosses it."""
+    assert abs(dst - src) == 1
+    links = route(net._data_head if dst > src else net._ack_head)
+    (link,) = [link for link in links if link.hop == min(src, dst)]
+    return link
 
 
 def check_conservation(world, trace):

@@ -213,10 +213,10 @@ class TestKarnRule:
         s.cc = s.cc._replace(phase=CcPhase.CA, cwnd=4, ssthresh=2, ca_accumulator=3)
         s.fill_window(0.0)
         s.send_timestamps[0] = 0.3 - sample
-        before = (s.cc, dict(s.send_timestamps), s.rto_deadline, len(s.trace))
+        before = (s.cc, dict(s.send_timestamps), s.rto_deadline, len(s.trace.records))
         with pytest.raises(ContractError, match=f"RTT sample must be positive, got {sample}"):
             s.on_ack_segment(ack_segment(1), 0.3)
-        assert (s.cc, dict(s.send_timestamps), s.rto_deadline, len(s.trace)) == before
+        assert (s.cc, dict(s.send_timestamps), s.rto_deadline, len(s.trace.records)) == before
         assert not s.rtt_est.has_sample
 
 

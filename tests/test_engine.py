@@ -251,7 +251,7 @@ def test_streaming_trace_matches_per_record_formatting(steps, warmup):
         trace.add(*record)
     assert trace_lines == want_trace
     assert cwnd_lines == want_cwnd
-    assert len(trace) == 0 and list(trace) == []  # a streaming trace keeps none
+    assert trace.records == [] and list(trace) == []  # a streaming trace keeps none
     # a record that goes back in time is refused before anything is written
     with pytest.raises(ContractError, match="non-decreasing"):
         trace.add((time or 0.0) - 1.0, TraceKind.CWND_SAMPLE, 0, 0, 1)
@@ -275,7 +275,7 @@ def _one_hop_world(seed=1):
 def test_run_until_t_end_zero_emits_only_time_zero_records():
     world = _one_hop_world()
     trace = run_until(world, 0.0)
-    assert len(trace) > 0
+    assert len(trace.records) > 0
     assert all(r.time == 0.0 for r in trace)
 
 

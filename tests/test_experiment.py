@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import link_of
+from conftest import link_of, route
 from meshtcp import experiment, mesh
 from meshtcp.cc import Flavor
 from meshtcp.engine import TraceKind, run_until
@@ -205,7 +205,7 @@ class TestRunExperiment:
     def test_each_point_builds_a_chain_the_flow_spans(self):
         spec = load_config(SMALL.replace("hops = 1,2", "hops = 1,2,4"))
         world = build_world(spec, Flavor.SAC, 2, 0.5, 1)
-        assert world.net.topology.n_nodes == 3
+        assert [link.hop for link in route(world.net._data_head)] == [1, 2]
         # data is delivered only at the chain's end
         trace = run_until(world, 1.0)
         assert any(r.kind is TraceKind.DELIVER and r.value == "data" for r in trace)

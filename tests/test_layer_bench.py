@@ -56,7 +56,7 @@ def test_mesh_hop(benchmark):
     link = link_of(net, 1, 2)
 
     def hop():
-        net.forward(1, seg, 0.0)
+        net.forward(seg, 0.0)
         net.on_channel_free(link, 0.00584)
         net.events._heap.clear()
 
@@ -81,13 +81,13 @@ def test_sender_ack(benchmark):
     sender = world.sender
     sender.cc = cc.CcVars(Flavor.NEWRENO, phase=CcPhase.CA, cwnd=20, ssthresh=16)
     sender.fill_window(0.0)
-    world._sync_timer()
+    world._send((), 0.0)
     acks = itertools.count(1)
 
     def ack():
         seq = next(acks)  # each ACK covers one more segment, 1 ms apart
         out = sender.on_ack_segment(Segment(SegmentKind.ACK, seq, 40), seq * 1e-3)
-        world._sync_timer()
+        world._send((), seq * 1e-3)
         return out
 
     out = _bench(benchmark, ack)
@@ -114,7 +114,7 @@ def test_receiver_data(benchmark):
 def test_trace_add(benchmark):
     trace = RunTrace()
     _bench(benchmark, trace.add, 1.0, TraceKind.SEND, 0, 7, "data")
-    assert len(trace) >= ROUNDS * ITERATIONS
+    assert len(trace.records) >= ROUNDS * ITERATIONS
 
 
 def test_trace_add_streamed(benchmark):
@@ -123,7 +123,7 @@ def test_trace_add_streamed(benchmark):
     trace = RunTrace(sink.write)
     _bench(benchmark, trace.add, 1.0, TraceKind.SEND, 0, 7, "data")
     lines = sink.getvalue().splitlines()
-    assert len(trace) == 0 and len(lines) >= ROUNDS * ITERATIONS
+    assert len(trace.records) == 0 and len(lines) >= ROUNDS * ITERATIONS
     assert set(lines) == {"1.000000000\tSEND\t0\t7\tdata"}
 
 

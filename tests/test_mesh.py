@@ -4,6 +4,7 @@ from conftest import (
     check_conservation,
     check_group_exclusivity,
     link_of,
+    route,
 )
 from meshtcp.cc import Flavor
 from meshtcp.endpoint import Segment, SegmentKind
@@ -63,7 +64,7 @@ class TestTransmissionTiming:
     def test_data_segment_timing(self):
         # 1500 bytes at 2 Mb/s is 6 ms on the air, plus 1 ms propagation
         net, events, _ = make_net()
-        net.forward(1, data_seg(0, size=1500), 0.0)
+        net.forward(data_seg(0, size=1500), 0.0)
         fired = {}
         while events:
             t, kind, payload = events.pop()
@@ -73,13 +74,29 @@ class TestTransmissionTiming:
 
     def test_ack_segment_timing(self):
         net, events, _ = make_net()
-        net.forward(2, Segment(SegmentKind.ACK, 1, 40), 0.0)
+        net.forward(Segment(SegmentKind.ACK, 1, 40), 0.0)
         t, kind, _ = events.pop()
         assert kind is EventKind.CHANNEL_FREE
         assert t == pytest.approx(0.00016)
 
 
 class TestRoutes:
+    @pytest.mark.parametrize("n_nodes", [2, 4, 7])
+    def test_each_route_crosses_every_hop_once_from_its_head(self, n_nodes):
+        scripted_hop = n_nodes // 2
+        topo = build_chain(n_nodes, LinkModel(loss_rate=0.5), interference_range=1,
+                           drops=(DropDirective(scripted_hop, 3, 1),))
+        net = MeshNetwork(topo, events=EventQueue(), trace=RunTrace(), seed=1)
+        data, ack = route(net._data_head), route(net._ack_head)
+        hops = list(range(1, n_nodes))
+        assert [link.hop for link in data] == hops
+        assert [link.hop for link in ack] == hops[::-1]
+        assert not set(map(id, data)) & set(map(id, ack))
+        for up, down in zip(data, reversed(ack)):
+            assert up.group is down.group is net.groups[topo.group_of(up.hop)]
+            assert isinstance(down.loss, LossProcess)
+            assert isinstance(up.loss, ScriptedDrops if up.hop == scripted_hop else LossProcess)
+
     def test_arrival_forwards_until_the_end_of_the_route(self):
         # data runs up the chain and ends at the last node; an ACK runs
         # down and ends at node 1
@@ -89,11 +106,6 @@ class TestRoutes:
         net.send(ack, 0.0)
         assert list(link_of(net, 1, 2).queue) == [data]
         assert list(link_of(net, 4, 3).queue) == [ack]
-        # each link names the one after it, and the last one none
-        assert link_of(net, 1, 2).next is link_of(net, 2, 3)
-        assert link_of(net, 3, 4).next is None
-        assert link_of(net, 4, 3).next is link_of(net, 3, 2)
-        assert link_of(net, 2, 1).next is None
         assert not net.arrive(link_of(net, 1, 2).next, data, 0.01)
         assert list(link_of(net, 2, 3).queue) == [data]
         assert not net.arrive(link_of(net, 4, 3).next, ack, 0.01)

@@ -9,7 +9,7 @@ from conftest import (
     check_group_exclusivity,
     check_phase_edges,
     check_window_discipline,
-    link_of,
+    route,
 )
 from meshtcp.cc import Flavor
 from meshtcp.endpoint import SenderEndpoint
@@ -190,17 +190,14 @@ def test_link_is_idle_exactly_when_its_queue_is_empty(monkeypatch):
         nonlocal waited
         handle(self, time, kind, payload)
         net = self.net
-        for hop in range(1, net.topology.n_nodes):
-            for src, dst in ((hop, hop + 1), (hop + 1, hop)):
-                link = link_of(net, src, dst)
-                sending = link.group.busy_link is link
-                waiting = sum(other is link for other in link.group.fifo)
-                waited += waiting
-                expected = 1 if link.queue else 0
-                assert sending + waiting == expected, (
-                    f"hop {link.hop} to node {dst} at t={time}: "
-                    f"{len(link.queue)} queued, {sending=} {waiting=}"
-                )
+        for link in (*route(net._data_head), *route(net._ack_head)):
+            sending = link.group.busy_link is link
+            waiting = sum(other is link for other in link.group.fifo)
+            waited += waiting
+            expected = 1 if link.queue else 0
+            assert sending + waiting == expected, (
+                f"hop {link.hop} at t={time}: {len(link.queue)} queued, {sending=} {waiting=}"
+            )
 
     monkeypatch.setattr(MeshWorld, "handle", checked_handle)
     rng = random.Random(0x11E)
