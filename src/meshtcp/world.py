@@ -101,7 +101,7 @@ class MeshWorld:
         if deadline is None:
             return  # cancelled since it was queued
         if deadline > time:
-            self._send((), time)  # restarted since it was queued
+            self._send([], time)  # restarted since it was queued
             return
         self._react(time, None)
 
@@ -115,7 +115,7 @@ class MeshWorld:
             return self._split(exc.args[0], time, ack)
         self._send(out, time)
 
-    def _send(self, segs, time: float) -> None:
+    def _send(self, segs: list[Segment], time: float) -> None:
         """Put ``segs`` on the network, then queue an expiry unless one is
         queued at or before the sender's RTO deadline.
 

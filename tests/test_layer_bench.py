@@ -81,13 +81,13 @@ def test_sender_ack(benchmark):
     sender = world.sender
     sender.cc = cc.CcVars(Flavor.NEWRENO, phase=CcPhase.CA, cwnd=20, ssthresh=16)
     sender.fill_window(0.0)
-    world._send((), 0.0)
+    world._send([], 0.0)
     acks = itertools.count(1)
 
     def ack():
         seq = next(acks)  # each ACK covers one more segment, 1 ms apart
         out = sender.on_ack_segment(Segment(SegmentKind.ACK, seq, 40), seq * 1e-3)
-        world._send((), seq * 1e-3)
+        world._send([], seq * 1e-3)
         return out
 
     out = _bench(benchmark, ack)
