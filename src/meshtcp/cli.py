@@ -23,6 +23,7 @@ from .engine import RunTrace
 from .errors import ConfigError, ContractError, MetricUndefinedError
 from .experiment import (
     ExperimentSpec,
+    _cell,
     emit_csv,
     load_config,
     number,
@@ -189,12 +190,12 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         "throughput_delta,baseline_rto_count,candidate_rto_count,rto_count_delta"
     ]
     for base, cand in pairs:
-        lines.append(
-            f"{base.hops},{base.loss_rate:.6f},{base.seed},"
-            f"{base.throughput:.6f},{cand.throughput:.6f},"
-            f"{cand.throughput - base.throughput:.6f},"
-            f"{base.rto_count},{cand.rto_count},{cand.rto_count - base.rto_count}"
+        cells = (
+            base.hops, base.loss_rate, base.seed,
+            base.throughput, cand.throughput, cand.throughput - base.throughput,
+            base.rto_count, cand.rto_count, cand.rto_count - base.rto_count,
         )
+        lines.append(",".join(map(_cell, cells)))
     tp_delta = mean(cand.throughput - base.throughput for base, cand in pairs)
     rto_delta = mean(cand.rto_count - base.rto_count for base, cand in pairs)
     verdict_ok = tp_delta >= 0  # candidate mean throughput >= baseline mean

@@ -7,7 +7,7 @@ import heapq
 import math
 import random
 from enum import Enum
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, NamedTuple
 
 from .errors import ContractError
 
@@ -50,9 +50,6 @@ class EventQueue:
         time, _, kind, payload = heapq.heappop(self._heap)
         self._watermark = time
         return time, kind, payload
-
-    def __len__(self) -> int:
-        return len(self._heap)
 
 
 class TraceKind(Enum):
@@ -155,9 +152,6 @@ class RunTrace:
         for record in self.records:
             add(*record)
         return "".join(lines)
-
-    def __iter__(self) -> Iterator[TraceRecord]:
-        return iter(self.records)
 
 
 class RngStream:

@@ -65,9 +65,6 @@ class ChainTopology(NamedTuple):
         return self.group_of(self.n_nodes - 1) + 1
 
 
-build_chain = ChainTopology
-
-
 class LossProcess:
     """Poisson loss instants with exponentially distributed gaps.
 

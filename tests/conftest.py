@@ -22,7 +22,7 @@ TERMINAL_KINDS = (TraceKind.DELIVER, TraceKind.DROP_WIRELESS, TraceKind.DROP_QUE
 def check_phase_edges(trace):
     """Every recorded phase transition must be a legal edge from SS."""
     phase = "SS"
-    for r in trace:
+    for r in trace.records:
         if r.kind is TraceKind.PHASE_CHANGE:
             assert (phase, r.value) in LEGAL_PHASE_EDGES, (
                 f"illegal phase edge {phase}->{r.value} at t={r.time}"
@@ -31,7 +31,7 @@ def check_phase_edges(trace):
 
 
 def check_cwnd_positive(trace):
-    for r in trace:
+    for r in trace.records:
         if r.kind is TraceKind.CWND_SAMPLE:
             assert r.value >= 1, f"cwnd {r.value} below 1 at t={r.time}"
 
@@ -41,7 +41,7 @@ def check_window_discipline(trace):
     that was in force at that instant."""
     cwnd = 1
     last_ack = 0
-    for r in trace:
+    for r in trace.records:
         if r.kind is TraceKind.CWND_SAMPLE:
             cwnd = r.value
         elif r.kind is TraceKind.DELIVER and r.value == "ack":
@@ -76,7 +76,7 @@ def link_of(net, src, dst):
 def check_conservation(world, trace):
     """Originated segments = terminal records + still-in-flight count."""
     sends = terminal = 0
-    for r in trace:
+    for r in trace.records:
         if r.kind in (TraceKind.SEND, TraceKind.RETX):
             sends += 1
         elif r.kind in TERMINAL_KINDS:

@@ -21,7 +21,7 @@ from meshtcp.cc import Flavor
 from meshtcp.cli import main
 from meshtcp.engine import RngStream, RunTrace, TraceKind, run_until
 from meshtcp.experiment import emit_csv, load_config, run_experiment, run_single
-from meshtcp.mesh import LinkModel, LossProcess, build_chain
+from meshtcp.mesh import ChainTopology, LinkModel, LossProcess
 from meshtcp.metrics import summarize
 from meshtcp.world import MeshWorld
 
@@ -32,21 +32,21 @@ SEEDS_20 = ",".join(str(s) for s in range(1, 21))
 def run_summarized(spec, flavor, hops, loss_rate, seed):
     """One sweep point's trace and its summary, as run_experiment makes them."""
     trace = run_single(spec, flavor, hops, loss_rate, seed)
-    return trace, summarize(trace, warmup=spec.warmup_s)
+    return trace, summarize(trace.records, warmup=spec.warmup_s)
 
 
 def cwnd_samples(trace):
-    return [(r.value, r.seq) for r in trace if r.kind is TraceKind.CWND_SAMPLE]
+    return [(r.value, r.seq) for r in trace.records if r.kind is TraceKind.CWND_SAMPLE]
 
 
 def phase_changes(trace):
-    return [(r.time, r.value) for r in trace if r.kind is TraceKind.PHASE_CHANGE]
+    return [(r.time, r.value) for r in trace.records if r.kind is TraceKind.PHASE_CHANGE]
 
 
 def data_retx(trace, seq=None):
     return [
         r
-        for r in trace
+        for r in trace.records
         if r.kind is TraceKind.RETX and r.value == "data"
         and (seq is None or r.seq == seq)
     ]
@@ -112,7 +112,7 @@ def test_a2_sac_retransmission_loss_scenario():
 
     sends_before_entry = [
         r.seq
-        for r in sac_trace
+        for r in sac_trace.records
         if r.kind is TraceKind.SEND and r.value == "data" and r.time < t_entry
     ]
     rlp = max(sends_before_entry) + 1 - 10  # flight at FRR entry
@@ -120,7 +120,7 @@ def test_a2_sac_retransmission_loss_scenario():
 
     dupacks_between = [
         r
-        for r in sac_trace
+        for r in sac_trace.records
         if r.kind is TraceKind.DELIVER and r.value == "ack" and r.seq == 10
         and t_entry < r.time <= t_fire
     ]
@@ -129,7 +129,7 @@ def test_a2_sac_retransmission_loss_scenario():
     exit_time = next(t for t, p in phase_changes(sac_trace) if p == "CA" and t > t_entry)
     episode_records = [
         (r.value, r.seq)
-        for r in sac_trace
+        for r in sac_trace.records
         if r.kind is TraceKind.CWND_SAMPLE and t_entry <= r.time <= exit_time
     ]
     assert all(ssthresh == 5 for _, ssthresh in episode_records)
@@ -322,7 +322,7 @@ def test_a9_metric_oracles():
     for k in range(99):
         tr.add(1.0 + k * 0.05, TraceKind.SEND, 0, k, "data")
     tr.add(11.0, TraceKind.SEND, 0, 99, "data")
-    assert summarize(tr).throughput == 10.0
+    assert summarize(tr.records).throughput == 10.0
 
     tr2 = RunTrace()
     tr2.add(1.0, TraceKind.SEND, 0, 0, "data")
@@ -331,13 +331,13 @@ def test_a9_metric_oracles():
         tr2.add(2.0 + k * 0.01, TraceKind.DELIVER, 0, k, "data")
     for k in range(5):
         tr2.add(3.0 + k * 0.01, TraceKind.RETX, 0, k, "data")
-    assert summarize(tr2).plr == 0.05
+    assert summarize(tr2.records).plr == 0.05
 
     tr3 = RunTrace()
     tr3.add(1.0, TraceKind.SEND, 0, 7, "data")
     tr3.add(2.0, TraceKind.RETX, 0, 7, "data")
     tr3.add(2.007, TraceKind.DELIVER, 0, 7, "data")
-    assert abs(summarize(tr3).mean_delay - 1.007) < 1e-12
+    assert abs(summarize(tr3.records).mean_delay - 1.007) < 1e-12
     print("[A9] metric formula oracles: PASS")
 
 
@@ -349,7 +349,7 @@ def test_a10_invariant_fuzz(transmissions):
         rate = rng.choice([0.0, 0.3, 1.0, 2.0])
         seed = rng.getrandbits(64)
         queue = rng.choice([5, 20, 50])
-        topo = build_chain(hops + 1, LinkModel(loss_rate=rate, queue_capacity=queue))
+        topo = ChainTopology(hops + 1, LinkModel(loss_rate=rate, queue_capacity=queue))
         world = MeshWorld(topo, flavor, seed=seed)
         trace = run_until(world, 3.0)
         check_conservation(world, trace)

@@ -104,7 +104,7 @@ class TestSenderRecordsItsWindow:
     def test_start_records_the_initial_sample_before_sending(self):
         s = make_sender()
         segs = s.start(0.0)
-        assert list(s.trace) == [(0.0, TraceKind.CWND_SAMPLE, 0, s.cc.ssthresh, 1)]
+        assert s.trace.records == [(0.0, TraceKind.CWND_SAMPLE, 0, s.cc.ssthresh, 1)]
         assert [g.seq for g in segs] == [0]
 
     def test_third_dupack_records_the_window_then_the_phase(self):
@@ -113,9 +113,9 @@ class TestSenderRecordsItsWindow:
         s.fill_window(0.0)
         for k in range(2):
             s.on_ack_segment(ack_segment(0), 0.1 + k * 0.01)
-        assert list(s.trace) == []  # nothing changed
+        assert s.trace.records == []  # nothing changed
         s.on_ack_segment(ack_segment(0), 0.12)
-        assert list(s.trace) == [
+        assert s.trace.records == [
             (0.12, TraceKind.CWND_SAMPLE, 0, s.cc.ssthresh, s.cc.cwnd),
             (0.12, TraceKind.PHASE_CHANGE, 0, 0, "FRR"),
         ]
@@ -232,7 +232,7 @@ class TestSenderRto:
         assert s.cc.phase is CcPhase.SS
         assert [g.seq for g in out] == [0]
         assert out[0].retx
-        assert any(r.kind is TraceKind.RTO for r in s.trace)
+        assert any(r.kind is TraceKind.RTO for r in s.trace.records)
 
     def test_two_rtos_double_twice(self):
         s = make_sender()

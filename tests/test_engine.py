@@ -20,7 +20,7 @@ from meshtcp.engine import (
     run_until,
 )
 from meshtcp.errors import ContractError
-from meshtcp.mesh import LinkModel, build_chain
+from meshtcp.mesh import ChainTopology, LinkModel
 from meshtcp.world import MeshWorld
 
 
@@ -28,7 +28,8 @@ def test_queue_singleton_dequeues():
     q = EventQueue()
     q.push(1.0, EventKind.APP_TICK, "a")
     assert q.pop() == (1.0, EventKind.APP_TICK, "a")
-    assert not q
+    with pytest.raises(IndexError):
+        q.pop()
 
 
 def test_queue_simultaneous_events_keep_insertion_order():
@@ -164,8 +165,8 @@ def test_trace_copy_keeps_its_records_apart():
     trace.add(0.5, TraceKind.SEND, 0, 0, "data")
     twin = copy.deepcopy(trace)
     twin.add(1.0, TraceKind.SEND, 0, 1, "data")
-    assert [r.seq for r in trace] == [0]
-    assert [r.seq for r in twin] == [0, 1]
+    assert [r.seq for r in trace.records] == [0]
+    assert [r.seq for r in twin.records] == [0, 1]
     with pytest.raises(ContractError):
         twin.add(0.75, TraceKind.SEND, 0, 2, "data")
 
@@ -251,7 +252,7 @@ def test_streaming_trace_matches_per_record_formatting(steps, warmup):
         trace.add(*record)
     assert trace_lines == want_trace
     assert cwnd_lines == want_cwnd
-    assert trace.records == [] and list(trace) == []  # a streaming trace keeps none
+    assert trace.records == []  # a streaming trace keeps none
     # a record that goes back in time is refused before anything is written
     with pytest.raises(ContractError, match="non-decreasing"):
         trace.add((time or 0.0) - 1.0, TraceKind.CWND_SAMPLE, 0, 0, 1)
@@ -268,7 +269,7 @@ def test_streaming_trace_matches_per_record_formatting(steps, warmup):
 
 
 def _one_hop_world(seed=1):
-    topo = build_chain(2, LinkModel())
+    topo = ChainTopology(2, LinkModel())
     return MeshWorld(topo, Flavor.NEWRENO, seed=seed)
 
 
@@ -276,7 +277,7 @@ def test_run_until_t_end_zero_emits_only_time_zero_records():
     world = _one_hop_world()
     trace = run_until(world, 0.0)
     assert len(trace.records) > 0
-    assert all(r.time == 0.0 for r in trace)
+    assert all(r.time == 0.0 for r in trace.records)
 
 
 def test_run_until_is_deterministic():
@@ -289,7 +290,7 @@ def test_run_until_is_deterministic():
 
 def test_trace_times_never_exceed_t_end():
     trace = run_until(_one_hop_world(), 1.5)
-    assert max(r.time for r in trace) <= 1.5
+    assert max(r.time for r in trace.records) <= 1.5
 
 
 class _PastPushingWorld:

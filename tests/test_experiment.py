@@ -200,7 +200,7 @@ class TestRunExperiment:
             f"app_limit = 3\nscripted_drops = 1:0:1\n{bound}\n"
         )
         trace = run_single(spec, *spec.combinations()[0])
-        assert [(r.time, r.value) for r in trace if r.kind is TraceKind.RTO] == rtos
+        assert [(r.time, r.value) for r in trace.records if r.kind is TraceKind.RTO] == rtos
 
     def test_each_point_builds_a_chain_the_flow_spans(self):
         spec = load_config(SMALL.replace("hops = 1,2", "hops = 1,2,4"))
@@ -208,13 +208,13 @@ class TestRunExperiment:
         assert [link.hop for link in route(world.net._data_head)] == [1, 2]
         # data is delivered only at the chain's end
         trace = run_until(world, 1.0)
-        assert any(r.kind is TraceKind.DELIVER and r.value == "data" for r in trace)
+        assert any(r.kind is TraceKind.DELIVER and r.value == "data" for r in trace.records)
 
 
 def point_by_point(spec):
     """The sweep's rows, each from its own run."""
     return [
-        ResultRow(*point, *summarize(run_single(spec, *point), warmup=spec.warmup_s))
+        ResultRow(*point, *summarize(run_single(spec, *point).records, warmup=spec.warmup_s))
         for point in spec.combinations()
     ]
 
@@ -246,11 +246,11 @@ class TestSeedFreePoints:
         traces, worlds = {}, 0
         for world in experiment._run_worlds(spec, tuple(Flavor), *point):
             worlds += 1
-            traces.update(dict.fromkeys(world.sender.flavors, list(world.trace)))
+            traces.update(dict.fromkeys(world.sender.flavors, world.trace.records))
         assert worlds > 1
         assert set(traces) == set(Flavor)
         for flavor in Flavor:
-            assert traces[flavor] == list(run_single(spec, flavor, *point)), flavor
+            assert traces[flavor] == run_single(spec, flavor, *point).records, flavor
 
     def test_an_error_in_a_shared_world_names_every_flavor_it_carries(self, monkeypatch):
         # retiring each delivery twice fails on the first one, before any split
@@ -282,7 +282,7 @@ class TestSeedFreePoints:
             load_config(scripted_cfg, {"loss_rates": "0.5"})
         for spec in (lossless, load_config(scripted_cfg)):
             trace = run_single(spec, Flavor.SAC, 1, spec.loss_rates[0], 1)
-            assert any(r.kind is TraceKind.DELIVER for r in trace)
+            assert any(r.kind is TraceKind.DELIVER for r in trace.records)
         with pytest.raises(AssertionError, match="loss stream"):
             build_world(load_config(SMALL), Flavor.SAC, 1, 0.5, 1)
 

@@ -24,7 +24,7 @@ from meshtcp.engine import (  # noqa: E402
     RunTrace,
     TraceKind,
 )
-from meshtcp.mesh import LinkModel, MeshNetwork, build_chain  # noqa: E402
+from meshtcp.mesh import ChainTopology, LinkModel, MeshNetwork  # noqa: E402
 from meshtcp.world import MeshWorld  # noqa: E402
 
 ROUNDS = 200
@@ -45,12 +45,12 @@ def test_engine_push_and_pop(benchmark):
         return queue.pop()
 
     assert _bench(benchmark, push_pop) == (0.0, EventKind.CHANNEL_FREE, None)
-    assert len(queue) == 64
+    assert len(queue._heap) == 64
 
 
 def test_mesh_hop(benchmark):
     net = MeshNetwork(
-        build_chain(3, LinkModel()), events=EventQueue(), trace=RunTrace(), seed=1
+        ChainTopology(3, LinkModel()), events=EventQueue(), trace=RunTrace(), seed=1
     )
     seg = Segment(SegmentKind.DATA, 0, 1460)
     link = link_of(net, 1, 2)
@@ -77,7 +77,7 @@ def test_cc_dupack(benchmark):
 
 
 def test_sender_ack(benchmark):
-    world = MeshWorld(build_chain(2, LinkModel()), Flavor.NEWRENO, seed=1)
+    world = MeshWorld(ChainTopology(2, LinkModel()), Flavor.NEWRENO, seed=1)
     sender = world.sender
     sender.cc = cc.CcVars(Flavor.NEWRENO, phase=CcPhase.CA, cwnd=20, ssthresh=16)
     sender.fill_window(0.0)

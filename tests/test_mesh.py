@@ -18,12 +18,12 @@ from meshtcp.engine import (
 )
 from meshtcp.errors import ContractError
 from meshtcp.mesh import (
+    ChainTopology,
     DropDirective,
     LinkModel,
     LossProcess,
     MeshNetwork,
     ScriptedDrops,
-    build_chain,
 )
 from meshtcp.world import MeshWorld
 
@@ -33,7 +33,7 @@ def data_seg(seq, size=1460):
 
 
 def make_net(n_nodes=2, seed=1, **link_kwargs):
-    topo = build_chain(n_nodes, LinkModel(**link_kwargs))
+    topo = ChainTopology(n_nodes, LinkModel(**link_kwargs))
     events = EventQueue()
     trace = RunTrace()
     net = MeshNetwork(topo, events=events, trace=trace, seed=seed)
@@ -42,21 +42,21 @@ def make_net(n_nodes=2, seed=1, **link_kwargs):
 
 class TestBuildChain:
     def test_five_nodes_four_hops(self):
-        topo = build_chain(5, LinkModel())
+        topo = ChainTopology(5, LinkModel())
         assert topo.n_nodes == 5
         assert topo.link == LinkModel()
 
     def test_minimal_chain_single_group(self):
-        topo = build_chain(2, LinkModel())
+        topo = ChainTopology(2, LinkModel())
         assert topo.n_nodes == 2
         assert topo.n_groups == 1
 
     def test_interference_partition_range_two(self):
-        topo = build_chain(8, LinkModel(), interference_range=2)
+        topo = ChainTopology(8, LinkModel(), interference_range=2)
         assert [topo.group_of(h) for h in range(1, 8)] == [0, 0, 0, 1, 1, 1, 2]
 
     def test_interference_partition_range_zero(self):
-        topo = build_chain(4, LinkModel(), interference_range=0)
+        topo = ChainTopology(4, LinkModel(), interference_range=0)
         assert [topo.group_of(h) for h in range(1, 4)] == [0, 1, 2]
 
 
@@ -66,7 +66,7 @@ class TestTransmissionTiming:
         net, events, _ = make_net()
         net.forward(data_seg(0, size=1500), 0.0)
         fired = {}
-        while events:
+        while events._heap:
             t, kind, payload = events.pop()
             fired[kind] = t
         assert fired[EventKind.CHANNEL_FREE] == pytest.approx(0.006)
@@ -84,7 +84,7 @@ class TestRoutes:
     @pytest.mark.parametrize("n_nodes", [2, 4, 7])
     def test_each_route_crosses_every_hop_once_from_its_head(self, n_nodes):
         scripted_hop = n_nodes // 2
-        topo = build_chain(n_nodes, LinkModel(loss_rate=0.5), interference_range=1,
+        topo = ChainTopology(n_nodes, LinkModel(loss_rate=0.5), interference_range=1,
                            drops=(DropDirective(scripted_hop, 3, 1),))
         net = MeshNetwork(topo, events=EventQueue(), trace=RunTrace(), seed=1)
         data, ack = route(net._data_head), route(net._ack_head)
@@ -113,13 +113,13 @@ class TestRoutes:
         assert not link_of(net, 2, 1).queue and not link_of(net, 3, 4).queue
         assert net.arrive(link_of(net, 3, 4).next, data, 0.02)
         assert net.arrive(link_of(net, 2, 1).next, ack, 0.02)
-        delivered = [(r.seq, r.value) for r in trace if r.kind is TraceKind.DELIVER]
+        delivered = [(r.seq, r.value) for r in trace.records if r.kind is TraceKind.DELIVER]
         assert delivered == [(0, "data"), (1, "ack")]
         assert net.carried == 0
 
 
 def queue_drops(trace):
-    return [r.seq for r in trace if r.kind is TraceKind.DROP_QUEUE]
+    return [r.seq for r in trace.records if r.kind is TraceKind.DROP_QUEUE]
 
 
 class TestQueueing:
@@ -156,7 +156,7 @@ class TestChannelArbitration:
         net.enqueue(link_of(net, 1, 2), data_seg(0), 0.0)
         net.enqueue(link_of(net, 2, 3), data_seg(1), 0.0)
         assert len(log) == 1  # second transmission not started yet
-        while events:
+        while events._heap:
             t, kind, payload = events.pop()
             if kind is EventKind.CHANNEL_FREE:
                 net.on_channel_free(payload, t)
@@ -229,30 +229,30 @@ class TestScriptedDrops:
     def test_each_drop_stays_on_its_hop(self, transmissions):
         # one group per hop: hop 2 is group 1, and its data link alone
         # loses seq 10's first transmission
-        topo = build_chain(4, LinkModel(), interference_range=0, drops=(DropDirective(2, 10, 1),))
+        topo = ChainTopology(4, LinkModel(), interference_range=0, drops=(DropDirective(2, 10, 1),))
         world = MeshWorld(topo, Flavor.NEWRENO, seed=1)
         trace = run_until(world, 5.0)
-        drops = [r for r in trace if r.kind is TraceKind.DROP_WIRELESS]
+        drops = [r for r in trace.records if r.kind is TraceKind.DROP_WIRELESS]
         assert [(r.seq, r.value) for r in drops] == [(10, "data")]
         group1_starts = {start for group, start, _ in transmissions[world.net] if group == 1}
         assert drops[0].time in group1_starts
 
     def test_acks_are_never_dropped(self):
         drops = tuple(DropDirective(1, s, 1) for s in range(1, 31))
-        world = MeshWorld(build_chain(2, LinkModel(), drops=drops), Flavor.SACK, seed=1)
+        world = MeshWorld(ChainTopology(2, LinkModel(), drops=drops), Flavor.SACK, seed=1)
         trace = run_until(world, 5.0)
-        dropped = [r.value for r in trace if r.kind is TraceKind.DROP_WIRELESS]
+        dropped = [r.value for r in trace.records if r.kind is TraceKind.DROP_WIRELESS]
         assert dropped and set(dropped) == {"data"}
 
 
 class TestIntegratedRuns:
     def test_lossless_run_delivers_everything(self):
-        topo = build_chain(3, LinkModel(queue_capacity=500))
+        topo = ChainTopology(3, LinkModel(queue_capacity=500))
         world = MeshWorld(topo, Flavor.NEWRENO, seed=3, app_limit=200)
         trace = run_until(world, 30.0)
         delivered = {
             r.seq
-            for r in trace
+            for r in trace.records
             if r.kind is TraceKind.DELIVER and r.value == "data"
         }
         assert delivered == set(range(200))
@@ -260,18 +260,18 @@ class TestIntegratedRuns:
         check_conservation(world, trace)
 
     def test_data_fifo_order_without_loss(self):
-        topo = build_chain(2, LinkModel())
+        topo = ChainTopology(2, LinkModel())
         world = MeshWorld(topo, Flavor.RENO, seed=3, app_limit=100)
         trace = run_until(world, 30.0)
         seqs = [
-            r.seq for r in trace if r.kind is TraceKind.DELIVER and r.value == "data"
+            r.seq for r in trace.records if r.kind is TraceKind.DELIVER and r.value == "data"
         ]
         assert seqs == sorted(seqs)
 
     def test_group_exclusivity_and_conservation_lossy(self, transmissions):
-        topo = build_chain(5, LinkModel(loss_rate=1.0))
+        topo = ChainTopology(5, LinkModel(loss_rate=1.0))
         world = MeshWorld(topo, Flavor.SAC, seed=11)
         trace = run_until(world, 10.0)
-        assert any(r.kind is TraceKind.DROP_WIRELESS for r in trace)
+        assert any(r.kind is TraceKind.DROP_WIRELESS for r in trace.records)
         check_group_exclusivity(transmissions[world.net])
         check_conservation(world, trace)

@@ -6,16 +6,17 @@ from hypothesis import strategies as st
 
 from meshtcp.cc import Flavor
 from meshtcp.engine import RunTrace, TraceKind, TraceRecord, run_until
-from meshtcp.mesh import LinkModel, build_chain
+from meshtcp.mesh import ChainTopology, LinkModel
 from meshtcp.metrics import summarize
 from meshtcp.world import MeshWorld
 
 
 def trace_of(records):
+    """The records a kept trace holds after adding ``records`` in order."""
     t = RunTrace()
     for time, kind, seq, value in records:
         t.add(time, kind, 0, seq, value)
-    return t
+    return t.records
 
 
 def test_throughput_formula_hundred_sends():
@@ -109,21 +110,21 @@ def test_mean_delay_sums_left_to_right_in_delivery_order():
 
 
 def test_summarize_lossless_run():
-    topo = build_chain(2, LinkModel())
+    topo = ChainTopology(2, LinkModel())
     world = MeshWorld(topo, Flavor.NEWRENO, seed=1, app_limit=50)
     trace = run_until(world, 10.0)
-    s = summarize(trace)
+    s = summarize(trace.records)
     assert s.plr == 0.0
     assert s.rto_count == 0
     assert s.retransmit_count == 0
     assert s.delivered_count == 50
-    first = next(r for r in trace if r.kind is TraceKind.CWND_SAMPLE)
+    first = next(r for r in trace.records if r.kind is TraceKind.CWND_SAMPLE)
     assert (first.time, first.value) == (0.0, 1)
     assert s.goodput <= s.throughput
 
 
 def test_summarize_empty_trace_marks_unavailable():
-    s = summarize(RunTrace())
+    s = summarize(RunTrace().records)
     assert s.throughput is None
     assert s.goodput is None
     assert s.plr is None
@@ -132,12 +133,12 @@ def test_summarize_empty_trace_marks_unavailable():
 
 
 def test_plr_matches_independent_recount():
-    topo = build_chain(3, LinkModel(loss_rate=1.0))
+    topo = ChainTopology(3, LinkModel(loss_rate=1.0))
     world = MeshWorld(topo, Flavor.RENO, seed=5)
     trace = run_until(world, 20.0)
-    s = summarize(trace)
+    s = summarize(trace.records)
     retx = deliver = 0
-    for r in trace:
+    for r in trace.records:
         if r.value != "data":
             continue
         if r.kind is TraceKind.RETX:
@@ -182,10 +183,10 @@ def test_warmup_goodput_never_exceeds_throughput():
     for _ in range(30):
         flavor, hops = rng.choice(list(Flavor)), rng.randint(1, 4)
         link = LinkModel(loss_rate=rng.uniform(0.0, 3.0), queue_capacity=rng.choice([5, 20, 50]))
-        topo = build_chain(hops + 1, link, interference_range=rng.randint(0, 3))
+        topo = ChainTopology(hops + 1, link, interference_range=rng.randint(0, 3))
         app_limit = rng.choice([None, 200, 500])
         world = MeshWorld(topo, flavor, seed=rng.getrandbits(64), app_limit=app_limit)
-        s = summarize(run_until(world, 10.0), warmup=rng.uniform(1.0, 5.0))
+        s = summarize(run_until(world, 10.0).records, warmup=rng.uniform(1.0, 5.0))
         if s.goodput is not None:
             assert s.goodput <= s.throughput, (flavor, hops, link, app_limit)
         assert s.mean_delay is None or s.mean_delay >= 0
@@ -252,7 +253,7 @@ def test_summarize_matches_recount(raw, warmup):
     trace = RunTrace()
     for time, kind, flow, seq, value in sorted(raw, key=lambda r: r[0]):
         trace.add(time, kind, flow, seq, value)
-    got = summarize(trace, warmup=warmup)
+    got = summarize(trace.records, warmup=warmup)
     want = _recount(trace.records, warmup)
     for name, value in want.items():
         if name == "mean_delay" and value is not None:

@@ -9,7 +9,7 @@ from pathlib import Path
 from meshtcp.cc import Flavor
 from meshtcp.endpoint import SenderEndpoint
 from meshtcp.engine import TraceKind, run_until
-from meshtcp.mesh import ChainTopology, LinkModel, build_chain
+from meshtcp.mesh import ChainTopology, LinkModel
 from meshtcp.world import MeshWorld
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -24,7 +24,7 @@ def test_tracer_installs_runs_and_uninstalls(monkeypatch):
     tracer = Tracer()
     tracer.install()
     try:
-        world = MeshWorld(build_chain(3, LinkModel()), Flavor.SAC, seed=1)
+        world = MeshWorld(ChainTopology(3, LinkModel()), Flavor.SAC, seed=1)
         run_until(world, 1.0)
     finally:
         tracer.uninstall()

@@ -14,24 +14,24 @@ from conftest import (
 from meshtcp.cc import Flavor
 from meshtcp.endpoint import SenderEndpoint
 from meshtcp.engine import EventKind, TraceKind, run_until
-from meshtcp.mesh import DropDirective, LinkModel, build_chain
+from meshtcp.mesh import ChainTopology, DropDirective, LinkModel
 from meshtcp.metrics import summarize
 from meshtcp.world import MeshWorld
 
 
 def run_world(flavor, hops=1, seed=1, duration=5.0, link=None, drops=(),
               app_limit=None):
-    topo = build_chain(hops + 1, link or LinkModel(), drops=drops)
+    topo = ChainTopology(hops + 1, link or LinkModel(), drops=drops)
     world = MeshWorld(topo, flavor, seed=seed, app_limit=app_limit)
     return world, run_until(world, duration)
 
 
 def test_lossless_run_clean_metrics():
     _, trace = run_world(Flavor.NEWRENO, app_limit=100, duration=10.0)
-    s = summarize(trace)
+    s = summarize(trace.records)
     assert s.plr == 0.0
     assert s.rto_count == 0
-    first = next(r for r in trace if r.kind is TraceKind.CWND_SAMPLE)
+    first = next(r for r in trace.records if r.kind is TraceKind.CWND_SAMPLE)
     assert (first.time, first.value) == (0.0, 1)
 
 
@@ -39,8 +39,8 @@ def test_double_drop_script_newreno_times_out_sac_does_not():
     script = (DropDirective(1, 10, 1), DropDirective(1, 10, 2))
     _, nr_trace = run_world(Flavor.NEWRENO, duration=5.0, drops=script)
     _, sac_trace = run_world(Flavor.SAC, duration=5.0, drops=script)
-    assert summarize(nr_trace).rto_count >= 1
-    assert summarize(sac_trace).rto_count == 0
+    assert summarize(nr_trace.records).rto_count >= 1
+    assert summarize(sac_trace.records).rto_count == 0
 
 
 def test_invariants_on_lossy_runs(transmissions):
@@ -63,11 +63,11 @@ def test_one_ack_per_delivered_data_segment():
         _, trace = run_world(Flavor.SACK, hops=2, seed=2,
                              duration=5.0, link=LinkModel(loss_rate=rate))
         data_delivered = sum(
-            1 for r in trace
+            1 for r in trace.records
             if r.kind is TraceKind.DELIVER and r.value == "data"
         )
         acks_sent = sum(
-            1 for r in trace
+            1 for r in trace.records
             if r.kind is TraceKind.SEND and r.value == "ack"
         )
         assert acks_sent == data_delivered
@@ -174,7 +174,7 @@ def test_rto_fires_exactly_at_its_deadline(monkeypatch):
     for _ in range(30):
         flavor, hops = rng.choice(list(Flavor)), rng.randint(1, 4)
         link = LinkModel(loss_rate=rng.uniform(0.0, 2.0), queue_capacity=rng.choice([2, 5, 10]))
-        world = MeshWorld(build_chain(hops + 1, link), flavor, seed=rng.getrandbits(64))
+        world = MeshWorld(ChainTopology(hops + 1, link), flavor, seed=rng.getrandbits(64))
         run_until(world, 4.0)
     assert len(rto_times) > 30  # the configs do reach the timer
 
@@ -204,7 +204,7 @@ def test_link_is_idle_exactly_when_its_queue_is_empty(monkeypatch):
     for _ in range(20):
         flavor, hops = rng.choice(list(Flavor)), rng.randint(1, 4)
         link = LinkModel(loss_rate=rng.uniform(0.0, 2.0), queue_capacity=rng.choice([2, 5, 10]))
-        topo = build_chain(hops + 1, link, interference_range=rng.randint(0, 3))
+        topo = ChainTopology(hops + 1, link, interference_range=rng.randint(0, 3))
         run_until(MeshWorld(topo, flavor, seed=rng.getrandbits(64)), 3.0)
     assert waited > 0  # links did wait for a busy channel
 
