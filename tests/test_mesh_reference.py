@@ -1,9 +1,11 @@
-"""MeshNetwork against an independent reference model of a lossless chain.
+"""MeshNetwork against an independent reference model of a chain without
+random loss, with or without a drop table.
 
 The reference below reads nothing of ``meshtcp.mesh`` but its public
-constructors: it keeps its own queues, channels and event heap, and
-computes every DELIVER and DROP_QUEUE from the model the mesh module's
-docstring states. Hypothesis drives both with the same originations.
+constructors: it keeps its own queues, channels, transmission counts and
+event heap, and computes every DELIVER, DROP_QUEUE and DROP_WIRELESS from
+the model the mesh module's docstring states. Hypothesis drives both with
+the same originations and drop table.
 """
 
 import heapq
@@ -16,18 +18,22 @@ from hypothesis import strategies as st
 
 from meshtcp.endpoint import Segment, SegmentKind
 from meshtcp.engine import EventKind, EventQueue, RunTrace, TraceKind, run_until
-from meshtcp.mesh import ChainTopology, LinkModel, MeshNetwork
+from meshtcp.mesh import ChainTopology, DropDirective, LinkModel, MeshNetwork
 
 
-def reference(n_nodes, interference_range, capacity, bandwidth, prop_delay, schedule):
-    """(time, record kind, seq, segment kind) of every delivery and queue drop,
-    in the order they happen. ``schedule`` lists (time, kind, seq, size)."""
+def reference(n_nodes, interference_range, capacity, bandwidth, prop_delay, schedule,
+              drops=()):
+    """(time, record kind, seq, segment kind) of every delivery and drop, in
+    the order they happen. ``schedule`` lists (time, kind, seq, size), and
+    ``drops`` (hop, seq, nth): the nth transmission of data seq on that hop
+    holds the channel as any other, but is lost at its start."""
     hops = n_nodes - 1
     routes = {"data": range(1, n_nodes), "ack": range(hops, 0, -1)}
     heap, counter = [], itertools.count()
     queues = defaultdict(deque)  # (hop, kind) -> segments, on-air one first
     holder = {}  # interference group -> the (hop, kind) on the air, or None
     waiting = defaultdict(deque)  # interference group -> links, FIFO
+    sent = defaultdict(int)  # (hop, data seq) -> transmissions started
     out = []
 
     def push(time, what, *data):  # ties go in scheduling order
@@ -41,6 +47,11 @@ def reference(n_nodes, interference_range, capacity, bandwidth, prop_delay, sche
         holder[group(link[0])] = link
         end = now + size * 8.0 / bandwidth
         push(end, "free", link)
+        if kind == "data":
+            sent[link[0], seq] += 1
+            if (link[0], seq, sent[link[0], seq]) in drops:
+                out.append((now, "DROP_WIRELESS", seq, kind))
+                return
         push(end + prop_delay, "arrive", (kind, seq, size, step + 1))
 
     def enqueue(seg, now):
@@ -103,10 +114,48 @@ origination = st.tuples(
     st.sampled_from([40, 500, 1460]),
 )
 
-CAPACITY_ONE_MANY_GROUPS = (7, 0, 1, 1e6, 0.001, [(0.0, "data", s, 1460) for s in range(4)]
-                            + [(0.0, "ack", 1, 40), (0.004, "ack", 2, 40)])
-ONE_GROUP = (4, 3, 2, 2e6, 0.0005, [(0.0, "data", 0, 1460), (0.0, "ack", 1, 40),
-                                     (0.001, "data", 1, 500), (0.001, "data", 2, 500)])
+# (hop, seq, nth); hop is folded onto the chain, so any hop names one
+drop = st.tuples(st.integers(1, 6), st.integers(0, 9), st.integers(1, 2))
+
+# (n_nodes, interference_range, capacity, bandwidth, prop_delay, schedule, table)
+EXAMPLES = [
+    # capacity-1 queues, each hop its own group
+    (7, 0, 1, 1e6, 0.001, [(0.0, "data", s, 1460) for s in range(4)]
+     + [(0.0, "ack", 1, 40), (0.004, "ack", 2, 40)], []),
+    # one group: a freed link with more to send queues behind the waiting one
+    (4, 3, 2, 2e6, 0.0005, [(0.0, "data", 0, 1460), (0.0, "ack", 1, 40),
+                            (0.001, "data", 1, 500), (0.001, "data", 2, 500)], []),
+    # groups of two hops: hops 2 and 3 may transmit at once, hops 1 and 2 not
+    (5, 1, 5, 2e6, 0.001, [(0.0, "data", s, 1460) for s in range(4)], []),
+    # the second copy of seq 0 is lost on hop 2 while the first crosses it
+    (4, 0, 3, 2e6, 0.001, [(0.0, "data", 0, 1460), (0.002, "data", 0, 1460),
+                           (0.002, "data", 1, 500)], [(2, 0, 2), (1, 1, 1)]),
+]
+
+
+def check_against_reference(
+    n_nodes, interference_range, capacity, bandwidth, prop_delay, schedule, table
+):
+    """Run ``schedule`` through MeshNetwork and the reference and compare.
+    ``table`` lists (hop, seq, nth), with hop folded onto the chain."""
+    hops = n_nodes - 1
+    drops = tuple(DropDirective((hop - 1) % hops + 1, seq, nth) for hop, seq, nth in table)
+    link = LinkModel(bandwidth, prop_delay, capacity)
+    world = StubWorld(ChainTopology(n_nodes, link, interference_range, drops), schedule)
+    trace = run_until(world, math.inf)
+    got = [
+        (r.time, r.kind.value, r.seq, r.value) for r in trace.records
+        if r.kind in (TraceKind.DELIVER, TraceKind.DROP_QUEUE, TraceKind.DROP_WIRELESS)
+    ]
+    want = reference(n_nodes, interference_range, capacity, bandwidth, prop_delay, schedule,
+                     {tuple(d) for d in drops})
+    assert got == want
+    assert world.net.carried == 0
+
+
+def check_examples():
+    for args in EXAMPLES:
+        check_against_reference(*args)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -117,18 +166,15 @@ ONE_GROUP = (4, 3, 2, 2e6, 0.0005, [(0.0, "data", 0, 1460), (0.0, "ack", 1, 40),
     st.sampled_from([1e6, 2e6, 11e6]),
     st.sampled_from([0.0, 0.0005, 0.001]),
     st.lists(origination, min_size=1, max_size=12),
+    st.one_of(st.just([]), st.lists(drop, min_size=1, max_size=4)),
 )
-@example(*CAPACITY_ONE_MANY_GROUPS)
-@example(*ONE_GROUP)
 def test_deliveries_and_queue_drops_match_the_reference(
-    n_nodes, interference_range, capacity, bandwidth, prop_delay, schedule
+    n_nodes, interference_range, capacity, bandwidth, prop_delay, schedule, table
 ):
-    link = LinkModel(bandwidth, prop_delay, capacity)
-    world = StubWorld(ChainTopology(n_nodes, link, interference_range), schedule)
-    trace = run_until(world, math.inf)
-    got = [
-        (r.time, r.kind.value, r.seq, r.value) for r in trace.records
-        if r.kind in (TraceKind.DELIVER, TraceKind.DROP_QUEUE)
-    ]
-    assert got == reference(n_nodes, interference_range, capacity, bandwidth, prop_delay, schedule)
-    assert world.net.carried == 0
+    check_against_reference(
+        n_nodes, interference_range, capacity, bandwidth, prop_delay, schedule, table
+    )
+
+
+def test_fixed_examples_match_the_reference():
+    check_examples()
