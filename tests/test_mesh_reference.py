@@ -13,7 +13,7 @@ import itertools
 import math
 from collections import defaultdict, deque
 
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meshtcp.endpoint import Segment, SegmentKind
@@ -21,8 +21,7 @@ from meshtcp.engine import EventKind, EventQueue, RunTrace, TraceKind, run_until
 from meshtcp.mesh import ChainTopology, DropDirective, LinkModel, MeshNetwork
 
 
-def reference(n_nodes, interference_range, capacity, bandwidth, prop_delay, schedule,
-              drops=()):
+def reference(n_nodes, interference_range, capacity, bandwidth, prop_delay, schedule, drops):
     """(time, record kind, seq, segment kind) of every delivery and drop, in
     the order they happen. ``schedule`` lists (time, kind, seq, size), and
     ``drops`` (hop, seq, nth): the nth transmission of data seq on that hop
@@ -127,7 +126,7 @@ EXAMPLES = [
                             (0.001, "data", 1, 500), (0.001, "data", 2, 500)], []),
     # groups of two hops: hops 2 and 3 may transmit at once, hops 1 and 2 not
     (5, 1, 5, 2e6, 0.001, [(0.0, "data", s, 1460) for s in range(4)], []),
-    # the second copy of seq 0 is lost on hop 2 while the first crosses it
+    # the second copy of seq 0 is lost on hop 2, the first of seq 1 on hop 1
     (4, 0, 3, 2e6, 0.001, [(0.0, "data", 0, 1460), (0.002, "data", 0, 1460),
                            (0.002, "data", 1, 500)], [(2, 0, 2), (1, 1, 1)]),
 ]
@@ -147,9 +146,9 @@ def check_against_reference(
         (r.time, r.kind.value, r.seq, r.value) for r in trace.records
         if r.kind in (TraceKind.DELIVER, TraceKind.DROP_QUEUE, TraceKind.DROP_WIRELESS)
     ]
-    want = reference(n_nodes, interference_range, capacity, bandwidth, prop_delay, schedule,
-                     {tuple(d) for d in drops})
-    assert got == want
+    assert got == reference(
+        n_nodes, interference_range, capacity, bandwidth, prop_delay, schedule, set(drops)
+    )
     assert world.net.carried == 0
 
 
