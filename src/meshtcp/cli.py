@@ -59,7 +59,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run the full sweep, write results.csv")
     add_common(p_run)
-    p_run.add_argument("--seed", type=number, help="replace the seed list with one seed")
 
     p_trace = sub.add_parser("trace", help="run one combination, dump its trace")
     add_common(p_trace)
@@ -96,12 +95,7 @@ def _load_spec(args: argparse.Namespace) -> ExperimentSpec:
         text = path.read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
-    overrides = _parse_overrides(args.override)
-    if getattr(args, "seed", None) is not None and args.command == "run":
-        if "seeds" in overrides:
-            raise ConfigError("--seed and --override both set 'seeds'")
-        overrides["seeds"] = str(args.seed)
-    return load_config(text, overrides)
+    return load_config(text, _parse_overrides(args.override))
 
 
 def _outdir(args: argparse.Namespace) -> Path:

@@ -137,7 +137,7 @@ class _Link:
 
 
 class _Group:
-    """One interference group: a single shared channel."""
+    """One interference group: a single shared channel; links reach it as ``group``."""
 
     __slots__ = ("index", "busy_link", "fifo")
 
@@ -157,7 +157,7 @@ class MeshNetwork:
     removes it, raising ``ContractError`` if nothing is in flight.
     """
 
-    __slots__ = ("events", "trace", "carried", "groups", "_data_head", "_ack_head")
+    __slots__ = ("events", "trace", "carried", "_data_head", "_ack_head")
 
     def __init__(
         self,
@@ -171,13 +171,13 @@ class MeshNetwork:
         self.trace = trace
         self.carried = 0
 
-        self.groups = [_Group(i) for i in range(topology.n_groups)]
+        groups = [_Group(i) for i in range(topology.n_groups)]
         model = topology.link
         rate = model.loss_rate
         data: list[_Link] = []
         ack: list[_Link] = []
         for hop in range(1, topology.n_nodes):
-            group = self.groups[topology.group_of(hop)]
+            group = groups[topology.group_of(hop)]
             scripted = {(seq, nth) for h, seq, nth in topology.drops if h == hop}
             for forward in (True, False):
                 if forward and scripted:

@@ -93,7 +93,8 @@ class TestRoutes:
         assert [link.hop for link in ack] == hops[::-1]
         assert not set(map(id, data)) & set(map(id, ack))
         for up, down in zip(data, reversed(ack)):
-            assert up.group is down.group is net.groups[topo.group_of(up.hop)]
+            assert up.group is down.group
+            assert up.group.index == topo.group_of(up.hop)
             assert isinstance(down.loss, LossProcess)
             assert isinstance(up.loss, ScriptedDrops if up.hop == scripted_hop else LossProcess)
 

@@ -1,11 +1,16 @@
 """Exact metamorphic relations: pairs of configs that must give the same
-trace, record for record, with no hand-derived value to compare against."""
+trace, record for record (or the same trace with time scaled), with no
+hand-derived value to compare against."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from meshtcp import endpoint
 from meshtcp.cc import Flavor
+from meshtcp.endpoint import DEFAULT_RTO_MAX_S, DEFAULT_RTO_MIN_S
+from meshtcp.engine import TraceKind
 from meshtcp.experiment import load_config, run_single
+from meshtcp.mesh import DEFAULT_BANDWIDTH_BPS, DEFAULT_PROP_DELAY_S
 
 FLAVORS = st.sampled_from(list(Flavor))
 HOPS = st.integers(1, 4)
@@ -39,6 +44,10 @@ def test_a_drop_table_naming_an_unsent_seq_gives_the_lossless_trace(
 def test_any_range_that_spans_the_chain_gives_one_trace(
     flavor, hops, seed, duration, queue, rate
 ):
+    check_range_relation(flavor, hops, rate, seed, duration, queue)
+
+
+def check_range_relation(flavor, hops, rate, seed, duration, queue):
     # ranges of hops - 1 and above both put every hop of the chain in one group
     narrow = records(
         flavor, hops, rate, seed, duration=duration, queue_capacity=queue,
@@ -48,3 +57,31 @@ def test_any_range_that_spans_the_chain_gives_one_trace(
         flavor, hops, rate, seed, duration=duration, queue_capacity=queue,
         interference_range=hops + 7,
     )
+
+
+def check_time_scaling(flavor, hops, rate, seed, k):
+    """Scale every time constant by k, and the bandwidth and the loss rate
+    by 1/k: each record's time and each RTO value scale by exactly k, as
+    multiplying by a power of two commutes with IEEE-754 rounding, and every
+    other field stays equal."""
+    base = records(flavor, hops, rate, seed, duration=3.0, queue_capacity=5)
+    initial = endpoint.INITIAL_RTO_S  # the one time constant no config key sets
+    endpoint.INITIAL_RTO_S = initial * k
+    try:
+        scaled = records(
+            flavor, hops, rate / k, seed, duration=3.0 * k, queue_capacity=5,
+            prop_delay_s=DEFAULT_PROP_DELAY_S * k, bandwidth_bps=DEFAULT_BANDWIDTH_BPS / k,
+            rto_min_s=DEFAULT_RTO_MIN_S * k, rto_max_s=DEFAULT_RTO_MAX_S * k,
+        )
+    finally:
+        endpoint.INITIAL_RTO_S = initial
+    assert scaled == [
+        (time * k, kind, flow, seq, value * k if kind is TraceKind.RTO else value)
+        for time, kind, flow, seq, value in base
+    ]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(FLAVORS, HOPS, SEEDS, st.sampled_from([0, 1.0, 4.0]), st.sampled_from([0.5, 2, 4]))
+def test_scaling_time_by_a_power_of_two_scales_the_trace_exactly(flavor, hops, seed, rate, k):
+    check_time_scaling(flavor, hops, rate, seed, k)

@@ -20,9 +20,18 @@ from typing import Callable, NamedTuple
 
 import pytest
 
+import test_cc
+import test_experiment
+import test_world
+from meshtcp import cc
+from meshtcp.cc import Flavor
+from meshtcp.endpoint import SenderEndpoint
+from meshtcp.engine import RunTrace, TraceKind
 from meshtcp.errors import ContractError
-from meshtcp.mesh import ChainTopology, MeshNetwork, ScriptedDrops
+from meshtcp.mesh import ChainTopology, LossProcess, MeshNetwork, ScriptedDrops
+from meshtcp.world import MeshWorld
 from test_mesh_reference import check_examples
+from test_metamorphic import check_range_relation, check_time_scaling
 
 
 class Mutant(NamedTuple):
@@ -31,6 +40,25 @@ class Mutant(NamedTuple):
     old: str
     new: str
     oracle: Callable[[], None]
+
+
+def negative_zero_keeps_its_sign():
+    # -0.0 equals the 0.0 before it but prints apart
+    lines = []
+    trace = RunTrace(lines.append)
+    trace.add(0.0, TraceKind.SEND, 0, 0, "data")
+    trace.add(-0.0, TraceKind.SEND, 0, 1, "data")
+    assert lines == ["0.000000000\tSEND\t0\t0\tdata\n", "-0.000000000\tSEND\t0\t1\tdata\n"]
+
+
+def shared_world_splits_into_each_flavors_own_run():
+    test_experiment.TestSeedFreePoints().test_a_shared_world_splits_into_each_flavors_own_run()
+
+
+def rto_fires_exactly_at_its_deadline():
+    # thirty configs drawn once from a fixed seed
+    with pytest.MonkeyPatch.context() as patch:
+        test_world.test_rto_fires_exactly_at_its_deadline(patch)
 
 
 CATALOGUE = [
@@ -68,6 +96,76 @@ CATALOGUE = [
         "self._counts.get(seq, 0) + 1",
         "self._counts.get(seq, -1) + 1",
         check_examples,
+    ),
+    Mutant(
+        "loss_instants_advanced_once",
+        LossProcess.decide,
+        "while self.next_instant < start:",
+        "if self.next_instant < start:",
+        check_examples,
+    ),
+    Mutant(
+        "sac_resends_at_rlp_dupacks",
+        cc.on_dupack,
+        "dupacks >= rlp - 1",
+        "dupacks >= rlp",
+        test_cc.test_sac_second_retransmission_never_fires_early,
+    ),
+    Mutant(
+        "sac_resend_keeps_cwnd",
+        cc.on_dupack,
+        "cwnd = max(cwnd // 2, 1)",
+        "pass",
+        test_cc.test_sac_second_retransmission_fires_at_rlp_minus_one,
+    ),
+    Mutant(
+        "frr_entry_keeps_dupacks",
+        cc.on_dupack,
+        "dupacks = acc = 0",
+        "acc = 0",
+        test_cc.test_dupack_third_enters_frr_with_sac_bookkeeping,
+    ),
+    Mutant(
+        "trace_stamp_reused_for_an_equal_time",
+        RunTrace.add,
+        "if time is last:",
+        "if time == last:",
+        negative_zero_keeps_its_sign,
+    ),
+    Mutant(
+        "cc_step_ignores_the_retransmit_list",
+        SenderEndpoint._cc_step,
+        "if retx != retransmit or state[1:5] != seen:",
+        "if state[1:5] != seen:",
+        shared_world_splits_into_each_flavors_own_run,
+    ),
+    Mutant(
+        "split_copies_skip_the_event",
+        MeshWorld._split,
+        "world._react(time, ack)",
+        "world is self and world._react(time, ack)",
+        shared_world_splits_into_each_flavors_own_run,
+    ),
+    Mutant(
+        "send_skips_the_earlier_deadline_push",
+        MeshWorld._send,
+        "if queued is None or deadline < queued[0]:",
+        "if queued is None:",
+        rto_fires_exactly_at_its_deadline,
+    ),
+    Mutant(
+        "vegas_diff_over_a_constant_rtt",
+        cc._vegas_adjust,
+        "/ last_rtt",
+        "/ 0.05",
+        lambda: check_time_scaling(Flavor.VEGAS, 3, 4.0, 4051686261, 2),
+    ),
+    Mutant(
+        "group_of_shifted_under_the_range_relation",
+        ChainTopology.group_of,
+        "return (hop - 1) // (self.interference_range + 1)",
+        "return hop // (self.interference_range + 1)",
+        lambda: check_range_relation(Flavor.NEWRENO, 3, 0, 1, 1.0, 50),
     ),
 ]
 
