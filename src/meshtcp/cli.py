@@ -172,9 +172,9 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     if candidate is baseline:
         raise ConfigError(f"--baseline and --candidate both name {baseline.value!r}")
     out = _outdir(args)
-    # one sweep of both; each flavor's rows visit the points in one order
     rows = run_experiment(spec._replace(flavors=(baseline, candidate)))
-    pairs = list(zip(*([r for r in rows if r.flavor is f] for f in (baseline, candidate))))
+    baseline_at = {(r.hops, r.loss_rate, r.seed): r for r in rows if r.flavor is baseline}
+    pairs = [(baseline_at[r.hops, r.loss_rate, r.seed], r) for r in rows if r.flavor is candidate]
     if any(row.throughput is None for pair in pairs for row in pair):
         raise MetricUndefinedError(
             "comparison undefined: a run produced no measurable throughput"

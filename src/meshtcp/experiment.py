@@ -119,7 +119,7 @@ def _parse_lines(text: str) -> dict[str, tuple[str, str]]:
 
 def _split_list(raw: str, where: str, key: str) -> list[str]:
     items = [part.strip() for part in raw.split(",")]
-    if not items or any(not part for part in items):
+    if any(not part for part in items):
         raise ConfigError(f"{where}: malformed list for {key!r}")
     return items
 

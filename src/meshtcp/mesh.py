@@ -152,7 +152,7 @@ class MeshNetwork:
 
     Owns link queues, channel arbitration and the error model; a
     SEGMENT_ARRIVAL event carries the link its segment takes next.
-    It is the only writer of the in-flight count ``carried``: ``send``
+    It is the only writer of the in-flight count ``carried``: ``forward``
     adds a segment, and ``_retire`` records its delivery or drop and
     removes it, raising ``ContractError`` if nothing is in flight.
     """
@@ -192,14 +192,6 @@ class MeshNetwork:
                 link.next = after
         self._data_head, self._ack_head = data[0], ack[0]
 
-    def send(self, seg: Segment, now: float) -> None:
-        """Originate a segment at the start of its route: record its SEND
-        or RETX and count it in flight."""
-        kind = _RETX if seg.retx else _SEND
-        self.trace.add(now, kind, 0, seg.seq, seg.kind._value_)
-        self.carried += 1
-        self.forward(seg, now)
-
     def arrive(self, link: _Link | None, seg: Segment, now: float) -> bool:
         """A segment crossed a hop. Queue it on ``link``, its next one, or,
         at the end of its route (None), record the delivery and return True."""
@@ -217,8 +209,11 @@ class MeshNetwork:
         self.carried -= 1
 
     def forward(self, seg: Segment, now: float) -> None:
-        """Queue a segment on the first link of its route: data up the
-        chain, an ACK down."""
+        """Originate a segment: record its SEND or RETX, count it in flight
+        and queue it on the first link of its route, data up the chain, an
+        ACK down."""
+        self.trace.add(now, _RETX if seg.retx else _SEND, 0, seg.seq, seg.kind._value_)
+        self.carried += 1
         self.enqueue(self._data_head if seg.kind is _DATA else self._ack_head, seg, now)
 
     def enqueue(self, link: _Link, seg: Segment, now: float) -> None:

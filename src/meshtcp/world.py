@@ -80,7 +80,7 @@ class MeshWorld:
             net = self.net
             if net.arrive(link, seg, time):
                 if seg.kind is _DATA:
-                    net.send(self.receiver.on_data(seg, time), time)
+                    net.forward(self.receiver.on_data(seg, time), time)
                 else:
                     self._react(time, seg)
         elif kind is _CHANNEL_FREE:
@@ -122,9 +122,9 @@ class MeshWorld:
         A deadline that moved later is caught up with when the queued
         expiry fires, so a re-arm on every ACK pushes nothing.
         """
-        send = self.net.send
+        forward = self.net.forward
         for seg in segs:
-            send(seg, time)
+            forward(seg, time)
         deadline = self.sender.rto_deadline
         if deadline is not None:
             queued = self._queued_expiry

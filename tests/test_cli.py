@@ -334,10 +334,10 @@ def test_double_retire_exits_1_naming_the_sweep_point(tmp_path, capsys, monkeypa
     # it no longer carries; the in-flight count refuses to go below zero
     arrive = MeshNetwork.arrive
 
-    def arrive_twice(self, node, seg, now):
-        delivered = arrive(self, node, seg, now)
+    def arrive_twice(self, link, seg, now):
+        delivered = arrive(self, link, seg, now)
         if delivered:
-            arrive(self, node, seg, now)
+            arrive(self, link, seg, now)
         return delivered
 
     monkeypatch.setattr(MeshNetwork, "arrive", arrive_twice)
@@ -360,6 +360,26 @@ def test_compare_sac_beats_newreno_on_retransmission_loss_script(tmp_path):
     assert "verdict=pass" in summary
     csv_lines = (out / "compare.csv").read_text().splitlines()
     assert len(csv_lines) == 2  # header + one pair
+
+
+def test_compare_pairs_rows_by_their_point(tmp_path, monkeypatch):
+    # each candidate row meets the baseline row of its own point, whatever
+    # order the sweep gives the baseline's rows in
+    cfg = write(tmp_path, "flavors = sac\nhops = 1,2\nloss_rates = 0,1\nseeds = 1,2\nduration = 2")
+    argv = ["compare", "--config", cfg, "--baseline", "newreno", "--candidate", "sac", "--out"]
+    rc = main(argv + [str(tmp_path / "in_order")])
+    run_experiment = cli.run_experiment
+
+    def baseline_reversed(spec):
+        rows = run_experiment(spec)
+        baseline = [r for r in rows if r.flavor is cc.Flavor.NEWRENO]
+        return baseline[::-1] + [r for r in rows if r.flavor is not cc.Flavor.NEWRENO]
+
+    monkeypatch.setattr(cli, "run_experiment", baseline_reversed)
+    assert main(argv + [str(tmp_path / "reversed")]) == rc
+    for name in ("compare.csv", "summary.txt"):
+        in_order = (tmp_path / "in_order" / name).read_text()
+        assert (tmp_path / "reversed" / name).read_text() == in_order
 
 
 def test_compare_reversed_verdict_exits_3(tmp_path):

@@ -56,7 +56,7 @@ def test_mesh_hop(benchmark):
     link = link_of(net, 1, 2)
 
     def hop():
-        net.forward(seg, 0.0)
+        net.enqueue(link, seg, 0.0)
         net.on_channel_free(link, 0.00584)
         net.events._heap.clear()
 

@@ -103,8 +103,8 @@ class TestRoutes:
         # down and ends at node 1
         net, _, trace = make_net(n_nodes=4)
         data, ack = data_seg(0), Segment(SegmentKind.ACK, 1, 40)
-        net.send(data, 0.0)
-        net.send(ack, 0.0)
+        net.forward(data, 0.0)
+        net.forward(ack, 0.0)
         assert list(link_of(net, 1, 2).queue) == [data]
         assert list(link_of(net, 4, 3).queue) == [ack]
         assert not net.arrive(link_of(net, 1, 2).next, data, 0.01)
@@ -127,7 +127,7 @@ class TestQueueing:
     def test_accepts_below_capacity(self):
         net, _, trace = make_net(queue_capacity=50)
         for seq in range(10):
-            net.send(data_seg(seq), 0.0)
+            net.forward(data_seg(seq), 0.0)
         assert len(link_of(net, 1, 2).queue) == 10
         assert queue_drops(trace) == []
         assert net.carried == 10
@@ -135,15 +135,15 @@ class TestQueueing:
     def test_overflow_drops_tail(self):
         net, _, trace = make_net(queue_capacity=50)
         for seq in range(51):
-            net.send(data_seg(seq), 0.0)
+            net.forward(data_seg(seq), 0.0)
         assert len(link_of(net, 1, 2).queue) == 50
         assert queue_drops(trace) == [50]
         assert net.carried == 50
 
     def test_capacity_one_drops_while_transmitting(self):
         net, _, trace = make_net(queue_capacity=1)
-        net.send(data_seg(0), 0.0)  # starts transmitting
-        net.send(data_seg(1), 0.001)
+        net.forward(data_seg(0), 0.0)  # starts transmitting
+        net.forward(data_seg(1), 0.001)
         assert [seg.seq for seg in link_of(net, 1, 2).queue] == [0]
         assert queue_drops(trace) == [1]
         assert net.carried == 1

@@ -123,7 +123,7 @@ class StubWorld:
 
     def handle(self, time, kind, payload):
         if kind is EventKind.APP_TICK:
-            self.net.send(payload, time)
+            self.net.forward(payload, time)
         elif kind is EventKind.SEGMENT_ARRIVAL:
             self.net.arrive(*payload, time)
         else:

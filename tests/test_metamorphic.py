@@ -2,12 +2,12 @@
 trace, record for record (or the same trace with time scaled), with no
 hand-derived value to compare against."""
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from meshtcp import endpoint
 from meshtcp.cc import Flavor
-from meshtcp.endpoint import DEFAULT_RTO_MAX_S, DEFAULT_RTO_MIN_S
+from meshtcp.endpoint import DEFAULT_RTO_MAX_S, DEFAULT_RTO_MIN_S, RECEIVER_WINDOW
 from meshtcp.engine import TraceKind
 from meshtcp.experiment import load_config, run_single
 from meshtcp.mesh import DEFAULT_BANDWIDTH_BPS, DEFAULT_PROP_DELAY_S
@@ -85,3 +85,26 @@ def check_time_scaling(flavor, hops, rate, seed, k):
 @given(FLAVORS, HOPS, SEEDS, st.sampled_from([0, 1.0, 4.0]), st.sampled_from([0.5, 2, 4]))
 def test_scaling_time_by_a_power_of_two_scales_the_trace_exactly(flavor, hops, seed, rate, k):
     check_time_scaling(flavor, hops, rate, seed, k)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(
+    FLAVORS, HOPS, st.sampled_from([0, 1.0, 4.0]), SEEDS, st.sampled_from([10.0, 20.0]),
+    st.sampled_from([64, 65, 80, 128]),
+)
+@example(Flavor.NEWRENO, 1, 0, 1, 20.0, 64)  # cwnd passes the window here
+def test_any_queue_that_holds_the_receiver_window_gives_one_trace(
+    flavor, hops, rate, seed, duration, capacity
+):
+    check_queue_relation(flavor, hops, rate, seed, duration, capacity)
+
+
+def check_queue_relation(flavor, hops, rate, seed, duration, capacity):
+    # the sender sends nothing past a receiver window beyond its last ACK, so
+    # a queue that holds a window overflows only on stale copies, and these
+    # configs queue too few of them to fill one
+    assert capacity >= RECEIVER_WINDOW
+    bounded = records(flavor, hops, rate, seed, duration=duration, queue_capacity=capacity)
+    assert bounded == records(
+        flavor, hops, rate, seed, duration=duration, queue_capacity=100_000
+    )

@@ -31,7 +31,7 @@ from meshtcp.errors import ContractError
 from meshtcp.mesh import ChainTopology, LossProcess, MeshNetwork, ScriptedDrops
 from meshtcp.world import MeshWorld
 from test_mesh_reference import check_examples
-from test_metamorphic import check_range_relation, check_time_scaling
+from test_metamorphic import check_queue_relation, check_range_relation, check_time_scaling, records
 
 
 class Mutant(NamedTuple):
@@ -49,6 +49,33 @@ def negative_zero_keeps_its_sign():
     trace.add(0.0, TraceKind.SEND, 0, 0, "data")
     trace.add(-0.0, TraceKind.SEND, 0, 1, "data")
     assert lines == ["0.000000000\tSEND\t0\t0\tdata\n", "-0.000000000\tSEND\t0\t1\tdata\n"]
+
+
+def streaming_trace_writes_a_text_cwnd():
+    cwnd = []
+    trace = RunTrace(lambda line: None, cwnd.append)
+    trace.add(0.0, TraceKind.CWND_SAMPLE, 0, 64, "2")
+    assert cwnd == ["0.000000000\t2\n"]
+
+
+def streaming_trace_refuses_a_backwards_record():
+    # raises AssertionError itself: a failed pytest.raises raises Failed
+    lines = []
+    trace = RunTrace(lines.append)
+    trace.add(1.0, TraceKind.SEND, 0, 0, "data")
+    refused = False
+    try:
+        trace.add(0.5, TraceKind.SEND, 0, 1, "data")
+    except ContractError:
+        refused = True
+    assert refused and lines == ["1.000000000\tSEND\t0\t0\tdata\n"]
+
+
+def drop_table_naming_an_unsent_seq_drops_nothing():
+    lossless = records(Flavor.NEWRENO, 2, 0, 1, duration=1.0)
+    assert lossless == records(
+        Flavor.NEWRENO, 2, 0, 1, duration=1.0, scripted_drops="1:1000000000:1"
+    )
 
 
 def shared_world_splits_into_each_flavors_own_run():
@@ -166,6 +193,34 @@ CATALOGUE = [
         "return (hop - 1) // (self.interference_range + 1)",
         "return hop // (self.interference_range + 1)",
         lambda: check_range_relation(Flavor.NEWRENO, 3, 0, 1, 1.0, 50),
+    ),
+    Mutant(
+        "window_ignores_the_receiver",
+        SenderEndpoint.fill_window,
+        "cc.last_ack + min(cc.cwnd, RECEIVER_WINDOW)",
+        "cc.last_ack + cc.cwnd",
+        lambda: check_queue_relation(Flavor.NEWRENO, 1, 0, 1, 20.0, 64),
+    ),
+    Mutant(
+        "table_matches_the_copy_number_only",
+        ScriptedDrops.decide,
+        "return (seq, n) in self._wanted",
+        "return any(n == k for _, k in self._wanted)",
+        drop_table_naming_an_unsent_seq_drops_nothing,
+    ),
+    Mutant(
+        "cwnd_written_only_for_numbers",
+        RunTrace.add,
+        "time >= self._warmup:",
+        "time >= self._warmup and not isinstance(value, str):",
+        streaming_trace_writes_a_text_cwnd,
+    ),
+    Mutant(
+        "order_check_skipped_when_streaming",
+        RunTrace.add,
+        "if time < last:",
+        "if time < last and self._write is None:",
+        streaming_trace_refuses_a_backwards_record,
     ),
 ]
 
