@@ -255,10 +255,9 @@ class ReceiverEndpoint:
     """One TCP receiver: cumulative ACK per arriving data segment, with
     SACK blocks while it holds out-of-order data (RFC 2018)."""
 
-    __slots__ = ("ack_bytes", "rcv_next", "ooo_buffer")
+    __slots__ = ("rcv_next", "ooo_buffer")
 
-    def __init__(self, ack_bytes: int = DEFAULT_ACK_BYTES) -> None:
-        self.ack_bytes = ack_bytes
+    def __init__(self) -> None:
         self.rcv_next = 0
         self.ooo_buffer: set[int] = set()
 
@@ -294,4 +293,4 @@ class ReceiverEndpoint:
             ooo.add(seq)
             trigger = seq
         sack = self._sack_blocks(trigger) if ooo else ()
-        return tuple.__new__(Segment, (_ACK, nxt, self.ack_bytes, sack, False))
+        return tuple.__new__(Segment, (_ACK, nxt, DEFAULT_ACK_BYTES, sack, False))

@@ -16,7 +16,7 @@ from collections import namedtuple
 from typing import Iterator, Mapping, NamedTuple
 
 from .cc import Flavor
-from .endpoint import DEFAULT_ACK_BYTES, DEFAULT_MSS_BYTES, DEFAULT_RTO_MAX_S, DEFAULT_RTO_MIN_S
+from .endpoint import DEFAULT_MSS_BYTES, DEFAULT_RTO_MAX_S, DEFAULT_RTO_MIN_S
 from .engine import RunTrace, run_until
 from .errors import ConfigError, ContractError
 from .mesh import (
@@ -48,7 +48,6 @@ _SCHEMA: dict[str, tuple[type, float | None, bool, float | None, bool]] = {
     "prop_delay_s": (float, 0.0, False, None, False),
     "queue_capacity": (int, 1, False, None, False),
     "mss_bytes": (int, MSS_MIN_BYTES, False, MSS_MAX_BYTES, False),
-    "ack_bytes": (int, 1, False, None, False),
     "interference_range": (int, 0, False, None, False),
     "rto_min_s": (float, 0.0, True, None, False),
     "rto_max_s": (float, 0.0, True, None, False),
@@ -68,7 +67,6 @@ class ExperimentSpec(NamedTuple):
     prop_delay_s: float = DEFAULT_PROP_DELAY_S
     queue_capacity: int = DEFAULT_QUEUE_CAPACITY
     mss_bytes: int = DEFAULT_MSS_BYTES
-    ack_bytes: int = DEFAULT_ACK_BYTES
     interference_range: int = DEFAULT_INTERFERENCE_RANGE
     rto_min_s: float = DEFAULT_RTO_MIN_S
     rto_max_s: float = DEFAULT_RTO_MAX_S
@@ -264,7 +262,6 @@ def build_world(
         seed=seed,
         app_limit=spec.app_limit,
         mss_bytes=spec.mss_bytes,
-        ack_bytes=spec.ack_bytes,
         rto_min=spec.rto_min_s,
         rto_max=spec.rto_max_s,
         trace=trace,

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from .cc import Flavor
 from .endpoint import (
-    DEFAULT_ACK_BYTES,
     DEFAULT_MSS_BYTES,
     DEFAULT_RTO_MAX_S,
     DEFAULT_RTO_MIN_S,
@@ -53,7 +52,6 @@ class MeshWorld:
         seed: int,
         app_limit: int | None = None,
         mss_bytes: int = DEFAULT_MSS_BYTES,
-        ack_bytes: int = DEFAULT_ACK_BYTES,
         rto_min: float = DEFAULT_RTO_MIN_S,
         rto_max: float = DEFAULT_RTO_MAX_S,
         trace: RunTrace | None = None,
@@ -70,7 +68,7 @@ class MeshWorld:
             flavor, mss_bytes, trace=self.trace,
             app_limit=app_limit, rto_min=rto_min, rto_max=rto_max,
         )
-        self.receiver = ReceiverEndpoint(ack_bytes)
+        self.receiver = ReceiverEndpoint()
         self.forks: list[MeshWorld] = []
         self.events.push(0.0, EventKind.APP_TICK, None)
 

@@ -8,7 +8,7 @@ before being frozen.
 import hashlib
 import math
 import random
-from statistics import mean, stdev
+from statistics import mean, pstdev, stdev
 
 from conftest import (
     check_conservation,
@@ -19,6 +19,7 @@ from conftest import (
 )
 from meshtcp.cc import Flavor
 from meshtcp.cli import main
+from meshtcp.endpoint import DEFAULT_ACK_BYTES
 from meshtcp.engine import RngStream, RunTrace, TraceKind, run_until
 from meshtcp.experiment import emit_csv, load_config, run_experiment, run_single
 from meshtcp.mesh import ChainTopology, LinkModel, LossProcess
@@ -377,7 +378,7 @@ duration = 20
 warmup_s = 5
 """
     spec = load_config(cfg)
-    capacity = spec.bandwidth_bps / (8 * (spec.mss_bytes + spec.ack_bytes))
+    capacity = spec.bandwidth_bps / (8 * (spec.mss_bytes + DEFAULT_ACK_BYTES))
     window = spec.duration - spec.warmup_s
     ratios = {}
     for r in run_experiment(spec):
@@ -407,7 +408,7 @@ prop_delay_s = 0.05
 """
     spec = load_config(cfg)
     bw = spec.bandwidth_bps
-    rtt = 8 * (spec.mss_bytes + spec.ack_bytes) / bw + 2 * spec.prop_delay_s
+    rtt = 8 * (spec.mss_bytes + DEFAULT_ACK_BYTES) / bw + 2 * spec.prop_delay_s
     ratios = []
     for r in run_experiment(spec):
         p = 1 - math.exp(-r.loss_rate * spec.mss_bytes * 8 / bw)
@@ -416,4 +417,69 @@ prop_delay_s = 0.05
     print(
         f"[A12] newreno goodput over the square-root law in [0.85, 1.15]: PASS "
         f"({min(ratios):.3f}-{max(ratios):.3f})"
+    )
+
+
+def rtt_samples(records):
+    """ACK delivery of s + 1 minus the data send of s, for each seq s that
+    was never retransmitted (Karn's rule), each at its first occurrence."""
+    sent, retx, acked = {}, set(), {}
+    for r in records:
+        if r.value == "data":
+            if r.kind is TraceKind.SEND:
+                sent.setdefault(r.seq, r.time)
+            elif r.kind is TraceKind.RETX:
+                retx.add(r.seq)
+        elif r.kind is TraceKind.DELIVER:
+            acked.setdefault(r.seq, r.time)
+    return [acked[s + 1] - t for s, t in sent.items() if s not in retx and s + 1 in acked]
+
+
+def test_a13_rtt_spread_grows_with_hops_then_plateaus():
+    """The abstract's premise (a): the RTT varies more as the hop count
+    grows. Lossless newreno, 30 s, so one seed stands for all. The
+    population SD of the RTT samples rises steeply from 1 to 3 hops, while
+    the hops share one channel. Past 3 hops it stays nearly flat: one
+    group's standing queue sets the RTT, as in A11's C/3 regime."""
+    spec = load_config(
+        "flavors = newreno\nhops = 1,2,3,4,5,6,7,8\nloss_rates = 0\nseeds = 1\nduration = 30\n"
+    )
+    sds = [
+        pstdev(rtt_samples(run_single(spec, Flavor.NEWRENO, h, 0.0, 1).records))
+        for h in spec.hops
+    ]
+    assert [round(sd, 3) for sd in sds] == [0.051, 0.108, 0.171, 0.176, 0.176, 0.183, 0.186, 0.193]
+    growth = [b / a for a, b in zip(sds, sds[1:])]
+    assert all(g > 1.5 for g in growth[:2]), growth
+    assert all(0.99 < g < 1.05 for g in growth[2:]), growth
+    shown = ", ".join(f"h={h}: {sd:.3f}" for h, sd in zip(spec.hops, sds))
+    print(f"[A13] RTT SD rises to 3 hops, then within 5% per hop: PASS ({shown})")
+
+
+def test_a14_congestion_and_wireless_loss_drop_more_together():
+    """The abstract's premise (b): when congestion loss and wireless loss
+    coexist, more packets are dropped. 4 hops, newreno, 30 s, drops summed
+    over seeds 1-3. The combined drops exceed each cause alone, but stay
+    below their sum: wireless loss thins the window, so the queue drops
+    fall."""
+
+    def drops(queue, rate):
+        spec = load_config(
+            f"flavors = newreno\nhops = 4\nloss_rates = {rate}\nseeds = 1,2,3\n"
+            f"duration = 30\nqueue_capacity = {queue}\n"
+        )
+        kinds = [
+            r.kind
+            for seed in spec.seeds
+            for r in run_single(spec, Flavor.NEWRENO, 4, rate, seed).records
+        ]
+        return kinds.count(TraceKind.DROP_QUEUE), kinds.count(TraceKind.DROP_WIRELESS)
+
+    congestion, wireless, both = drops(5, 0.0), drops(50, 1.0), drops(5, 1.0)
+    assert (congestion, wireless, both) == ((96, 0), (0, 109), (40, 114))
+    assert sum(both) > max(sum(congestion), sum(wireless))
+    assert both[0] < congestion[0]
+    print(
+        f"[A14] combined drops {sum(both)} exceed congestion {sum(congestion)} "
+        f"and wireless {sum(wireless)} alone: PASS"
     )

@@ -48,7 +48,6 @@ class TestLoadConfig:
         assert spec.prop_delay_s == 0.001
         assert spec.queue_capacity == 50
         assert spec.mss_bytes == 1460
-        assert spec.ack_bytes == 40
         assert spec.interference_range == 2
         assert spec.rto_min_s == 0.2
         assert spec.rto_max_s == 60.0
@@ -358,13 +357,26 @@ BELOW_BOUND = {
     "prop_delay_s": "-0.001",
     "queue_capacity": "0",
     "mss_bytes": "0",
-    "ack_bytes": "0",
     "interference_range": "-1",
     "rto_min_s": "0",
     "rto_max_s": "0",
     "app_limit": "0",
     "warmup_s": "-1",
 }
+
+
+def test_config_keys_are_exactly_the_declared_ones():
+    # the key census: adding or removing a config key is a declared edit here
+    keys = [
+        "flavors", "hops", "loss_rates", "seeds", "duration", "bandwidth_bps",
+        "prop_delay_s", "queue_capacity", "mss_bytes", "interference_range",
+        "rto_min_s", "rto_max_s", "app_limit", "scripted_drops", "warmup_s",
+    ]
+    assert list(_SCHEMA) == keys
+    assert list(ExperimentSpec._fields) == keys
+    numeric = {key: lower for key, (kind, lower, *_) in _SCHEMA.items() if kind in (int, float)}
+    assert sorted(BELOW_BOUND) == sorted(numeric)
+    assert all((BELOW_BOUND[key] is None) == (lower is None) for key, lower in numeric.items())
 
 
 FLOAT_KEYS = (
