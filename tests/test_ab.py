@@ -38,11 +38,29 @@ def test_sign_test_p_values_are_exact():
         ([x * 0.7 for x in A], LEVEL, "higher", "worse"),
         # A' beats A in 10 of 10, or loses in 10 of 10: the host drifted
         ([x - 0.2 for x in A], [x - 0.001 for x in A], "lower", "void"),
-        ([x * 1.3 for x in A], [x + 0.001 for x in A], "lower", "void"),
+        (LEVEL, [x + 0.001 for x in A], "lower", "void"),
+        # a regression beyond the bound shows even though the host drifted
+        ([x * 1.3 for x in A], [x + 0.001 for x in A], "lower", "worse"),
     ],
 )
 def test_each_verdict(b, a2, better, verdict):
     assert ab.judge(A, b, a2, better, 0.25)["verdict"] == verdict
+
+
+@pytest.mark.parametrize(
+    "b, verdict",
+    [
+        # A's q3 - q1 (0.055) is wider than 1% of its median: level reads unresolved
+        (LEVEL, "unresolved"),
+        ([x + 0.005 for x in A], "unresolved"),
+        ([x * 1.02 for x in A], "worse"),
+        ([x - 0.2 for x in A], "gain"),
+        # every B run beats every A run, by less than A's q3 - q1
+        ([0.999] * 10, "no change"),
+    ],
+)
+def test_spread_wider_than_the_bound(b, verdict):
+    assert ab.judge(A, b, LEVEL, "lower", 0.01)["verdict"] == verdict
 
 
 def test_ties_count_for_neither_side():

@@ -1,12 +1,12 @@
 """A/B benchmark harness: a base revision against the working tree.
 
   python3 tools/ab.py --base REV [--workload NAME]... [--rounds 10] [--seconds 25]
-                      [--seed 1] [--json PATH]
 
 REV is exported twice with ``git archive``, as A and A' (``A2`` in the
-output); B is the working tree. Each round runs ``perfbench/run.py --workload W --seed K --seconds S
---trace 0`` in A, B and A', rotating which runs first, for every workload
-(all of BENCHMARK.json's by default). A run that is not ``"correct": true``
+output); B is the working tree. Each round runs ``perfbench/run.py --workload W --seconds S --trace 0``
+(at run.py's default seed, the one its golden digests are checked at) in A,
+B and A', rotating which runs first, for every workload (all of
+BENCHMARK.json's by default). A run that is not ``"correct": true``
 with 0 failed stops the harness with exit 1.
 
 For each end-to-end metric of BENCHMARK.json, with its ``better`` direction
@@ -14,18 +14,20 @@ and its relative ``bound``, and each workload, a round gives one pair
 (A, B) and one pair (A, A'). A pair is a win when its second side is better
 than A; equal values count for neither side. The sign-test p-values are
 exact and one-sided over the pairs that are not ties. The verdict, decided
-in this order:
+in this order, so that a drifting set never hides a regression:
 
-- **void**: A' against A has p <= 0.05 in either direction. The host
-  drifted within the set, so it shows nothing; run it again.
 - **worse**: B's median is worse than A's by more than the bound, as a
   fraction of A's median.
+- **void**: A' against A has p <= 0.05 in either direction. The host
+  drifted within the set, so it shows nothing; run it again.
 - **gain**: B beats A in at least 9 of every 10 pairs, and B's median is
   better than A's by more than A's q3 - q1.
+- **unresolved**: A's q3 - q1 is wider than the bound (as a fraction of A's
+  median) and not every B run is better than every A run, so the set cannot
+  tell "no change" from a regression within the bound.
 - **no change**: otherwise.
 
-The last line printed is one JSON object holding every figure above; it is
-also written to ``--json`` if given.
+The last line printed is one JSON object holding every figure above.
 """
 
 from __future__ import annotations
@@ -79,12 +81,15 @@ def judge(a: list[float], b: list[float], a2: list[float], better: str, bound: f
     a2_wins, a2_losses = tally(a2)
     sa, sb = spread(a), spread(b)
     gain = sign * (sb["median"] - sa["median"])  # > 0: B's median is better
-    if min(sign_p(a2_wins, a2_losses), sign_p(a2_losses, a2_wins)) <= P_VOID:
-        verdict = "void"
-    elif -gain > bound * abs(sa["median"]):
+    if -gain > bound * abs(sa["median"]):
         verdict = "worse"
+    elif min(sign_p(a2_wins, a2_losses), sign_p(a2_losses, a2_wins)) <= P_VOID:
+        verdict = "void"
     elif 10 * b_wins >= 9 * len(a) and gain > sa["q3"] - sa["q1"]:
         verdict = "gain"
+    elif sa["q3"] - sa["q1"] > bound * abs(sa["median"]) and not all(
+            sign * (y - x) > 0 for x in a for y in b):
+        verdict = "unresolved"
     else:
         verdict = "no change"
     return {
@@ -100,13 +105,15 @@ def judge(a: list[float], b: list[float], a2: list[float], better: str, bound: f
 def export(rev: str, dest: Path) -> None:
     tar = subprocess.run(["git", "-C", str(ROOT), "archive", rev], capture_output=True, check=True)
     with tarfile.open(fileobj=io.BytesIO(tar.stdout)) as archive:
-        archive.extractall(dest, filter="data")
+        # the "data" filter exists from Python 3.12 and in 3.10.12+ / 3.11.4+
+        safe = {"filter": "data"} if hasattr(tarfile, "data_filter") else {}
+        archive.extractall(dest, **safe)
 
 
-def bench(tree: Path, workload: str, seed: int, seconds: int) -> dict[str, float]:
+def bench(tree: Path, workload: str, seconds: int) -> dict[str, float]:
     """One run.py run in ``tree``: {metric: value}. Exits 1 on a run that
     is not correct."""
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
@@ -126,8 +133,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workload", action="append", help="repeatable; default: all")
     parser.add_argument("--rounds", type=int, default=10)
     parser.add_argument("--seconds", type=int, default=25)
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--json", type=Path, help="also write the JSON result here")
     args = parser.parse_args(argv)
     workloads, metrics = declared()
     workloads = args.workload or workloads
@@ -141,7 +146,7 @@ def main(argv: list[str] | None = None) -> int:
             for w in workloads:
                 order = list(trees)[r % 3:] + list(trees)[:r % 3]
                 for side in order:
-                    samples[w][side].append(bench(trees[side], w, args.seed, args.seconds))
+                    samples[w][side].append(bench(trees[side], w, args.seconds))
                 print(f"round {r + 1}/{args.rounds} {w}: " + ", ".join(
                     f"{side} wall_s {samples[w][side][-1]['wall_s']:.4f}" for side in order),
                     flush=True)
@@ -160,11 +165,8 @@ def main(argv: list[str] | None = None) -> int:
                 f"  -> {res['verdict']}")
     commit = subprocess.run(["git", "-C", str(ROOT), "rev-parse", args.base],
                             capture_output=True, text=True, check=True).stdout.strip()
-    out = json.dumps({"base": args.base, "base_commit": commit, "rounds": args.rounds,
-                      "seconds": args.seconds, "seed": args.seed, "workloads": report})
-    if args.json:
-        args.json.write_text(out + "\n")
-    print(out)
+    print(json.dumps({"base": args.base, "base_commit": commit, "rounds": args.rounds,
+                      "seconds": args.seconds, "workloads": report}))
     return 0
 
 
