@@ -57,16 +57,13 @@ class Segment(NamedTuple):
 class RttEstimator:
     """Smoothed RTT / variance estimator with exponential timeout backoff."""
 
-    __slots__ = ("rto_min", "rto_max", "srtt", "rttvar", "rto", "has_sample")
+    __slots__ = ("rto_min", "srtt", "rttvar", "rto", "has_sample")
 
-    def __init__(
-        self, rto_min: float = DEFAULT_RTO_MIN_S, rto_max: float = DEFAULT_RTO_MAX_S
-    ) -> None:
+    def __init__(self, rto_min: float = DEFAULT_RTO_MIN_S) -> None:
         self.rto_min = rto_min
-        self.rto_max = rto_max
         self.srtt = 0.0
         self.rttvar = 0.0
-        self.rto = min(max(INITIAL_RTO_S, rto_min), rto_max)
+        self.rto = min(max(INITIAL_RTO_S, rto_min), DEFAULT_RTO_MAX_S)
         self.has_sample = False
 
     def update(self, sample: float) -> None:
@@ -78,10 +75,10 @@ class RttEstimator:
         else:
             self.rttvar = 0.75 * self.rttvar + 0.25 * abs(self.srtt - sample)
             self.srtt = 0.875 * self.srtt + 0.125 * sample
-        self.rto = min(max(self.srtt + 4 * self.rttvar, self.rto_min), self.rto_max)
+        self.rto = min(max(self.srtt + 4 * self.rttvar, self.rto_min), DEFAULT_RTO_MAX_S)
 
     def back_off(self) -> None:
-        self.rto = min(self.rto * 2, self.rto_max)
+        self.rto = min(self.rto * 2, DEFAULT_RTO_MAX_S)
 
 
 class Diverged(Exception):
@@ -107,14 +104,13 @@ class SenderEndpoint:
         trace: RunTrace,
         app_limit: int | None = None,
         rto_min: float = DEFAULT_RTO_MIN_S,
-        rto_max: float = DEFAULT_RTO_MAX_S,
     ) -> None:
         self.mss_bytes = mss_bytes
         flavors = (flavor,) if isinstance(flavor, Flavor) else flavor
         self.cc: CcVars = init_sender(flavors[0], mss_bytes)
         self.shadows = tuple(init_sender(f, mss_bytes) for f in flavors[1:])
         self.high_sent = 0
-        self.rtt_est = RttEstimator(rto_min=rto_min, rto_max=rto_max)
+        self.rtt_est = RttEstimator(rto_min=rto_min)
         # send time of each unacked seq; None once it was retransmitted
         self.send_timestamps: dict[int, float | None] = {}
         self.app_limit = app_limit

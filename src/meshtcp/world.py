@@ -15,7 +15,6 @@ from __future__ import annotations
 from .cc import Flavor
 from .endpoint import (
     DEFAULT_MSS_BYTES,
-    DEFAULT_RTO_MAX_S,
     DEFAULT_RTO_MIN_S,
     Diverged,
     ReceiverEndpoint,
@@ -53,7 +52,6 @@ class MeshWorld:
         app_limit: int | None = None,
         mss_bytes: int = DEFAULT_MSS_BYTES,
         rto_min: float = DEFAULT_RTO_MIN_S,
-        rto_max: float = DEFAULT_RTO_MAX_S,
         trace: RunTrace | None = None,
     ) -> None:
         self.events = EventQueue()
@@ -65,8 +63,7 @@ class MeshWorld:
         self._expiry_token = 0
 
         self.sender = SenderEndpoint(
-            flavor, mss_bytes, trace=self.trace,
-            app_limit=app_limit, rto_min=rto_min, rto_max=rto_max,
+            flavor, mss_bytes, trace=self.trace, app_limit=app_limit, rto_min=rto_min
         )
         self.receiver = ReceiverEndpoint()
         self.forks: list[MeshWorld] = []

@@ -131,23 +131,20 @@ def test_drop_table_beside_a_loss_rate_exits_2(tmp_path, capsys, monkeypatch, ar
     assert not (tmp_path / "o").exists()
 
 
-# GOOD has six lines, so an appended key is on line 7 and the next on line 8
+# GOOD has six lines, so an appended key is on line 7; the RTO ceiling is
+# a fixed 60 s (RFC 6298 §2.5), so no key sets it
 @pytest.mark.parametrize(
-    "extra, overrides, where",
+    "extra, overrides, error",
     [
-        ("rto_min_s = 2\nrto_max_s = 1\n", [], "line 8"),
-        ("rto_max_s = 1\n", ["rto_min_s=2"], "line 7"),
-        ("rto_min_s = 61\n", [], "line 7"),  # above the default rto_max_s
-        ("rto_min_s = 2\n", ["rto_max_s=1"], "override"),
+        ("rto_min_s = 61\n", [], "line 7: rto_min_s must be <= 60.0, got 61.0"),
+        ("", ["rto_min_s=61"], "override: rto_min_s must be <= 60.0, got 61.0"),
+        ("rto_max_s = 60\n", [], "line 7: unknown key 'rto_max_s'"),
     ],
 )
-def test_rto_bounds_error_names_rto_max_s_else_rto_min_s(
-    tmp_path, capsys, extra, overrides, where
-):
+def test_rto_ceiling_is_fixed_at_60_s(tmp_path, capsys, extra, overrides, error):
     argv = [arg for pair in overrides for arg in ("--override", pair)]
     assert main(["validate", "--config", write(tmp_path, GOOD + extra), *argv]) == 2
-    err = capsys.readouterr().err
-    assert err == f"configuration error: {where}: rto_max_s must be >= rto_min_s\n"
+    assert capsys.readouterr().err == f"configuration error: {error}\n"
 
 
 @pytest.mark.parametrize(
@@ -175,6 +172,13 @@ def test_integer_flag_takes_only_a_plain_ascii_literal(tmp_path, capsys, argv):
     assert exc.value.code == 2
     assert "invalid number value" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_override_without_a_value_exits_2(tmp_path, capsys):
+    assert main(["validate", "--config", write(tmp_path, GOOD), "--override", "seeds"]) == 2
+    assert capsys.readouterr().err == (
+        "configuration error: override must be KEY=VALUE, got 'seeds'\n"
+    )
 
 
 def test_run_override_key(tmp_path):
@@ -451,8 +455,9 @@ def test_unusable_out_exits_2_before_any_run(tmp_path, capsys, monkeypatch, argv
         (["run"], "results.csv"),
         (["trace", "--flavor", "sac", "--hops", "1", "--seed", "1"], "trace.tsv"),
         (["compare", "--baseline", "newreno", "--candidate", "sac"], "compare.csv"),
+        (["run"], "results.csv.partial"),  # where run writes before the rename
     ],
-    ids=["run", "trace", "compare"],
+    ids=["run", "trace", "compare", "run-partial"],
 )
 def test_unwritable_output_exits_2_and_leaves_no_partial(tmp_path, capsys, argv, output):
     out = tmp_path / "o"

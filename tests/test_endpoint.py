@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from meshtcp.cc import CcPhase, Flavor
 from meshtcp.endpoint import (
+    DEFAULT_RTO_MAX_S,
     RECEIVER_WINDOW,
     Diverged,
     ReceiverEndpoint,
@@ -30,14 +31,14 @@ def make_sender(flavor=Flavor.NEWRENO, **kwargs):
 
 class TestRttEstimator:
     def test_first_sample(self):
-        est = RttEstimator(rto_min=0.2, rto_max=60.0)
+        est = RttEstimator(rto_min=0.2)
         est.update(1.0)
         assert est.srtt == 1.0
         assert est.rttvar == 0.5
         assert est.rto == 3.0
 
     def test_subsequent_sample(self):
-        est = RttEstimator(rto_min=0.2, rto_max=60.0)
+        est = RttEstimator(rto_min=0.2)
         est.update(1.0)
         est.update(1.0)
         assert est.rttvar == 0.375
@@ -45,7 +46,7 @@ class TestRttEstimator:
         assert est.rto == 2.5
 
     def test_clamp_to_rto_min(self):
-        est = RttEstimator(rto_min=0.2, rto_max=60.0)
+        est = RttEstimator(rto_min=0.2)
         for _ in range(20):
             est.update(0.05)
         assert est.rto == 0.2
@@ -227,7 +228,7 @@ class TestSenderRto:
         s.fill_window(0.0)
         rto_before = s.rtt_est.rto
         out = s.on_rto(1.0)
-        assert s.rtt_est.rto == min(rto_before * 2, s.rtt_est.rto_max)
+        assert s.rtt_est.rto == min(rto_before * 2, DEFAULT_RTO_MAX_S)
         assert s.cc.cwnd == 1
         assert s.cc.phase is CcPhase.SS
         assert [g.seq for g in out] == [0]
@@ -293,8 +294,8 @@ class TestSharedFlavors:
 
 
 class TestReceiver:
-    def make(self, **kwargs):
-        return ReceiverEndpoint(**kwargs)
+    def make(self):
+        return ReceiverEndpoint()
 
     def test_contiguous_merge(self):
         r = self.make()

@@ -50,7 +50,6 @@ class TestLoadConfig:
         assert spec.mss_bytes == 1460
         assert spec.interference_range == 2
         assert spec.rto_min_s == 0.2
-        assert spec.rto_max_s == 60.0
         assert spec.app_limit is None
         assert spec.warmup_s == 0.0
 
@@ -66,8 +65,18 @@ class TestLoadConfig:
             load_config("")
 
     def test_keys_are_the_spec_fields(self):
-        # each key names its ExperimentSpec field, in the same order
-        assert tuple(_SCHEMA) == ExperimentSpec._fields
+        # the key census: adding or removing a config key is a declared edit
+        # here; each key names its ExperimentSpec field, in the same order
+        keys = [
+            "flavors", "hops", "loss_rates", "seeds", "duration", "bandwidth_bps",
+            "prop_delay_s", "queue_capacity", "mss_bytes", "interference_range",
+            "rto_min_s", "app_limit", "scripted_drops", "warmup_s",
+        ]
+        assert list(_SCHEMA) == keys
+        assert list(ExperimentSpec._fields) == keys
+        numeric = {key: lower for key, (kind, lower, *_) in _SCHEMA.items() if kind in (int, float)}
+        assert sorted(BELOW_BOUND) == sorted(numeric)
+        assert all((BELOW_BOUND[key] is None) == (lower is None) for key, lower in numeric.items())
 
     def test_unknown_key_names_line(self):
         with pytest.raises(ConfigError, match="line 6"):
@@ -118,8 +127,26 @@ class TestLoadConfig:
         ]
 
     def test_scripted_drops_malformed(self):
-        with pytest.raises(ConfigError, match="scripted_drops"):
-            load_config(BASIC + "scripted_drops = 1:10\n")
+        # an empty entry fails as an empty item of a comma list does
+        for raw, entry in [("1:10", "1:10"), ("1:3:1;", ""), ("1:3:1;;1:4:1", ""), (";", "")]:
+            text, lineno = config_with("scripted_drops", raw)
+            with pytest.raises(
+                ConfigError,
+                match=f"^line {lineno}: scripted_drops entries are 'link:seq:nth', got '{entry}'$",
+            ):
+                load_config(text)
+
+    @pytest.mark.parametrize(
+        "key, raw, error",
+        [
+            ("app_limit", "", "empty value for 'app_limit'"),
+            ("hops", "1,,2", "malformed list for 'hops'"),
+        ],
+    )
+    def test_empty_value_or_list_item_names_line(self, key, raw, error):
+        text, lineno = config_with(key, raw)
+        with pytest.raises(ConfigError, match=f"^line {lineno}: {error}$"):
+            load_config(text)
 
     def test_scripted_drop_beyond_chain(self):
         with pytest.raises(ConfigError, match="line 6: scripted drop on hop 9 beyond the chain"):
@@ -189,14 +216,27 @@ class TestRunExperiment:
             assert [s1.uniform() for _ in range(5)] == [s2.uniform() for _ in range(5)]
 
     @pytest.mark.parametrize(
-        "bound, rtos", [("rto_max_s = 0.5", [(0.5, 0.5)]), ("rto_min_s = 3", [(3.0, 6.0)])]
+        "bound, rtos",
+        [
+            # segment 0 lost on each of its first seven transmissions: the
+            # backed-off RTO stops at the fixed 60 s ceiling (RFC 6298 §2.5)
+            (
+                "app_limit = 1\nduration = 130\nscripted_drops = "
+                + ";".join(f"1:0:{nth}" for nth in range(1, 8)),
+                [(1.0, 2.0), (3.0, 4.0), (7.0, 8.0), (15.0, 16.0), (31.0, 32.0),
+                 (63.0, 60.0), (123.0, 60.0)],
+            ),
+            ("rto_min_s = 3", [(3.0, 6.0)]),
+        ],
     )
     def test_first_rto_keeps_the_configured_bounds(self, bound, rtos):
-        # segment 0 is lost on its first transmission at time 0; RTO records
-        # carry (time, backed-off RTO)
+        # segment 0 is lost on its first transmission at time 0, and the keys
+        # in ``bound`` override the base point; RTO records carry (time,
+        # backed-off RTO)
         spec = load_config(
             "flavors = sac\nhops = 1\nloss_rates = 0\nseeds = 1\nduration = 10\n"
-            f"app_limit = 3\nscripted_drops = 1:0:1\n{bound}\n"
+            "app_limit = 3\nscripted_drops = 1:0:1\n",
+            dict(line.split(" = ") for line in bound.splitlines()),
         )
         trace = run_single(spec, *spec.combinations()[0])
         assert [(r.time, r.value) for r in trace.records if r.kind is TraceKind.RTO] == rtos
@@ -359,29 +399,13 @@ BELOW_BOUND = {
     "mss_bytes": "0",
     "interference_range": "-1",
     "rto_min_s": "0",
-    "rto_max_s": "0",
     "app_limit": "0",
     "warmup_s": "-1",
 }
 
 
-def test_config_keys_are_exactly_the_declared_ones():
-    # the key census: adding or removing a config key is a declared edit here
-    keys = [
-        "flavors", "hops", "loss_rates", "seeds", "duration", "bandwidth_bps",
-        "prop_delay_s", "queue_capacity", "mss_bytes", "interference_range",
-        "rto_min_s", "rto_max_s", "app_limit", "scripted_drops", "warmup_s",
-    ]
-    assert list(_SCHEMA) == keys
-    assert list(ExperimentSpec._fields) == keys
-    numeric = {key: lower for key, (kind, lower, *_) in _SCHEMA.items() if kind in (int, float)}
-    assert sorted(BELOW_BOUND) == sorted(numeric)
-    assert all((BELOW_BOUND[key] is None) == (lower is None) for key, lower in numeric.items())
-
-
 FLOAT_KEYS = (
-    "loss_rates", "duration", "bandwidth_bps", "prop_delay_s", "rto_min_s",
-    "rto_max_s", "warmup_s",
+    "loss_rates", "duration", "bandwidth_bps", "prop_delay_s", "rto_min_s", "warmup_s",
 )
 
 

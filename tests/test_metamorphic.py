@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from meshtcp import endpoint
 from meshtcp.cc import Flavor
-from meshtcp.endpoint import DEFAULT_RTO_MAX_S, DEFAULT_RTO_MIN_S, RECEIVER_WINDOW
+from meshtcp.endpoint import DEFAULT_RTO_MIN_S, RECEIVER_WINDOW
 from meshtcp.engine import TraceKind
 from meshtcp.experiment import load_config, run_single
 from meshtcp.mesh import DEFAULT_BANDWIDTH_BPS, DEFAULT_PROP_DELAY_S
@@ -65,16 +65,17 @@ def check_time_scaling(flavor, hops, rate, seed, k):
     multiplying by a power of two commutes with IEEE-754 rounding, and every
     other field stays equal."""
     base = records(flavor, hops, rate, seed, duration=3.0, queue_capacity=5)
-    initial = endpoint.INITIAL_RTO_S  # the one time constant no config key sets
-    endpoint.INITIAL_RTO_S = initial * k
+    # the two time constants no config key sets
+    initial, ceiling = endpoint.INITIAL_RTO_S, endpoint.DEFAULT_RTO_MAX_S
+    endpoint.INITIAL_RTO_S, endpoint.DEFAULT_RTO_MAX_S = initial * k, ceiling * k
     try:
         scaled = records(
             flavor, hops, rate / k, seed, duration=3.0 * k, queue_capacity=5,
             prop_delay_s=DEFAULT_PROP_DELAY_S * k, bandwidth_bps=DEFAULT_BANDWIDTH_BPS / k,
-            rto_min_s=DEFAULT_RTO_MIN_S * k, rto_max_s=DEFAULT_RTO_MAX_S * k,
+            rto_min_s=DEFAULT_RTO_MIN_S * k,
         )
     finally:
-        endpoint.INITIAL_RTO_S = initial
+        endpoint.INITIAL_RTO_S, endpoint.DEFAULT_RTO_MAX_S = initial, ceiling
     assert scaled == [
         (time * k, kind, flow, seq, value * k if kind is TraceKind.RTO else value)
         for time, kind, flow, seq, value in base

@@ -1,3 +1,4 @@
+import inspect
 import random
 from collections import Counter
 
@@ -12,7 +13,7 @@ from conftest import (
     route,
 )
 from meshtcp.cc import Flavor
-from meshtcp.endpoint import SenderEndpoint
+from meshtcp.endpoint import ReceiverEndpoint, RttEstimator, SenderEndpoint
 from meshtcp.engine import EventKind, TraceKind, run_until
 from meshtcp.mesh import ChainTopology, DropDirective, LinkModel
 from meshtcp.metrics import summarize
@@ -24,6 +25,25 @@ def run_world(flavor, hops=1, seed=1, duration=5.0, link=None, drops=(),
     topo = ChainTopology(hops + 1, link or LinkModel(), drops=drops)
     world = MeshWorld(topo, flavor, seed=seed, app_limit=app_limit)
     return world, run_until(world, duration)
+
+
+def test_each_constructor_takes_exactly_its_declared_options():
+    # the wiring census: adding or removing an option is a declared edit here
+    def options(cls):
+        return [
+            name for name, p in inspect.signature(cls).parameters.items()
+            if p.kind is p.KEYWORD_ONLY or p.default is not p.empty
+        ]
+
+    assert {
+        cls.__name__: options(cls)
+        for cls in (MeshWorld, SenderEndpoint, ReceiverEndpoint, RttEstimator)
+    } == {
+        "MeshWorld": ["seed", "app_limit", "mss_bytes", "rto_min", "trace"],
+        "SenderEndpoint": ["trace", "app_limit", "rto_min"],
+        "ReceiverEndpoint": [],
+        "RttEstimator": ["rto_min"],
+    }
 
 
 def test_lossless_run_clean_metrics():
