@@ -203,8 +203,6 @@ def load_config(text: str, overrides: Mapping[str, str] | None = None) -> Experi
         if key not in mapping:
             continue
         raw, where = mapping[key]
-        if key == "app_limit" and raw == "unbounded":
-            continue
         items = _split_list(raw, where, key) if is_list else [raw]
         values = tuple(_parse_value(v, where, key, kind, minimum, strict, maximum) for v in items)
         for i, value in enumerate(values):

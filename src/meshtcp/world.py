@@ -3,14 +3,17 @@
 The flow runs from node 1 to the last node of the chain. The world
 wires the run: it owns the event queue, hands the run's trace (one it is
 given, or a fresh one that keeps its records) to the network and the sender,
-and dispatches events to them and the receiver. It keeps one queued RTO
-expiry.
+and dispatches events to them and the receiver. It keeps one live RTO
+expiry in the queue, the one at ``_expiry_at``; an expiry popped at any
+other time was replaced, and of two at that time the first popped is live.
 
 A world may carry several flavors, which share the run until their
 congestion control first acts differently; there it splits (``_split``).
 """
 
 from __future__ import annotations
+
+import math
 
 from .cc import Flavor
 from .endpoint import (
@@ -39,8 +42,7 @@ class MeshWorld:
     # slots, here and in the state a world owns: a copy made by ``_split``
     # keeps them, where a copied ``__dict__`` slows lookups in both worlds
     __slots__ = (
-        "events", "trace", "net", "_queued_expiry", "_expiry_token", "sender",
-        "receiver", "forks",
+        "events", "trace", "net", "_expiry_at", "sender", "receiver", "forks",
     )
 
     def __init__(
@@ -57,10 +59,8 @@ class MeshWorld:
         self.events = EventQueue()
         self.trace = RunTrace() if trace is None else trace
         self.net = MeshNetwork(topology, events=self.events, trace=self.trace, seed=seed)
-        # (time, token) of the one live TIMER_EXPIRY in the queue; an entry
-        # whose token is not this one was replaced and is discarded
-        self._queued_expiry: tuple[float, int] | None = None
-        self._expiry_token = 0
+        # time of the one live TIMER_EXPIRY in the queue, inf if none
+        self._expiry_at = math.inf
 
         self.sender = SenderEndpoint(
             flavor, mss_bytes, trace=self.trace, app_limit=app_limit, rto_min=rto_min
@@ -81,24 +81,21 @@ class MeshWorld:
         elif kind is _CHANNEL_FREE:
             self.net.on_channel_free(payload, time)
         elif kind is _TIMER_EXPIRY:
-            self._on_timer(time, payload)
+            self._on_timer(time)
         elif kind is _APP_TICK:
             self._send(self.sender.start(time), time)
         else:  # pragma: no cover - enum is closed
             raise ContractError(f"unknown event kind {kind}")
 
-    def _on_timer(self, time: float, token: int) -> None:
-        queued = self._queued_expiry
-        if queued is None or queued[1] != token:
+    def _on_timer(self, time: float) -> None:
+        if time != self._expiry_at:
             return  # replaced by an expiry at an earlier deadline
-        self._queued_expiry = None
+        self._expiry_at = math.inf
         deadline = self.sender.rto_deadline
-        if deadline is None:
-            return  # cancelled since it was queued
-        if deadline > time:
-            self._send([], time)  # restarted since it was queued
-            return
-        self._react(time, None)
+        if deadline is not None and deadline <= time:
+            self._react(time, None)
+        else:
+            self._send([], time)  # cancelled or restarted since it was queued
 
     def _react(self, time: float, ack: Segment | None) -> None:
         """Let the sender take ``ack``, or its RTO if None, and send what it
@@ -121,12 +118,9 @@ class MeshWorld:
         for seg in segs:
             forward(seg, time)
         deadline = self.sender.rto_deadline
-        if deadline is not None:
-            queued = self._queued_expiry
-            if queued is None or deadline < queued[0]:
-                self._expiry_token = token = self._expiry_token + 1
-                self.events.push(deadline, _TIMER_EXPIRY, token)
-                self._queued_expiry = (deadline, token)
+        if deadline is not None and deadline < self._expiry_at:
+            self.events.push(deadline, _TIMER_EXPIRY, None)
+            self._expiry_at = deadline
 
     def _split(self, groups: list[list[int]], time: float, ack: Segment | None) -> None:
         """Copy the world, as it is, for every group of agreeing flavors but

@@ -88,6 +88,13 @@ def rto_fires_exactly_at_its_deadline():
         test_world.test_rto_fires_exactly_at_its_deadline(patch)
 
 
+def event_counts_are_locked():
+    # a replaced expiry taken as live changes no output, only the count of
+    # expiries handled
+    with pytest.MonkeyPatch.context() as patch:
+        test_world.test_event_counts_per_kind_are_locked(patch, (Flavor.SAC, 4, 1.0, 7))
+
+
 CATALOGUE = [
     Mutant(
         "group_fifo_served_lifo",
@@ -176,9 +183,16 @@ CATALOGUE = [
     Mutant(
         "send_skips_the_earlier_deadline_push",
         MeshWorld._send,
-        "if queued is None or deadline < queued[0]:",
-        "if queued is None:",
+        "deadline < self._expiry_at",
+        "self._expiry_at == math.inf",
         rto_fires_exactly_at_its_deadline,
+    ),
+    Mutant(
+        "replaced_expiry_taken_as_live",
+        MeshWorld._on_timer,
+        "if time != self._expiry_at:",
+        "if False:",
+        event_counts_are_locked,
     ),
     Mutant(
         "vegas_diff_over_a_constant_rtt",

@@ -44,6 +44,10 @@ def test_each_constructor_takes_exactly_its_declared_options():
         "ReceiverEndpoint": [],
         "RttEstimator": ["rto_min"],
     }
+    # and the state census: a new per-world slot is a declared edit too
+    assert MeshWorld.__slots__ == (
+        "events", "trace", "net", "_expiry_at", "sender", "receiver", "forks",
+    )
 
 
 def test_lossless_run_clean_metrics():
@@ -199,6 +203,27 @@ def test_rto_fires_exactly_at_its_deadline(monkeypatch):
     assert len(rto_times) > 30  # the configs do reach the timer
 
 
+def test_of_two_expiries_at_one_time_the_first_popped_fires(monkeypatch):
+    # the only segment is lost, so nothing moves the deadline before it is due
+    topo = ChainTopology(2, LinkModel(), drops=(DropDirective(1, 0, 1),))
+    world = MeshWorld(topo, Flavor.NEWRENO, seed=1, app_limit=1)
+    run_until(world, 0.0)
+    due = world._expiry_at
+    assert due == world.sender.rto_deadline
+    world.events.push(due, EventKind.TIMER_EXPIRY, None)  # ties the live one
+    rto_times = []
+    on_rto = SenderEndpoint.on_rto
+
+    def counted(self, now):
+        rto_times.append(now)
+        return on_rto(self, now)
+
+    monkeypatch.setattr(SenderEndpoint, "on_rto", counted)
+    run_until(world, due)
+    assert rto_times == [due]
+    assert world._expiry_at == world.sender.rto_deadline > due
+
+
 def test_link_is_idle_exactly_when_its_queue_is_empty(monkeypatch):
     # A10-style random configs: after every event, a link with an empty
     # queue neither holds its group's channel nor waits for it, and a link
@@ -243,12 +268,10 @@ def test_one_live_timer_entry_per_flow(monkeypatch, point):
         nonlocal area, last_time, last_count
         area += last_count * (time - last_time)
         handle(self, time, kind, payload)
-        timers = [p for _, _, k, p in self.events._heap if k is EventKind.TIMER_EXPIRY]
-        sender = self.sender
-        if sender.rto_deadline is not None:
-            queued_at, token = self._queued_expiry
-            assert timers.count(token) == 1
-            assert queued_at <= sender.rto_deadline
+        timers = [t for t, _, k, _ in self.events._heap if k is EventKind.TIMER_EXPIRY]
+        if self.sender.rto_deadline is not None:
+            assert timers.count(self._expiry_at) == 1
+            assert self._expiry_at <= self.sender.rto_deadline
         last_time, last_count = time, len(timers)
 
     monkeypatch.setattr(MeshWorld, "handle", sampled)
