@@ -76,26 +76,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_overrides(pairs: list[str]) -> dict[str, str]:
-    overrides: dict[str, str] = {}
-    for pair in pairs:
-        if "=" not in pair:
-            raise ConfigError(f"override must be KEY=VALUE, got {pair!r}")
-        key, _, value = pair.partition("=")
-        key = key.strip()
-        if key in overrides:
-            raise ConfigError(f"override: duplicate key {key!r}")
-        overrides[key] = value.strip()
-    return overrides
-
-
 def _load_spec(args: argparse.Namespace) -> ExperimentSpec:
     path = Path(args.config)
     try:
         text = path.read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
-    return load_config(text, _parse_overrides(args.override))
+    return load_config(text, args.override)
 
 
 def _outdir(args: argparse.Namespace) -> Path:

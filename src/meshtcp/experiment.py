@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from typing import Iterator, Mapping, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .cc import Flavor
 from .endpoint import DEFAULT_MSS_BYTES, DEFAULT_RTO_MAX_S, DEFAULT_RTO_MIN_S
@@ -90,19 +90,15 @@ ResultRow.__doc__ = "One sweep point and its metrics, in the CSV's column order.
 CSV_HEADER = ",".join(ResultRow._fields)
 
 
-def _parse_lines(text: str) -> dict[str, tuple[str, str]]:
-    """Parse key = value lines into {key: (raw value, location)}."""
+def _parse_lines(entries: Iterable[tuple[str, str]]) -> dict[str, tuple[str, str]]:
+    """Parse (location, "key = value") entries into {key: (raw value, location)}."""
     mapping: dict[str, tuple[str, str]] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        body = line.split("#", 1)[0].strip()
-        if not body:
-            continue
+    for where, body in entries:
         if "=" not in body:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {body!r}")
+            raise ConfigError(f"{where}: expected 'key = value', got {body!r}")
         key, _, raw = body.partition("=")
         key = key.strip()
         raw = raw.strip()
-        where = f"line {lineno}"
         if key not in _SCHEMA:
             raise ConfigError(f"{where}: unknown key {key!r}")
         if key in mapping:
@@ -185,13 +181,12 @@ def _parse_scripted(raw: str, where: str) -> tuple[DropDirective, ...]:
     return tuple(directives)
 
 
-def load_config(text: str, overrides: Mapping[str, str] | None = None) -> ExperimentSpec:
-    """Parse and validate a config, applying overrides on top."""
-    mapping = _parse_lines(text)
-    for key, raw in (overrides or {}).items():
-        if key not in _SCHEMA:
-            raise ConfigError(f"override: unknown key {key!r}")
-        mapping[key] = (str(raw), "override")
+def load_config(text: str, overrides: Iterable[str] = ()) -> ExperimentSpec:
+    """Parse and validate a config, then apply ``KEY=VALUE`` overrides on top;
+    an override is one more entry, checked after the whole file."""
+    lines = enumerate((line.split("#", 1)[0].strip() for line in text.splitlines()), 1)
+    mapping = _parse_lines((f"line {n}", body) for n, body in lines if body)
+    mapping |= _parse_lines(("override", pair) for pair in overrides)
 
     defaults = ExperimentSpec._field_defaults
     missing = [key for key in _SCHEMA if key not in mapping and key not in defaults]

@@ -177,8 +177,29 @@ def test_integer_flag_takes_only_a_plain_ascii_literal(tmp_path, capsys, argv):
 def test_override_without_a_value_exits_2(tmp_path, capsys):
     assert main(["validate", "--config", write(tmp_path, GOOD), "--override", "seeds"]) == 2
     assert capsys.readouterr().err == (
-        "configuration error: override must be KEY=VALUE, got 'seeds'\n"
+        "configuration error: override: expected 'key = value', got 'seeds'\n"
     )
+
+
+@pytest.mark.parametrize(
+    "entries, error",
+    [
+        (["seeds"], "expected 'key = value', got 'seeds'"),
+        (["frobnicate = 1"], "unknown key 'frobnicate'"),
+        (["seeds = 1", "seeds = 2"], "duplicate key 'seeds'"),
+        (["app_limit ="], "empty value for 'app_limit'"),
+    ],
+    ids=["missing_equals", "unknown_key", "repeated_key", "empty_value"],
+)
+def test_file_line_and_override_share_one_grammar(tmp_path, capsys, entries, error):
+    # an override is one more config entry: the same check gives the same
+    # message, and only the location differs
+    cfg = write(tmp_path, "\n".join(entries) + "\n")
+    assert main(["validate", "--config", cfg]) == 2
+    assert capsys.readouterr().err == f"configuration error: line {len(entries)}: {error}\n"
+    argv = [arg for entry in entries for arg in ("--override", entry)]
+    assert main(["validate", "--config", write(tmp_path, GOOD), *argv]) == 2
+    assert capsys.readouterr().err == f"configuration error: override: {error}\n"
 
 
 def test_run_override_key(tmp_path):

@@ -107,7 +107,7 @@ class TestLoadConfig:
             load_config(BASIC.replace("duration = 60", "duration = 0"))
 
     def test_scripted_drops_parse(self):
-        spec = load_config(BASIC + "scripted_drops = 1:10:1;1:10:2\n", {"loss_rates": "0"})
+        spec = load_config(BASIC + "scripted_drops = 1:10:1;1:10:2\n", ["loss_rates=0"])
         assert [(d.hop, d.seq, d.nth) for d in spec.scripted_drops] == [
             (1, 10, 1),
             (1, 10, 2),
@@ -137,7 +137,7 @@ class TestLoadConfig:
 
     def test_scripted_drop_beyond_chain(self):
         with pytest.raises(ConfigError, match="line 6: scripted drop on hop 9 beyond the chain"):
-            load_config(BASIC + "scripted_drops = 9:10:1\n", {"loss_rates": "0"})
+            load_config(BASIC + "scripted_drops = 9:10:1\n", ["loss_rates=0"])
 
     @pytest.mark.parametrize(
         "raw, bound, got", [("0:10:1", 1, 0), ("1:-1:1", 0, -1), ("1:10:0", 1, 0)]
@@ -148,7 +148,7 @@ class TestLoadConfig:
         with pytest.raises(
             ConfigError, match=f"^line {lineno}: scripted_drops must be >= {bound}, got {got}$"
         ):
-            load_config(text, {"loss_rates": "0"})
+            load_config(text, ["loss_rates=0"])
 
     def test_app_limit_unbounded_and_numeric(self, tmp_path, capsys):
         # no limit is the key left out; no word stands for it
@@ -160,13 +160,13 @@ class TestLoadConfig:
         assert load_config(BASIC + "app_limit = 500\n").app_limit == 500
 
     def test_overrides_replace_keys(self):
-        spec = load_config(BASIC, overrides={"seeds": "9", "duration": "5"})
+        spec = load_config(BASIC, ["seeds=9", "duration=5"])
         assert spec.seeds == (9,)
         assert spec.duration == 5.0
 
     def test_unknown_override_rejected(self):
         with pytest.raises(ConfigError, match="override"):
-            load_config(BASIC, overrides={"nope": "1"})
+            load_config(BASIC, ["nope=1"])
 
 
 SMALL = """\
@@ -228,7 +228,7 @@ class TestRunExperiment:
         spec = load_config(
             "flavors = sac\nhops = 1\nloss_rates = 0\nseeds = 1\nduration = 10\n"
             "app_limit = 3\nscripted_drops = 1:0:1\n",
-            dict(line.split(" = ") for line in bound.splitlines()),
+            bound.splitlines(),
         )
         trace = run_single(spec, *spec.combinations()[0])
         assert [(r.time, r.value) for r in trace.records if r.kind is TraceKind.RTO] == rtos
@@ -272,7 +272,7 @@ class TestSeedFreePoints:
     def test_a_shared_world_splits_into_each_flavors_own_run(self):
         # at this point sack once differs from its group only in what it
         # retransmits, and it reads SACK blocks from a receiver it shares
-        spec = load_config(SMALL, {"hops": "4", "loss_rates": "2.0", "duration": "10"})
+        spec = load_config(SMALL, ["hops=4", "loss_rates=2.0", "duration=10"])
         point = (4, 2.0, 1)
         traces, worlds = {}, 0
         for world in experiment._run_worlds(spec, tuple(Flavor), *point):
@@ -294,7 +294,7 @@ class TestSeedFreePoints:
             return delivered
 
         monkeypatch.setattr(mesh.MeshNetwork, "arrive", arrive_twice)
-        spec = load_config(SMALL, {"hops": "1", "seeds": "1"})
+        spec = load_config(SMALL, ["hops=1", "seeds=1"])
         with pytest.raises(ContractError, match=(
             r"^combination flavor=reno,sac hops=1 loss_rate=0.5 seed=1 aborted: "
         )):
@@ -307,10 +307,10 @@ class TestSeedFreePoints:
             raise AssertionError("a loss stream was built")
 
         monkeypatch.setattr(mesh, "RngStream", no_stream)
-        lossless = load_config(SMALL, {"loss_rates": "0"})
+        lossless = load_config(SMALL, ["loss_rates=0"])
         scripted_cfg = (CONFIGS / "retransmission_loss.cfg").read_text()
         with pytest.raises(ConfigError, match="loss_rates must be 0"):
-            load_config(scripted_cfg, {"loss_rates": "0.5"})
+            load_config(scripted_cfg, ["loss_rates=0.5"])
         for spec in (lossless, load_config(scripted_cfg)):
             trace = run_single(spec, Flavor.SAC, 1, spec.loss_rates[0], 1)
             assert any(r.kind is TraceKind.DELIVER for r in trace.records)
@@ -326,7 +326,7 @@ class TestSeedFreePoints:
             return build(spec, flavor, hops, rate, seed, trace)
 
         monkeypatch.setattr(experiment, "build_world", counting)
-        spec = load_config((CONFIGS / "loss_sweep.cfg").read_text(), {"duration": "1"})
+        spec = load_config((CONFIGS / "loss_sweep.cfg").read_text(), ["duration=1"])
         rows = run_experiment(spec)
         # 5 flavors x 4 rates x 10 seeds; one world per point carries all
         # five flavors, and at rate 0 only the first seed runs
@@ -367,7 +367,7 @@ class TestEmitCsv:
 
 def test_values_survive_a_pickle_round_trip():
     # what a worker process of a parallel sweep would receive and send back
-    spec = load_config(BASIC + "scripted_drops = 1:10:1;1:10:2\n", {"loss_rates": "0"})
+    spec = load_config(BASIC + "scripted_drops = 1:10:1;1:10:2\n", ["loss_rates=0"])
     row = ResultRow(
         throughput=55.5, goodput=None, plr=0.0125, mean_delay=0.125, rto_count=2,
         retransmit_count=9, delivered_count=3000, flavor=Flavor.SAC, hops=4,

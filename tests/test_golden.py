@@ -33,7 +33,7 @@ def sha256(data: str | bytes) -> str:
 
 
 def spec_of(name, **overrides):
-    return load_config((CONFIGS / name).read_text(), overrides)
+    return load_config((CONFIGS / name).read_text(), [f"{k}={v}" for k, v in overrides.items()])
 
 
 # emit_csv(run_experiment(...)) per config, with overrides that keep it short

@@ -4,7 +4,11 @@ through the receiver, one trace record kept in memory and one streamed as
 text, at a repeated time and at a new time.
 
 Each runs few rounds so the suite stays fast; raise ROUNDS for steadier
-figures. Every benchmark also checks the result of the operation it times.
+figures. Every benchmark also checks the result of the operation it times,
+and, where the operation moves some state by one, that the state moved by
+exactly the number of calls made: at least ROUNDS * ITERATIONS when
+benchmarking, one under ``--benchmark-disable``. Counting the calls costs
+one wrapper call per operation in every figure.
 """
 
 import io
@@ -32,7 +36,17 @@ ITERATIONS = 10
 
 
 def _bench(benchmark, fn, *args):
-    return benchmark.pedantic(fn, args=args, rounds=ROUNDS, iterations=ITERATIONS)
+    """``fn``'s last result under the benchmark, and how often it was called."""
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return fn(*args)
+
+    out = benchmark.pedantic(counted, args=args, rounds=ROUNDS, iterations=ITERATIONS)
+    assert calls >= (ROUNDS * ITERATIONS if benchmark.enabled else 1)
+    return out, calls
 
 
 def test_engine_push_and_pop(benchmark):
@@ -44,7 +58,7 @@ def test_engine_push_and_pop(benchmark):
         queue.push(0.0, EventKind.CHANNEL_FREE, None)
         return queue.pop()
 
-    assert _bench(benchmark, push_pop) == (0.0, EventKind.CHANNEL_FREE, None)
+    assert _bench(benchmark, push_pop)[0] == (0.0, EventKind.CHANNEL_FREE, None)
     assert len(queue._heap) == 64
 
 
@@ -66,13 +80,13 @@ def test_mesh_hop(benchmark):
 
 def test_cc_new_ack(benchmark):
     state = cc.CcVars(Flavor.NEWRENO, phase=CcPhase.CA, cwnd=20, ssthresh=16, last_ack=100)
-    new, retransmit = _bench(benchmark, cc.on_new_ack, state, 101, 0.05)
+    (new, retransmit), _ = _bench(benchmark, cc.on_new_ack, state, 101, 0.05)
     assert (new.last_ack, new.ca_accumulator, retransmit) == (101, 1, [])
 
 
 def test_cc_dupack(benchmark):
     state = cc.CcVars(Flavor.SACK, phase=CcPhase.CA, cwnd=20, ssthresh=16, last_ack=100)
-    new, retransmit = _bench(benchmark, cc.on_dupack, state, 100, 120, ((102, 105),))
+    (new, retransmit), _ = _bench(benchmark, cc.on_dupack, state, 100, 120, ((102, 105),))
     assert (new.dupacks, new.phase, retransmit) == (1, CcPhase.CA, [])
 
 
@@ -90,9 +104,9 @@ def test_sender_ack(benchmark):
         world._send([], seq * 1e-3)
         return out
 
-    out = _bench(benchmark, ack)
+    out, calls = _bench(benchmark, ack)
     assert out and all(seg.kind is SegmentKind.DATA and not seg.retx for seg in out)
-    assert sender.cc.last_ack == next(acks) - 1 >= ROUNDS * ITERATIONS
+    assert sender.cc.last_ack == next(acks) - 1 == calls
     # the first RTT sample moved the deadline earlier; every later ACK moved
     # it later and queued nothing
     timers = [e for e in world.events._heap if e[2] is EventKind.TIMER_EXPIRY]
@@ -106,24 +120,24 @@ def test_receiver_data(benchmark):
     def data():  # each segment is the next in order, so no SACK block
         return receiver.on_data(Segment(SegmentKind.DATA, next(seqs), 1460), 0.0)
 
-    ack = _bench(benchmark, data)
+    ack, calls = _bench(benchmark, data)
     assert ack.kind is SegmentKind.ACK and ack.sack == ()
-    assert ack.seq == receiver.rcv_next == next(seqs) >= ROUNDS * ITERATIONS
+    assert ack.seq == receiver.rcv_next == next(seqs) == calls
 
 
 def test_trace_add(benchmark):
     trace = RunTrace()
-    _bench(benchmark, trace.add, 1.0, TraceKind.SEND, 0, 7, "data")
-    assert len(trace.records) >= ROUNDS * ITERATIONS
+    _, calls = _bench(benchmark, trace.add, 1.0, TraceKind.SEND, 0, 7, "data")
+    assert len(trace.records) == calls
 
 
 def test_trace_add_streamed(benchmark):
     # every record has the same time object, so its text is reused
     sink = io.StringIO()
     trace = RunTrace(sink.write)
-    _bench(benchmark, trace.add, 1.0, TraceKind.SEND, 0, 7, "data")
+    _, calls = _bench(benchmark, trace.add, 1.0, TraceKind.SEND, 0, 7, "data")
     lines = sink.getvalue().splitlines()
-    assert len(trace.records) == 0 and len(lines) >= ROUNDS * ITERATIONS
+    assert len(trace.records) == 0 and len(lines) == calls
     assert set(lines) == {"1.000000000\tSEND\t0\t7\tdata"}
 
 
@@ -136,7 +150,7 @@ def test_trace_add_streamed_new_times(benchmark):
     def add():
         trace.add(next(times), TraceKind.SEND, 0, 7, "data")
 
-    _bench(benchmark, add)
+    _, calls = _bench(benchmark, add)
     lines = sink.getvalue().splitlines()
-    assert len(lines) == len(set(lines)) >= ROUNDS * ITERATIONS
+    assert len(lines) == len(set(lines)) == calls
     assert lines[0] == "0.001000000\tSEND\t0\t7\tdata"

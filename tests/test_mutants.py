@@ -27,7 +27,8 @@ from meshtcp import cc
 from meshtcp.cc import Flavor
 from meshtcp.endpoint import SenderEndpoint
 from meshtcp.engine import RunTrace, TraceKind
-from meshtcp.errors import ContractError
+from meshtcp.errors import ConfigError, ContractError
+from meshtcp.experiment import _parse_lines, load_config
 from meshtcp.mesh import ChainTopology, LossProcess, MeshNetwork, ScriptedDrops
 from meshtcp.world import MeshWorld
 from test_mesh_reference import check_examples
@@ -69,6 +70,21 @@ def streaming_trace_refuses_a_backwards_record():
     except ContractError:
         refused = True
     assert refused and lines == ["1.000000000\tSEND\t0\t0\tdata\n"]
+
+
+def a_key_set_twice_is_refused():
+    # in the file and among the overrides alike; raises AssertionError
+    # itself, as a failed pytest.raises raises Failed
+    for text, overrides in [
+        (test_experiment.BASIC + "seeds = 4\n", []),
+        (test_experiment.BASIC, ["seeds=4", "seeds=5"]),
+    ]:
+        refused = ""
+        try:
+            load_config(text, overrides)
+        except ConfigError as exc:
+            refused = str(exc)
+        assert "'seeds'" in refused, (text, overrides)
 
 
 def drop_table_naming_an_unsent_seq_drops_nothing():
@@ -228,6 +244,13 @@ CATALOGUE = [
         "time >= self._warmup:",
         "time >= self._warmup and not isinstance(value, str):",
         streaming_trace_writes_a_text_cwnd,
+    ),
+    Mutant(
+        "parser_lets_a_key_repeat",
+        _parse_lines,
+        "if key in mapping:",
+        "if False:",
+        a_key_set_twice_is_refused,
     ),
     Mutant(
         "order_check_skipped_when_streaming",
