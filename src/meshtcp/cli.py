@@ -144,7 +144,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     # once the run has finished, so a failed run leaves neither behind
     with _writing(out / "trace.tsv", out / "cwnd.tsv") as partial:
         with open(partial[0], "w") as trace_file, open(partial[1], "w") as cwnd_file:
-            trace = RunTrace(trace_file.write, cwnd_file.write, spec.warmup_s)
+            trace = RunTrace(trace_file.write, cwnd_file.write)
             run_single(spec, flavor, args.hops, spec.loss_rates[0], args.seed, trace)
     return EXIT_OK
 

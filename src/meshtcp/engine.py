@@ -86,26 +86,24 @@ class RunTrace:
     none: it passes each record's trace.tsv line, newline included, to
     ``write`` as the record is added, so its memory does not grow with the
     length of the run. Given ``write_cwnd`` too, it also passes it
-    ``time<TAB>cwnd`` for each CWND_SAMPLE at or after ``warmup``. Such a
-    streaming trace cannot be copied, as its records are already gone.
+    ``time<TAB>cwnd`` for each CWND_SAMPLE. Such a streaming trace cannot
+    be copied, as its records are already gone.
 
     The records one event makes mostly share its time object, so a
     streaming trace formats the time only when the object differs from the
     previous record's; one float object always formats to the same text.
     """
 
-    __slots__ = ("records", "_write", "_write_cwnd", "_warmup", "_last_time", "_stamp")
+    __slots__ = ("records", "_write", "_write_cwnd", "_last_time", "_stamp")
 
     def __init__(
         self,
         write: Callable[[str], object] | None = None,
         write_cwnd: Callable[[str], object] | None = None,
-        warmup: float = 0.0,
     ) -> None:
         self.records: list[TraceRecord] = []
         self._write = write
         self._write_cwnd = write_cwnd
-        self._warmup = warmup
         self._last_time = 0.0
         self._stamp = "0.000000000"  # the text of _last_time
 
@@ -130,7 +128,7 @@ class RunTrace:
             stamp = self._stamp
         else:
             self._stamp = stamp = f"{time:.9f}"
-        if kind is _CWND_SAMPLE and self._write_cwnd is not None and time >= self._warmup:
+        if kind is _CWND_SAMPLE and self._write_cwnd is not None:
             self._write_cwnd(f"{stamp}\t{value}\n")
         if not isinstance(value, str):
             value = str(value) if isinstance(value, int) else f"{value:.9f}"

@@ -16,7 +16,7 @@ from collections import namedtuple
 from typing import Iterable, Iterator, NamedTuple
 
 from .cc import Flavor
-from .endpoint import DEFAULT_MSS_BYTES, DEFAULT_RTO_MAX_S, DEFAULT_RTO_MIN_S
+from .endpoint import DEFAULT_ACK_BYTES, DEFAULT_MSS_BYTES, DEFAULT_RTO_MAX_S, DEFAULT_RTO_MIN_S
 from .engine import RunTrace, run_until
 from .errors import ConfigError, ContractError
 from .mesh import (
@@ -52,7 +52,6 @@ _SCHEMA: dict[str, tuple[type, float | None, bool, float | None, bool]] = {
     "rto_min_s": (float, 0.0, True, DEFAULT_RTO_MAX_S, False),
     "app_limit": (int, 1, False, None, False),
     "scripted_drops": (DropDirective, None, False, None, False),
-    "warmup_s": (float, 0.0, False, None, False),
 }
 
 
@@ -70,7 +69,6 @@ class ExperimentSpec(NamedTuple):
     rto_min_s: float = DEFAULT_RTO_MIN_S
     app_limit: int | None = None
     scripted_drops: tuple[DropDirective, ...] = ()
-    warmup_s: float = 0.0
 
     def combinations(self) -> list[tuple[Flavor, int, float, int]]:
         """All sweep points in deterministic lexicographic order."""
@@ -207,8 +205,10 @@ def load_config(text: str, overrides: Iterable[str] = ()) -> ExperimentSpec:
         fields[key] = values if is_list else values[0]
     spec = ExperimentSpec(**fields)
 
-    if spec.warmup_s >= spec.duration:
-        raise ConfigError(f"{mapping['warmup_s'][1]}: warmup_s must be below duration")
+    # time can stop if an ACK takes at most one ulp of duration (d + x/2 == d)
+    if spec.duration + DEFAULT_ACK_BYTES * 8.0 / spec.bandwidth_bps / 2 == spec.duration:
+        where = mapping.get("bandwidth_bps", mapping["duration"])[1]
+        raise ConfigError(f"{where}: bandwidth_bps sends an ACK within one ulp of duration")
     if spec.scripted_drops:
         where = mapping["scripted_drops"][1]
         if any(spec.loss_rates):
@@ -300,7 +300,7 @@ def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
         if point not in points:
             points[point] = summaries = {}  # of each flavor at the point
             for world in _run_worlds(spec, flavors, hops, rate, seed):
-                summary = summarize(world.trace.records, warmup=spec.warmup_s)
+                summary = summarize(world.trace.records)
                 summaries.update(dict.fromkeys(world.sender.flavors, summary))
         rows.append(ResultRow(flavor, hops, rate, seed, *points[point][flavor]))
     return rows

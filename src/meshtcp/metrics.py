@@ -6,8 +6,8 @@ retransmissions) over the span between the first and last of them;
 are reported because the transmission-based definition credits wasted
 retransmissions. Delay runs from a segment's SEND to its first delivery,
 so retransmission penalty shows up in it. Goodput and delay cover the
-window's cohort, the seqs whose SEND is at or after the warm-up;
-throughput, plr and the counts take every record in the window.
+cohort, the seqs whose SEND is in the trace, so a trace that starts
+mid-flow leaves out seqs sent before it; the rest take every record.
 """
 
 from __future__ import annotations
@@ -33,16 +33,14 @@ class MetricsSummary(NamedTuple):
     delivered_count: int
 
 
-def summarize(trace: Iterable[TraceRecord], *, warmup: float = 0.0) -> MetricsSummary:
-    """All metrics of the run over records at or after ``warmup``;
-    metrics without a defined value are None."""
+def summarize(trace: Iterable[TraceRecord]) -> MetricsSummary:
+    """All metrics of the records; metrics without a defined value are None.
+    A steady-state window is the summary of a suffix of a kept trace."""
     tx_count = retx_count = delivered = rtos = 0
     first_tx = last_tx = 0.0
     first_sent: dict[int, float] = {}
     first_delivered: dict[int, float] = {}
     for time, kind, _, seq, value in trace:
-        if time < warmup:
-            continue
         if kind is _RTO:
             rtos += 1
         elif value != _DATA:

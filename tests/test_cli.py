@@ -147,15 +147,51 @@ def test_rto_ceiling_is_fixed_at_60_s(tmp_path, capsys, extra, overrides, error)
     assert capsys.readouterr().err == f"configuration error: {error}\n"
 
 
+def test_no_key_sets_a_measurement_window(tmp_path, capsys):
+    # metrics cover the whole run; a window is summarize() over a suffix of
+    # a kept trace
+    assert main(["validate", "--config", write(tmp_path, GOOD + "warmup_s = 2\n")]) == 2
+    assert capsys.readouterr().err == "configuration error: line 7: unknown key 'warmup_s'\n"
+
+
+# a check across keys names where the key it reports was set last
 @pytest.mark.parametrize(
-    "extra, overrides, where",
-    [("warmup_s = 9\n", [], "line 7"), ("warmup_s = 1\n", ["warmup_s=5"], "override")],
+    "overrides, where",
+    [(["loss_rates=0.5"], "line 7"), (["scripted_drops=1:10:2", "loss_rates=0.5"], "override")],
 )
-def test_warmup_error_names_warmup_s(tmp_path, capsys, extra, overrides, where):
+def test_drop_table_error_names_its_location(tmp_path, capsys, overrides, where):
     argv = [arg for pair in overrides for arg in ("--override", pair)]
-    assert main(["validate", "--config", write(tmp_path, GOOD + extra), *argv]) == 2
-    err = capsys.readouterr().err
-    assert err == f"configuration error: {where}: warmup_s must be below duration\n"
+    cfg = write(tmp_path, GOOD + "scripted_drops = 1:10:1\n")
+    assert main(["validate", "--config", cfg, *argv]) == 2
+    assert capsys.readouterr().err == (
+        f"configuration error: {where}: "
+        "scripted_drops replaces the loss model, so loss_rates must be 0\n"
+    )
+
+
+# an ACK's transmission must move the clock up to the run's end, or time
+# stops and the run never ends
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        (GOOD, None),
+        (
+            GOOD.replace("duration = 5", "duration = 0.01")
+            + "bandwidth_bps = 1e308\nprop_delay_s = 0\n",
+            "line 7: bandwidth_bps sends an ACK within one ulp of duration",
+        ),
+        (
+            GOOD.replace("duration = 5", "duration = 1e300"),
+            "line 5: bandwidth_bps sends an ACK within one ulp of duration",
+        ),
+    ],
+    ids=["defaults", "huge_bandwidth", "huge_duration"],
+)
+def test_ack_within_one_clock_ulp_exits_2(tmp_path, capsys, text, error):
+    code = main(["validate", "--config", write(tmp_path, text)])
+    assert (code, capsys.readouterr().err) == (
+        (2, f"configuration error: {error}\n") if error else (0, "")
+    )
 
 
 @pytest.mark.parametrize(

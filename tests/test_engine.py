@@ -196,7 +196,7 @@ def test_trace_export_format():
     assert RunTrace().export() == ""
 
 
-def _reference_lines(records, warmup):
+def _reference_lines(records):
     """trace.tsv and cwnd.tsv lines, each record formatted on its own."""
     trace_lines, cwnd_lines = [], []
     for time, kind, flow_id, seq, value in records:
@@ -207,22 +207,19 @@ def _reference_lines(records, warmup):
         else:
             shown = "%.9f" % value
         trace_lines.append("%.9f\t%s\t%d\t%d\t%s\n" % (time, kind.value, flow_id, seq, shown))
-        if kind is TraceKind.CWND_SAMPLE and time >= warmup:
+        if kind is TraceKind.CWND_SAMPLE:
             cwnd_lines.append("%.9f\t%s\n" % (time, value))
     return trace_lines, cwnd_lines
 
-
-_WARMUPS = (0.0, 0.5, 1.25)
 
 # one record: how its time relates to the previous record's (the same
 # object, a new object of the same value, or the next fresh time), a fresh
 # time, then kind, flow, seq and value. The fresh times are taken in sorted
 # order, since a trace checks that times never go back. They include -0.0,
-# equal to 0.0 but printed apart, and each warm-up, so CWND_SAMPLEs fall
-# below, at and above it.
+# equal to 0.0 but printed apart.
 _STEP = st.tuples(
     st.sampled_from(["same", "equal", "fresh"]),
-    st.one_of(st.just(-0.0), st.sampled_from(_WARMUPS), st.floats(0.0, 3.0)),
+    st.one_of(st.just(-0.0), st.floats(0.0, 3.0)),
     st.one_of(st.just(TraceKind.CWND_SAMPLE), st.sampled_from(TraceKind)),
     st.integers(0, 3),
     st.integers(0, 10**6),
@@ -235,8 +232,8 @@ _STEP = st.tuples(
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(st.lists(_STEP, max_size=30), st.sampled_from(_WARMUPS))
-def test_streaming_trace_matches_per_record_formatting(steps, warmup):
+@given(st.lists(_STEP, max_size=30))
+def test_streaming_trace_matches_per_record_formatting(steps):
     records, time = [], None
     fresh_times = sorted(step[1] for step in steps)
     for (how, _, kind, flow_id, seq, value), fresh in zip(steps, fresh_times):
@@ -245,9 +242,9 @@ def test_streaming_trace_matches_per_record_formatting(steps, warmup):
         elif how == "equal":
             time = float(repr(time))  # a new object of the same value
         records.append(TraceRecord(time, kind, flow_id, seq, value))
-    want_trace, want_cwnd = _reference_lines(records, warmup)
+    want_trace, want_cwnd = _reference_lines(records)
     trace_lines, cwnd_lines = [], []
-    trace = RunTrace(trace_lines.append, cwnd_lines.append, warmup)
+    trace = RunTrace(trace_lines.append, cwnd_lines.append)
     for record in records:
         trace.add(*record)
     assert trace_lines == want_trace
@@ -258,7 +255,7 @@ def test_streaming_trace_matches_per_record_formatting(steps, warmup):
         trace.add((time or 0.0) - 1.0, TraceKind.CWND_SAMPLE, 0, 0, 1)
     assert trace_lines == want_trace and cwnd_lines == want_cwnd
     alone = []  # no cwnd writer: the same trace lines and nothing else
-    trace = RunTrace(alone.append, None, warmup)
+    trace = RunTrace(alone.append)
     for record in records:
         trace.add(*record)
     assert alone == want_trace

@@ -11,6 +11,7 @@ from conftest import link_of, route
 from meshtcp import experiment, mesh
 from meshtcp.cc import Flavor
 from meshtcp.cli import main
+from meshtcp.endpoint import DEFAULT_ACK_BYTES
 from meshtcp.engine import TraceKind, run_until
 from meshtcp.errors import ConfigError, ContractError
 from meshtcp.experiment import (
@@ -52,7 +53,6 @@ class TestLoadConfig:
         assert spec.interference_range == 2
         assert spec.rto_min_s == 0.2
         assert spec.app_limit is None
-        assert spec.warmup_s == 0.0
 
     def test_unknown_flavor_rejected(self):
         with pytest.raises(ConfigError, match="cubic"):
@@ -94,9 +94,9 @@ class TestLoadConfig:
 
     def test_negative_zero_reads_as_zero(self):
         text, _ = config_with("loss_rates", "-0,0.5")
-        spec = load_config(text + "warmup_s = -0.0\n")
+        spec = load_config(text + "prop_delay_s = -0.0\n")
         assert math.copysign(1.0, spec.loss_rates[0]) == 1.0
-        assert math.copysign(1.0, spec.warmup_s) == 1.0
+        assert math.copysign(1.0, spec.prop_delay_s) == 1.0
 
     def test_comments_and_blanks_ignored(self):
         spec = load_config("# comment\n\n" + BASIC + "   # trailing comment\n")
@@ -245,7 +245,7 @@ class TestRunExperiment:
 def point_by_point(spec):
     """The sweep's rows, each from its own run."""
     return [
-        ResultRow(*point, *summarize(run_single(spec, *point).records, warmup=spec.warmup_s))
+        ResultRow(*point, *summarize(run_single(spec, *point).records))
         for point in spec.combinations()
     ]
 
@@ -392,7 +392,6 @@ BELOW_BOUND = {
     "interference_range": "-1",
     "rto_min_s": "0",
     "app_limit": "0",
-    "warmup_s": "-1",
 }
 
 
@@ -401,7 +400,7 @@ def test_config_keys_are_exactly_the_declared_ones():
     keys = [
         "flavors", "hops", "loss_rates", "seeds", "duration", "bandwidth_bps",
         "prop_delay_s", "queue_capacity", "mss_bytes", "interference_range",
-        "rto_min_s", "app_limit", "scripted_drops", "warmup_s",
+        "rto_min_s", "app_limit", "scripted_drops",
     ]
     assert list(_SCHEMA) == keys
     assert list(ExperimentSpec._fields) == keys
@@ -410,9 +409,7 @@ def test_config_keys_are_exactly_the_declared_ones():
     assert all((BELOW_BOUND[key] is None) == (lower is None) for key, lower in numeric.items())
 
 
-FLOAT_KEYS = (
-    "loss_rates", "duration", "bandwidth_bps", "prop_delay_s", "rto_min_s", "warmup_s",
-)
+FLOAT_KEYS = ("loss_rates", "duration", "bandwidth_bps", "prop_delay_s", "rto_min_s")
 
 
 def config_with(key, raw):
@@ -483,3 +480,19 @@ def test_mss_bytes_range_matches_sender(raw, ok):
     else:
         with pytest.raises(ConfigError, match=f"line {lineno}: mss_bytes must be"):
             load_config(text)
+
+
+@pytest.mark.parametrize("duration", [0.25, 1e6])
+@pytest.mark.parametrize("ulps, ok", [(0.5, False), (1.0, False), (2.0, True)])
+def test_bandwidth_bound_is_one_ulp_of_duration(duration, ulps, ok):
+    # refused while an ACK takes at most one ulp of duration (at exactly one
+    # ulp only where duration's last mantissa bit is 0, as for these two)
+    assert (duration / math.ulp(duration)) % 2 == 0
+    bandwidth = DEFAULT_ACK_BYTES * 8.0 / (ulps * math.ulp(duration))
+    text, lineno = config_with("bandwidth_bps", repr(bandwidth))
+    overrides = [f"duration={duration!r}"]
+    if ok:
+        assert load_config(text, overrides).bandwidth_bps == bandwidth
+    else:
+        with pytest.raises(ConfigError, match=f"line {lineno}: bandwidth_bps sends an ACK"):
+            load_config(text, overrides)

@@ -72,12 +72,12 @@ LOSSY_TRACE = {
 
 # files written by the CLI: (argv without --out, {file: digest}, exit code)
 CLI_OUTPUTS = {
-    "trace_warmup": (
+    "trace_lossy": (
         ["trace", "--config", str(CONFIGS / "loss_sweep.cfg"), "--flavor", "sac",
          "--hops", "3", "--seed", "7", "--override", "loss_rates=1.0",
-         "--override", "duration=10", "--override", "warmup_s=2"],
+         "--override", "duration=10"],
         {
-            "cwnd.tsv": "2a2013481f49feccacd48ef614163eff5256a5fb634047a68233c22cca07108b",
+            "cwnd.tsv": "fbce202210efa22cecb24e230aa5f8c0f64b361472b89854f94836a3efc00de1",
             "trace.tsv": "b0b415820fb0805440733853c1fb589d4a9705309594b4c880f4b0fb2a79e99c",
         },
         0,
@@ -124,7 +124,7 @@ def test_scripted_trace_digest(flavor):
 
 @pytest.mark.parametrize("flavor", sorted(LOSSY_TRACE))
 def test_lossy_trace_digest(flavor):
-    spec = spec_of("loss_sweep.cfg", duration="10", warmup_s="2")
+    spec = spec_of("loss_sweep.cfg", duration="10")
     trace = run_single(spec, Flavor(flavor), 3, 1.0, 7)
     assert sha256(trace.export()) == LOSSY_TRACE[flavor]
 
@@ -139,9 +139,9 @@ def test_cli_output_digest(name, tmp_path):
 
 def test_cli_trace_matches_export():
     # `trace` writes the same text that RunTrace.export() gives for its point
-    spec = spec_of("loss_sweep.cfg", loss_rates="1.0", duration="10", warmup_s="2")
+    spec = spec_of("loss_sweep.cfg", loss_rates="1.0", duration="10")
     trace = run_until(build_world(spec, Flavor.SAC, 3, 1.0, 7), spec.duration)
-    assert sha256(trace.export()) == CLI_OUTPUTS["trace_warmup"][1]["trace.tsv"]
+    assert sha256(trace.export()) == CLI_OUTPUTS["trace_lossy"][1]["trace.tsv"]
 
 
 def nudge_loss_draws(monkeypatch, nudge):
@@ -160,7 +160,7 @@ def test_one_ulp_in_loss_draws_changes_no_digest(monkeypatch, toward):
     # a libm whose log() differs in the last bit must give the same outputs:
     # no result may hang on where a loss instant falls within one ulp
     nudge_loss_draws(monkeypatch, lambda x: math.nextafter(x, toward))
-    spec = spec_of("loss_sweep.cfg", duration="10", warmup_s="2")
+    spec = spec_of("loss_sweep.cfg", duration="10")
     lossy = {f: sha256(run_single(spec, Flavor(f), 3, 1.0, 7).export()) for f in LOSSY_TRACE}
     assert lossy == LOSSY_TRACE
     assert loss_sweep_digest() == SWEEP_CSV["loss_sweep.cfg"]

@@ -150,28 +150,29 @@ def test_plr_matches_independent_recount():
     assert s.delivered_count == deliver
 
 
+def suffix(records, start):
+    """The records at or after ``start``: a steady-state window of a kept trace."""
+    return [r for r in records if r.time >= start]
+
+
 def test_warmup_slices_records():
     records = [(float(k), TraceKind.SEND, k, "data") for k in range(10)]
     records += [(float(k) + 0.5, TraceKind.DELIVER, k, "data") for k in range(10)]
     records.sort(key=lambda r: r[0])
-    s = summarize(trace_of(records), warmup=5.0)
+    s = summarize(suffix(trace_of(records), 5.0))
     assert s.delivered_count == 5  # deliveries at 5.5 .. 9.5
 
 
 def test_warmup_cohort_excludes_seqs_sent_before_it():
-    # seq 0 is sent before the warm-up and delivered and resent after it:
-    # its RETX is not its first transmission, so it is outside the cohort
-    # and gives no (negative) delay, while the record counts still see it
-    s = summarize(
-        trace_of(
-            [
-                (1.0, TraceKind.SEND, 0, "data"),
-                (3.0, TraceKind.DELIVER, 0, "data"),
-                (4.0, TraceKind.RETX, 0, "data"),
-            ]
-        ),
-        warmup=2.0,
-    )
+    # seq 0 is sent before the window and delivered and resent in it: its
+    # RETX is not its first transmission, so it is outside the cohort and
+    # gives no (negative) delay, while the record counts still see it
+    records = [
+        (1.0, TraceKind.SEND, 0, "data"),
+        (3.0, TraceKind.DELIVER, 0, "data"),
+        (4.0, TraceKind.RETX, 0, "data"),
+    ]
+    s = summarize(suffix(trace_of(records), 2.0))
     assert s.mean_delay is None
     assert (s.delivered_count, s.retransmit_count) == (1, 1)
 
@@ -186,7 +187,7 @@ def test_warmup_goodput_never_exceeds_throughput():
         topo = ChainTopology(hops + 1, link, interference_range=rng.randint(0, 3))
         app_limit = rng.choice([None, 200, 500])
         world = MeshWorld(topo, flavor, seed=rng.getrandbits(64), app_limit=app_limit)
-        s = summarize(run_until(world, 10.0).records, warmup=rng.uniform(1.0, 5.0))
+        s = summarize(suffix(run_until(world, 10.0).records, rng.uniform(1.0, 5.0)))
         if s.goodput is not None:
             assert s.goodput <= s.throughput, (flavor, hops, link, app_limit)
         assert s.mean_delay is None or s.mean_delay >= 0
@@ -253,7 +254,7 @@ def test_summarize_matches_recount(raw, warmup):
     trace = RunTrace()
     for time, kind, flow, seq, value in sorted(raw, key=lambda r: r[0]):
         trace.add(time, kind, flow, seq, value)
-    got = summarize(trace.records, warmup=warmup)
+    got = summarize(suffix(trace.records, warmup))
     want = _recount(trace.records, warmup)
     for name, value in want.items():
         if name == "mean_delay" and value is not None:

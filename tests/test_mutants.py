@@ -22,6 +22,7 @@ import pytest
 
 import test_cc
 import test_experiment
+import test_metrics
 import test_world
 from meshtcp import cc
 from meshtcp.cc import Flavor
@@ -30,6 +31,7 @@ from meshtcp.engine import RunTrace, TraceKind
 from meshtcp.errors import ConfigError, ContractError
 from meshtcp.experiment import _parse_lines, load_config
 from meshtcp.mesh import ChainTopology, LossProcess, MeshNetwork, ScriptedDrops
+from meshtcp.metrics import summarize
 from meshtcp.world import MeshWorld
 from test_mesh_reference import check_examples
 from test_metamorphic import check_queue_relation, check_range_relation, check_time_scaling, records
@@ -241,9 +243,16 @@ CATALOGUE = [
     Mutant(
         "cwnd_written_only_for_numbers",
         RunTrace.add,
-        "time >= self._warmup:",
-        "time >= self._warmup and not isinstance(value, str):",
+        "self._write_cwnd is not None:",
+        "self._write_cwnd is not None and not isinstance(value, str):",
         streaming_trace_writes_a_text_cwnd,
+    ),
+    Mutant(
+        "goodput_counts_deliveries_sent_before_the_trace",
+        summarize,
+        "goodput=n_delays / span",
+        "goodput=len(first_delivered) / span",
+        test_metrics.test_summarize_matches_recount,
     ),
     Mutant(
         "parser_lets_a_key_repeat",
