@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Iterator
 
 from .engine import RunTrace
-from .errors import ConfigError, ContractError, MetricUndefinedError
+from .errors import ConfigError, ContractError
 from .experiment import (
     ExperimentSpec,
     _cell,
@@ -163,9 +163,11 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     baseline_at = {(r.hops, r.loss_rate, r.seed): r for r in rows if r.flavor is baseline}
     pairs = [(baseline_at[r.hops, r.loss_rate, r.seed], r) for r in rows if r.flavor is candidate]
     if any(row.throughput is None for pair in pairs for row in pair):
-        raise MetricUndefinedError(
-            "comparison undefined: a run produced no measurable throughput"
+        print(
+            "no verdict: comparison undefined: a run produced no measurable throughput",
+            file=sys.stderr,
         )
+        return EXIT_VERDICT
     lines = [
         "hops,loss_rate,seed,baseline_throughput,candidate_throughput,"
         "throughput_delta,baseline_rto_count,candidate_rto_count,rto_count_delta"
@@ -217,9 +219,6 @@ def main(argv: list[str] | None = None) -> int:
     except ContractError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_CONTRACT
-    except MetricUndefinedError as exc:
-        print(f"no verdict: {exc}", file=sys.stderr)
-        return EXIT_VERDICT
 
 
 if __name__ == "__main__":

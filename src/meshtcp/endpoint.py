@@ -92,23 +92,21 @@ class SenderEndpoint:
     first one's state is ``cc`` and the others' are ``shadows``."""
 
     __slots__ = (
-        "mss_bytes", "cc", "shadows", "high_sent", "rtt_est", "send_timestamps",
-        "app_limit", "trace", "rto_deadline",
+        "cc", "shadows", "high_sent", "rtt_est", "send_timestamps", "app_limit",
+        "trace", "rto_deadline",
     )
 
     def __init__(
         self,
         flavor: Flavor | tuple[Flavor, ...],
-        mss_bytes: int,
         *,
         trace: RunTrace,
         app_limit: int | None = None,
         rto_min: float = DEFAULT_RTO_MIN_S,
     ) -> None:
-        self.mss_bytes = mss_bytes
         flavors = (flavor,) if isinstance(flavor, Flavor) else flavor
-        self.cc: CcVars = init_sender(flavors[0], mss_bytes)
-        self.shadows = tuple(init_sender(f, mss_bytes) for f in flavors[1:])
+        self.cc: CcVars = init_sender(flavors[0], DEFAULT_MSS_BYTES)
+        self.shadows = tuple(init_sender(f, DEFAULT_MSS_BYTES) for f in flavors[1:])
         self.high_sent = 0
         self.rtt_est = RttEstimator(rto_min=rto_min)
         # send time of each unacked seq; None once it was retransmitted
@@ -176,12 +174,12 @@ class SenderEndpoint:
             stop = limit
         if high >= stop:
             return []
-        mss, timestamps = self.mss_bytes, self.send_timestamps
+        timestamps = self.send_timestamps
         new = tuple.__new__  # skips the namedtuple's Python-level __new__
         out: list[Segment] = []
         for seq in range(high, stop):
             timestamps[seq] = now
-            out.append(new(Segment, (_DATA, seq, mss, (), False)))
+            out.append(new(Segment, (_DATA, seq, DEFAULT_MSS_BYTES, (), False)))
         self.high_sent = stop
         if self.rto_deadline is None:
             self.rto_deadline = now + self.rtt_est.rto
@@ -193,8 +191,7 @@ class SenderEndpoint:
         # classic single-timer behavior: sending a retransmission
         # restarts the clock covering the oldest outstanding segment
         self.rto_deadline = now + self.rtt_est.rto
-        mss = self.mss_bytes
-        return [tuple.__new__(Segment, (_DATA, seq, mss, (), True)) for seq in seqs]
+        return [tuple.__new__(Segment, (_DATA, seq, DEFAULT_MSS_BYTES, (), True)) for seq in seqs]
 
     def on_ack_segment(self, ack: Segment, now: float) -> list[Segment]:
         """Classify an arriving ACK, run the congestion machine, and return

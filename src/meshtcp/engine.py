@@ -152,6 +152,11 @@ class RunTrace:
         return "".join(lines)
 
 
+# -log(2**-53): RngStream.exponential's largest draw at rate 1, which it
+# returns for random()'s largest value, 1 - 2**-53
+LARGEST_UNIT_DRAW = 36.7368005696771
+
+
 class RngStream:
     """Named, seeded pseudo-random stream.
 

@@ -1,17 +1,9 @@
 """Exception types shared across the package."""
 
 
-class MeshTcpError(Exception):
-    """Base class for all package errors."""
-
-
-class ConfigError(MeshTcpError):
+class ConfigError(Exception):
     """A user-facing configuration problem (bad key, bad value, bad flavor)."""
 
 
-class ContractError(MeshTcpError):
+class ContractError(Exception):
     """An internal invariant was violated; indicates a simulation bug."""
-
-
-class MetricUndefinedError(MeshTcpError):
-    """The requested metric has no defined value for this trace."""

@@ -16,8 +16,8 @@ from collections import namedtuple
 from typing import Iterable, Iterator, NamedTuple
 
 from .cc import Flavor
-from .endpoint import DEFAULT_ACK_BYTES, DEFAULT_MSS_BYTES, DEFAULT_RTO_MAX_S, DEFAULT_RTO_MIN_S
-from .engine import RunTrace, run_until
+from .endpoint import DEFAULT_ACK_BYTES, DEFAULT_RTO_MAX_S, DEFAULT_RTO_MIN_S
+from .engine import LARGEST_UNIT_DRAW, RunTrace, run_until
 from .errors import ConfigError, ContractError
 from .mesh import (
     DEFAULT_BANDWIDTH_BPS,
@@ -30,9 +30,6 @@ from .mesh import (
 )
 from .metrics import MetricsSummary, summarize
 from .world import MeshWorld
-
-MSS_MIN_BYTES = 64
-MSS_MAX_BYTES = 65535
 
 # key: (value type, lower bound, lower bound is strict, upper bound,
 # comma-separated list). Each key names its ExperimentSpec field, and a key
@@ -47,7 +44,6 @@ _SCHEMA: dict[str, tuple[type, float | None, bool, float | None, bool]] = {
     "bandwidth_bps": (float, 0.0, True, None, False),
     "prop_delay_s": (float, 0.0, False, None, False),
     "queue_capacity": (int, 1, False, None, False),
-    "mss_bytes": (int, MSS_MIN_BYTES, False, MSS_MAX_BYTES, False),
     "interference_range": (int, 0, False, None, False),
     "rto_min_s": (float, 0.0, True, DEFAULT_RTO_MAX_S, False),
     "app_limit": (int, 1, False, None, False),
@@ -64,7 +60,6 @@ class ExperimentSpec(NamedTuple):
     bandwidth_bps: float = DEFAULT_BANDWIDTH_BPS
     prop_delay_s: float = DEFAULT_PROP_DELAY_S
     queue_capacity: int = DEFAULT_QUEUE_CAPACITY
-    mss_bytes: int = DEFAULT_MSS_BYTES
     interference_range: int = DEFAULT_INTERFERENCE_RANGE
     rto_min_s: float = DEFAULT_RTO_MIN_S
     app_limit: int | None = None
@@ -209,6 +204,13 @@ def load_config(text: str, overrides: Iterable[str] = ()) -> ExperimentSpec:
     if spec.duration + DEFAULT_ACK_BYTES * 8.0 / spec.bandwidth_bps / 2 == spec.duration:
         where = mapping.get("bandwidth_bps", mapping["duration"])[1]
         raise ConfigError(f"{where}: bandwidth_bps sends an ACK within one ulp of duration")
+    # and a loss clock stops if even its largest gap cannot move it at duration
+    for rate in spec.loss_rates:
+        if rate and spec.duration + LARGEST_UNIT_DRAW / rate == spec.duration:
+            where = mapping["loss_rates"][1]
+            raise ConfigError(
+                f"{where}: loss_rates {rate} draws no gap that moves a clock at duration"
+            )
     if spec.scripted_drops:
         where = mapping["scripted_drops"][1]
         if any(spec.loss_rates):
@@ -245,7 +247,6 @@ def build_world(
         flavor,
         seed=seed,
         app_limit=spec.app_limit,
-        mss_bytes=spec.mss_bytes,
         rto_min=spec.rto_min_s,
         trace=trace,
     )

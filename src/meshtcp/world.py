@@ -17,7 +17,6 @@ import math
 
 from .cc import Flavor
 from .endpoint import (
-    DEFAULT_MSS_BYTES,
     DEFAULT_RTO_MIN_S,
     Diverged,
     ReceiverEndpoint,
@@ -26,7 +25,6 @@ from .endpoint import (
     SenderEndpoint,
 )
 from .engine import EventKind, EventQueue, RunTrace
-from .errors import ContractError
 from .mesh import ChainTopology, MeshNetwork
 
 
@@ -52,7 +50,6 @@ class MeshWorld:
         *,
         seed: int,
         app_limit: int | None = None,
-        mss_bytes: int = DEFAULT_MSS_BYTES,
         rto_min: float = DEFAULT_RTO_MIN_S,
         trace: RunTrace | None = None,
     ) -> None:
@@ -62,9 +59,7 @@ class MeshWorld:
         # time of the one live TIMER_EXPIRY in the queue, inf if none
         self._expiry_at = math.inf
 
-        self.sender = SenderEndpoint(
-            flavor, mss_bytes, trace=self.trace, app_limit=app_limit, rto_min=rto_min
-        )
+        self.sender = SenderEndpoint(flavor, trace=self.trace, app_limit=app_limit, rto_min=rto_min)
         self.receiver = ReceiverEndpoint()
         self.forks: list[MeshWorld] = []
         self.events.push(0.0, EventKind.APP_TICK, None)
@@ -84,8 +79,6 @@ class MeshWorld:
             self._on_timer(time)
         elif kind is _APP_TICK:
             self._send(self.sender.start(time), time)
-        else:  # pragma: no cover - enum is closed
-            raise ContractError(f"unknown event kind {kind}")
 
     def _on_timer(self, time: float) -> None:
         if time != self._expiry_at:

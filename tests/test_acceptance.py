@@ -19,7 +19,7 @@ from conftest import (
 )
 from meshtcp.cc import Flavor
 from meshtcp.cli import main
-from meshtcp.endpoint import DEFAULT_ACK_BYTES
+from meshtcp.endpoint import DEFAULT_ACK_BYTES, DEFAULT_MSS_BYTES
 from meshtcp.engine import RngStream, RunTrace, TraceKind, run_until
 from meshtcp.experiment import emit_csv, load_config, run_experiment, run_single
 from meshtcp.mesh import ChainTopology, LinkModel, LossProcess
@@ -377,7 +377,7 @@ seeds = 1
 duration = 20
 """
     spec = load_config(cfg)
-    capacity = spec.bandwidth_bps / (8 * (spec.mss_bytes + DEFAULT_ACK_BYTES))
+    capacity = spec.bandwidth_bps / (8 * (DEFAULT_MSS_BYTES + DEFAULT_ACK_BYTES))
     start = 5.0
     ratios = {}
     for hops in spec.hops:
@@ -409,10 +409,10 @@ prop_delay_s = 0.05
 """
     spec = load_config(cfg)
     bw = spec.bandwidth_bps
-    rtt = 8 * (spec.mss_bytes + DEFAULT_ACK_BYTES) / bw + 2 * spec.prop_delay_s
+    rtt = 8 * (DEFAULT_MSS_BYTES + DEFAULT_ACK_BYTES) / bw + 2 * spec.prop_delay_s
     ratios = []
     for r in run_experiment(spec):
-        p = 1 - math.exp(-r.loss_rate * spec.mss_bytes * 8 / bw)
+        p = 1 - math.exp(-r.loss_rate * DEFAULT_MSS_BYTES * 8 / bw)
         ratios.append(r.goodput / (math.sqrt(1.5 / p) / rtt))
     assert all(0.85 <= x <= 1.15 for x in ratios), ratios
     print(

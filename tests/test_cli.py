@@ -154,6 +154,23 @@ def test_no_key_sets_a_measurement_window(tmp_path, capsys):
     assert capsys.readouterr().err == "configuration error: line 7: unknown key 'warmup_s'\n"
 
 
+def test_segment_size_is_fixed_at_1460_bytes(tmp_path, capsys):
+    # every data segment is endpoint.DEFAULT_MSS_BYTES long; no key sets it
+    assert main(["validate", "--config", write(tmp_path, GOOD + "mss_bytes = 1460\n")]) == 2
+    assert capsys.readouterr().err == "configuration error: line 7: unknown key 'mss_bytes'\n"
+
+
+def test_loss_rate_that_cannot_move_the_clock_exits_2(tmp_path, capsys):
+    # each gap of about 1e-20 s is below one ulp of a clock at 1 s, so the
+    # loss clock would never catch up with the first retransmission
+    cfg = write(tmp_path, GOOD.replace("loss_rates = 0", "loss_rates = 1e20"))
+    assert main(["validate", "--config", cfg, "--override", "duration=1"]) == 2
+    assert capsys.readouterr().err == (
+        "configuration error: line 3: loss_rates 1e+20 draws no gap that moves a clock"
+        " at duration\n"
+    )
+
+
 # a check across keys names where the key it reports was set last
 @pytest.mark.parametrize(
     "overrides, where",

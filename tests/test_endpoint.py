@@ -26,7 +26,7 @@ def data_segment(seq):
 
 
 def make_sender(flavor=Flavor.NEWRENO, **kwargs):
-    return SenderEndpoint(flavor, 1460, trace=RunTrace(), **kwargs)
+    return SenderEndpoint(flavor, trace=RunTrace(), **kwargs)
 
 
 class TestRttEstimator:

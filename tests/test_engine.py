@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import meshtcp
 from meshtcp.cc import Flavor
 from meshtcp.engine import (
+    LARGEST_UNIT_DRAW,
     EventKind,
     EventQueue,
     RngStream,
@@ -148,6 +149,14 @@ def test_rng_exponential_positive_and_rate_checked():
     assert all(d > 0 for d in draws)
     with pytest.raises(ContractError):
         s.exponential(0.0)
+
+
+def test_largest_unit_draw_is_the_largest_exponential_draw():
+    # random() returns k / 2**53 for k < 2**53, so 1 - random() >= 2**-53
+    stream = RngStream(7, "e")
+    stream._rng.random = lambda: 1 - 2**-53
+    assert stream.exponential(1.0) == LARGEST_UNIT_DRAW
+    assert stream.exponential(4.0) == LARGEST_UNIT_DRAW / 4
 
 
 def test_rng_stream_copy_continues_the_same_draws():

@@ -12,7 +12,7 @@ from meshtcp import experiment, mesh
 from meshtcp.cc import Flavor
 from meshtcp.cli import main
 from meshtcp.endpoint import DEFAULT_ACK_BYTES
-from meshtcp.engine import TraceKind, run_until
+from meshtcp.engine import LARGEST_UNIT_DRAW, TraceKind, run_until
 from meshtcp.errors import ConfigError, ContractError
 from meshtcp.experiment import (
     _SCHEMA,
@@ -49,7 +49,6 @@ class TestLoadConfig:
         assert spec.bandwidth_bps == 2_000_000
         assert spec.prop_delay_s == 0.001
         assert spec.queue_capacity == 50
-        assert spec.mss_bytes == 1460
         assert spec.interference_range == 2
         assert spec.rto_min_s == 0.2
         assert spec.app_limit is None
@@ -388,7 +387,6 @@ BELOW_BOUND = {
     "bandwidth_bps": "0",
     "prop_delay_s": "-0.001",
     "queue_capacity": "0",
-    "mss_bytes": "0",
     "interference_range": "-1",
     "rto_min_s": "0",
     "app_limit": "0",
@@ -399,8 +397,8 @@ def test_config_keys_are_exactly_the_declared_ones():
     # the key census: adding or removing a config key is a declared edit here
     keys = [
         "flavors", "hops", "loss_rates", "seeds", "duration", "bandwidth_bps",
-        "prop_delay_s", "queue_capacity", "mss_bytes", "interference_range",
-        "rto_min_s", "app_limit", "scripted_drops",
+        "prop_delay_s", "queue_capacity", "interference_range", "rto_min_s",
+        "app_limit", "scripted_drops",
     ]
     assert list(_SCHEMA) == keys
     assert list(ExperimentSpec._fields) == keys
@@ -470,18 +468,6 @@ class TestNumericKeys:
             load_config(text)
 
 
-@pytest.mark.parametrize(
-    "raw, ok", [("63", False), ("64", True), ("65535", True), ("65536", False)]
-)
-def test_mss_bytes_range_matches_sender(raw, ok):
-    text, lineno = config_with("mss_bytes", raw)
-    if ok:
-        assert load_config(text).mss_bytes == int(raw)
-    else:
-        with pytest.raises(ConfigError, match=f"line {lineno}: mss_bytes must be"):
-            load_config(text)
-
-
 @pytest.mark.parametrize("duration", [0.25, 1e6])
 @pytest.mark.parametrize("ulps, ok", [(0.5, False), (1.0, False), (2.0, True)])
 def test_bandwidth_bound_is_one_ulp_of_duration(duration, ulps, ok):
@@ -495,4 +481,21 @@ def test_bandwidth_bound_is_one_ulp_of_duration(duration, ulps, ok):
         assert load_config(text, overrides).bandwidth_bps == bandwidth
     else:
         with pytest.raises(ConfigError, match=f"line {lineno}: bandwidth_bps sends an ACK"):
+            load_config(text, overrides)
+
+
+@pytest.mark.parametrize("duration", [0.25, 1e6])
+@pytest.mark.parametrize("ulps, ok", [(0.25, False), (0.5, False), (1.0, True)])
+def test_loss_rate_bound_is_half_an_ulp_of_duration(duration, ulps, ok):
+    # refused while the largest gap a loss clock can draw cannot move a clock
+    # at duration: at most half an ulp (exactly half only where duration's
+    # last mantissa bit is 0, as for these two)
+    assert (duration / math.ulp(duration)) % 2 == 0
+    rate = LARGEST_UNIT_DRAW / (ulps * math.ulp(duration))
+    text, lineno = config_with("loss_rates", f"0,{rate!r}")
+    overrides = [f"duration={duration!r}"]
+    if ok:
+        assert load_config(text, overrides).loss_rates == (0.0, rate)
+    else:
+        with pytest.raises(ConfigError, match=re.escape(f"line {lineno}: loss_rates {rate} draws")):
             load_config(text, overrides)

@@ -39,7 +39,7 @@ def test_each_constructor_takes_exactly_its_declared_options():
         cls.__name__: options(cls)
         for cls in (MeshWorld, SenderEndpoint, ReceiverEndpoint, RttEstimator)
     } == {
-        "MeshWorld": ["seed", "app_limit", "mss_bytes", "rto_min", "trace"],
+        "MeshWorld": ["seed", "app_limit", "rto_min", "trace"],
         "SenderEndpoint": ["trace", "app_limit", "rto_min"],
         "ReceiverEndpoint": [],
         "RttEstimator": ["rto_min"],
