@@ -23,7 +23,6 @@ from .engine import RunTrace
 from .errors import ConfigError, ContractError
 from .experiment import (
     ExperimentSpec,
-    _cell,
     emit_csv,
     load_config,
     number,
@@ -168,17 +167,16 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return EXIT_VERDICT
-    lines = [
+    header = (
         "hops,loss_rate,seed,baseline_throughput,candidate_throughput,"
         "throughput_delta,baseline_rto_count,candidate_rto_count,rto_count_delta"
+    )
+    cells = [
+        (base.hops, base.loss_rate, base.seed,
+         base.throughput, cand.throughput, cand.throughput - base.throughput,
+         base.rto_count, cand.rto_count, cand.rto_count - base.rto_count)
+        for base, cand in pairs
     ]
-    for base, cand in pairs:
-        cells = (
-            base.hops, base.loss_rate, base.seed,
-            base.throughput, cand.throughput, cand.throughput - base.throughput,
-            base.rto_count, cand.rto_count, cand.rto_count - base.rto_count,
-        )
-        lines.append(",".join(map(_cell, cells)))
     tp_delta = mean(cand.throughput - base.throughput for base, cand in pairs)
     rto_delta = mean(cand.rto_count - base.rto_count for base, cand in pairs)
     verdict_ok = tp_delta >= 0  # candidate mean throughput >= baseline mean
@@ -191,7 +189,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         f"verdict={'pass' if verdict_ok else 'fail'}",
     ]
     with _writing(out / "compare.csv", out / "summary.txt") as (csv_path, summary_path):
-        csv_path.write_text("\n".join(lines) + "\n")
+        csv_path.write_text(emit_csv(cells, header))
         summary_path.write_text("\n".join(summary_lines) + "\n")
     return EXIT_OK if verdict_ok else EXIT_VERDICT
 

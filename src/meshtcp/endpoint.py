@@ -10,6 +10,7 @@ cumulative ACK per arriving data segment and keeps an out-of-order buffer.
 
 from __future__ import annotations
 
+import math
 from enum import Enum
 from typing import NamedTuple
 
@@ -57,21 +58,19 @@ class Segment(NamedTuple):
 class RttEstimator:
     """Smoothed RTT / variance estimator with exponential timeout backoff."""
 
-    __slots__ = ("rto_min", "srtt", "rttvar", "rto", "has_sample")
+    __slots__ = ("rto_min", "srtt", "rttvar", "rto")
 
     def __init__(self, rto_min: float = DEFAULT_RTO_MIN_S) -> None:
         self.rto_min = rto_min
-        self.srtt = 0.0
+        self.srtt = 0.0  # until the first sample, which is positive
         self.rttvar = 0.0
         self.rto = min(max(INITIAL_RTO_S, rto_min), DEFAULT_RTO_MAX_S)
-        self.has_sample = False
 
     def update(self, sample: float) -> None:
         """Take a positive sample; the sender checks that it is."""
-        if not self.has_sample:
+        if not self.srtt:
             self.srtt = sample
             self.rttvar = sample / 2
-            self.has_sample = True
         else:
             self.rttvar = 0.75 * self.rttvar + 0.25 * abs(self.srtt - sample)
             self.srtt = 0.875 * self.srtt + 0.125 * sample
@@ -113,10 +112,10 @@ class SenderEndpoint:
         self.send_timestamps: dict[int, float | None] = {}
         self.app_limit = app_limit
         self.trace = trace
-        # Timer state: None when stopped. The simulation keeps one expiry
+        # Timer state: inf when stopped. The simulation keeps one expiry
         # queued for the sender and catches up with a deadline that moved later
         # when that expiry fires (one retransmission timer, RFC 6298 §5).
-        self.rto_deadline: float | None = None
+        self.rto_deadline = math.inf
 
     @property
     def outstanding(self) -> int:
@@ -181,7 +180,7 @@ class SenderEndpoint:
             timestamps[seq] = now
             out.append(new(Segment, (_DATA, seq, DEFAULT_MSS_BYTES, (), False)))
         self.high_sent = stop
-        if self.rto_deadline is None:
+        if self.rto_deadline == math.inf:
             self.rto_deadline = now + self.rtt_est.rto
         return out
 
@@ -222,7 +221,7 @@ class SenderEndpoint:
             self._set_cc(cc, now)
             for covered in range(old_ack, seq):  # every key is >= old_ack
                 timestamps.pop(covered, None)
-            self.rto_deadline = now + rtt_est.rto if self.high_sent > seq else None
+            self.rto_deadline = now + rtt_est.rto if self.high_sent > seq else math.inf
 
         if retransmit:
             out = self._retransmit(retransmit, now)

@@ -16,7 +16,7 @@ from collections import namedtuple
 from typing import Iterable, Iterator, NamedTuple
 
 from .cc import Flavor
-from .endpoint import DEFAULT_ACK_BYTES, DEFAULT_RTO_MAX_S, DEFAULT_RTO_MIN_S
+from .endpoint import DEFAULT_ACK_BYTES, DEFAULT_MSS_BYTES, DEFAULT_RTO_MAX_S, DEFAULT_RTO_MIN_S
 from .engine import LARGEST_UNIT_DRAW, RunTrace, run_until
 from .errors import ConfigError, ContractError
 from .mesh import (
@@ -204,13 +204,13 @@ def load_config(text: str, overrides: Iterable[str] = ()) -> ExperimentSpec:
     if spec.duration + DEFAULT_ACK_BYTES * 8.0 / spec.bandwidth_bps / 2 == spec.duration:
         where = mapping.get("bandwidth_bps", mapping["duration"])[1]
         raise ConfigError(f"{where}: bandwidth_bps sends an ACK within one ulp of duration")
-    # and a loss clock stops if even its largest gap cannot move it at duration
+    # a rate whose largest gap is no longer than a data segment on the air
+    # loses every data transmission; that gap is longer than an ACK, so by
+    # the check above it also moves the loss clock at duration
     for rate in spec.loss_rates:
-        if rate and spec.duration + LARGEST_UNIT_DRAW / rate == spec.duration:
+        if rate * 8 * DEFAULT_MSS_BYTES / spec.bandwidth_bps >= LARGEST_UNIT_DRAW:
             where = mapping["loss_rates"][1]
-            raise ConfigError(
-                f"{where}: loss_rates {rate} draws no gap that moves a clock at duration"
-            )
+            raise ConfigError(f"{where}: loss_rates {rate} loses every data transmission")
     if spec.scripted_drops:
         where = mapping["scripted_drops"][1]
         if any(spec.loss_rates):
@@ -315,8 +315,8 @@ def _cell(value: Flavor | float | int | None) -> str:
     return value.value if isinstance(value, Flavor) else str(value)
 
 
-def emit_csv(rows: list[ResultRow]) -> str:
+def emit_csv(rows: Iterable[tuple], header: str = CSV_HEADER) -> str:
     """Byte-stable CSV: header plus one line per row."""
-    lines = [CSV_HEADER]
+    lines = [header]
     lines.extend(",".join(map(_cell, row)) for row in rows)
     return "\n".join(lines) + "\n"

@@ -14,9 +14,10 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple
 
+from .endpoint import SegmentKind
 from .engine import TraceKind, TraceRecord
 
-_DATA = "data"
+_DATA = SegmentKind.DATA.value
 _SEND = TraceKind.SEND
 _RETX = TraceKind.RETX
 _DELIVER = TraceKind.DELIVER

@@ -84,8 +84,7 @@ class MeshWorld:
         if time != self._expiry_at:
             return  # replaced by an expiry at an earlier deadline
         self._expiry_at = math.inf
-        deadline = self.sender.rto_deadline
-        if deadline is not None and deadline <= time:
+        if self.sender.rto_deadline <= time:
             self._react(time, None)
         else:
             self._send([], time)  # cancelled or restarted since it was queued
@@ -111,7 +110,7 @@ class MeshWorld:
         for seg in segs:
             forward(seg, time)
         deadline = self.sender.rto_deadline
-        if deadline is not None and deadline < self._expiry_at:
+        if deadline < self._expiry_at:
             self.events.push(deadline, _TIMER_EXPIRY, None)
             self._expiry_at = deadline
 

@@ -166,9 +166,17 @@ def test_loss_rate_that_cannot_move_the_clock_exits_2(tmp_path, capsys):
     cfg = write(tmp_path, GOOD.replace("loss_rates = 0", "loss_rates = 1e20"))
     assert main(["validate", "--config", cfg, "--override", "duration=1"]) == 2
     assert capsys.readouterr().err == (
-        "configuration error: line 3: loss_rates 1e+20 draws no gap that moves a clock"
-        " at duration\n"
+        "configuration error: line 3: loss_rates 1e+20 loses every data transmission\n"
     )
+
+
+@pytest.mark.parametrize("rate", ["1e7", "1e15"])
+def test_run_at_a_rate_that_loses_every_data_transmission_exits_2(tmp_path, capsys, rate):
+    # both would run long, each data transmission lost: refused up front
+    cfg = write(tmp_path, GOOD.replace("loss_rates = 0", f"loss_rates = {rate}"))
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    assert "loss_rates" in capsys.readouterr().err and not out.exists()
 
 
 # a check across keys names where the key it reports was set last

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -69,7 +71,7 @@ class TestRttEstimator:
         s.send_timestamps[0] = 0.3
         with pytest.raises(ContractError):
             s.on_ack_segment(ack_segment(1), 0.3)
-        assert not s.rtt_est.has_sample
+        assert s.rtt_est.srtt == 0.0
         assert (s.rtt_est.srtt, s.rtt_est.rttvar, s.rtt_est.rto) == (0.0, 0.0, 1.0)
 
 
@@ -80,7 +82,7 @@ class TestSenderWindow:
         segs = s.fill_window(0.0)
         assert [g.seq for g in segs] == [0, 1, 2, 3]
         assert s.high_sent == 4
-        assert s.rto_deadline is not None
+        assert s.rto_deadline < math.inf
 
     def test_full_window_sends_nothing(self):
         s = make_sender()
@@ -130,7 +132,7 @@ class TestSenderAckHandling:
         assert s.cc.last_ack == 1
         assert s.cc.cwnd == 2
         assert [g.seq for g in out] == [1, 2]
-        assert s.rtt_est.has_sample  # 0.2 s sample taken
+        assert s.rtt_est.srtt == 0.2  # 0.2 s sample taken
 
     def test_duplicate_ack_path(self):
         s = make_sender()
@@ -178,7 +180,7 @@ class TestSenderAckHandling:
         s = make_sender(app_limit=1)
         s.fill_window(0.0)
         s.on_ack_segment(ack_segment(1), 0.1)
-        assert s.rto_deadline is None
+        assert s.rto_deadline == math.inf
 
 
 class TestKarnRule:
@@ -186,15 +188,15 @@ class TestKarnRule:
         s = make_sender()
         s.fill_window(0.0)  # seq 0 out
         s.on_rto(1.0)       # seq 0 retransmitted
-        assert not s.rtt_est.has_sample
+        assert s.rtt_est.srtt == 0.0
         s.on_ack_segment(ack_segment(1), 1.2)
-        assert not s.rtt_est.has_sample  # covered seq 0 was retransmitted
+        assert s.rtt_est.srtt == 0.0  # covered seq 0 was retransmitted
 
     def test_sample_from_fresh_segment(self):
         s = make_sender()
         s.fill_window(0.0)
         s.on_ack_segment(ack_segment(1), 0.25)
-        assert s.rtt_est.has_sample
+        assert s.rtt_est.srtt > 0
         assert s.rtt_est.srtt == pytest.approx(0.25)
 
     def test_non_positive_sample_is_a_contract_error(self):
@@ -218,7 +220,7 @@ class TestKarnRule:
         with pytest.raises(ContractError, match=f"RTT sample must be positive, got {sample}"):
             s.on_ack_segment(ack_segment(1), 0.3)
         assert (s.cc, dict(s.send_timestamps), s.rto_deadline, len(s.trace.records)) == before
-        assert not s.rtt_est.has_sample
+        assert s.rtt_est.srtt == 0.0
 
 
 class TestSenderRto:
@@ -245,7 +247,7 @@ class TestSenderRto:
 
     def test_rto_with_nothing_outstanding_is_a_contract_error(self):
         s = make_sender()
-        assert s.rto_deadline is None  # nothing sent, so no timer runs
+        assert s.rto_deadline == math.inf  # nothing sent, so no timer runs
         with pytest.raises(ContractError, match="nothing outstanding"):
             s.on_rto(1.0)
 

@@ -124,6 +124,20 @@ def test_only_the_config_and_cli_layers_use_config_error():
     assert users == {"cli.py", "experiment.py"}
 
 
+def test_no_module_imports_another_modules_private_name():
+    # an underscore name is its module's own; a second user would hold a
+    # second copy of the fact it carries
+    imports = []
+    for path in sorted(Path(meshtcp.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                imports += [
+                    f"{path.name}: {alias.name}" for alias in node.names
+                    if alias.name.startswith("_")
+                ]
+    assert imports == []
+
+
 def test_only_the_mesh_names_a_loss_decider():
     # each link decides its own losses; the world and the config layer
     # pass the drop table in the topology and never pick a loss model

@@ -11,7 +11,7 @@ from conftest import link_of, route
 from meshtcp import experiment, mesh
 from meshtcp.cc import Flavor
 from meshtcp.cli import main
-from meshtcp.endpoint import DEFAULT_ACK_BYTES
+from meshtcp.endpoint import DEFAULT_ACK_BYTES, DEFAULT_MSS_BYTES
 from meshtcp.engine import LARGEST_UNIT_DRAW, TraceKind, run_until
 from meshtcp.errors import ConfigError, ContractError
 from meshtcp.experiment import (
@@ -484,18 +484,20 @@ def test_bandwidth_bound_is_one_ulp_of_duration(duration, ulps, ok):
             load_config(text, overrides)
 
 
-@pytest.mark.parametrize("duration", [0.25, 1e6])
-@pytest.mark.parametrize("ulps, ok", [(0.25, False), (0.5, False), (1.0, True)])
-def test_loss_rate_bound_is_half_an_ulp_of_duration(duration, ulps, ok):
-    # refused while the largest gap a loss clock can draw cannot move a clock
-    # at duration: at most half an ulp (exactly half only where duration's
-    # last mantissa bit is 0, as for these two)
-    assert (duration / math.ulp(duration)) % 2 == 0
-    rate = LARGEST_UNIT_DRAW / (ulps * math.ulp(duration))
+@pytest.mark.parametrize("bandwidth, bound", [(None, 6290.5), (1e7, 31452.7)])
+@pytest.mark.parametrize("scale, ok", [(1 - 1e-9, True), (1 + 1e-9, False), (1e16, False)])
+def test_loss_rate_bound_is_one_data_segment_on_the_air(bandwidth, bound, scale, ok):
+    # refused once the largest gap a loss clock can draw, LARGEST_UNIT_DRAW /
+    # rate, is no longer than a data segment's time on the air: then every
+    # data transmission is lost, at the default bandwidth and at another
+    bps = mesh.DEFAULT_BANDWIDTH_BPS if bandwidth is None else bandwidth
+    limit = LARGEST_UNIT_DRAW * bps / (8 * DEFAULT_MSS_BYTES)
+    assert round(limit, 1) == bound
+    rate = limit * scale
     text, lineno = config_with("loss_rates", f"0,{rate!r}")
-    overrides = [f"duration={duration!r}"]
+    overrides = [] if bandwidth is None else [f"bandwidth_bps={bandwidth!r}"]
     if ok:
         assert load_config(text, overrides).loss_rates == (0.0, rate)
     else:
-        with pytest.raises(ConfigError, match=re.escape(f"line {lineno}: loss_rates {rate} draws")):
+        with pytest.raises(ConfigError, match=re.escape(f"line {lineno}: loss_rates {rate} loses")):
             load_config(text, overrides)

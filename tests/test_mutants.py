@@ -89,6 +89,17 @@ def a_key_set_twice_is_refused():
         assert "'seeds'" in refused, (text, overrides)
 
 
+def a_rate_losing_every_data_transmission_is_refused():
+    # 7000/s at 2 Mb/s: the largest gap is shorter than a data segment on the
+    # air but longer than an ACK; raises AssertionError itself
+    refused = ""
+    try:
+        load_config(test_experiment.BASIC, ["loss_rates=7000"])
+    except ConfigError as exc:
+        refused = str(exc)
+    assert "loses every data transmission" in refused
+
+
 def drop_table_naming_an_unsent_seq_drops_nothing():
     lossless = records(Flavor.NEWRENO, 2, 0, 1, duration=1.0)
     assert lossless == records(
@@ -271,6 +282,13 @@ CATALOGUE = [
         "if key in mapping:",
         "if False:",
         a_key_set_twice_is_refused,
+    ),
+    Mutant(
+        "loss_bound_reads_the_ack_size",
+        load_config,
+        "rate * 8 * DEFAULT_MSS_BYTES",
+        "rate * 8 * DEFAULT_ACK_BYTES",
+        a_rate_losing_every_data_transmission_is_refused,
     ),
     Mutant(
         "order_check_skipped_when_streaming",

@@ -1,4 +1,5 @@
 import inspect
+import math
 import random
 from collections import Counter
 
@@ -182,7 +183,7 @@ def test_rto_fires_exactly_at_its_deadline(monkeypatch):
 
     def checked_handle(self, time, kind, payload):
         deadline = self.sender.rto_deadline
-        assert deadline is None or time <= deadline, (
+        assert time <= deadline, (
             f"{kind.value} at t={time} past the deadline {deadline}"
         )
         return handle(self, time, kind, payload)
@@ -269,7 +270,7 @@ def test_one_live_timer_entry_per_flow(monkeypatch, point):
         area += last_count * (time - last_time)
         handle(self, time, kind, payload)
         timers = [t for t, _, k, _ in self.events._heap if k is EventKind.TIMER_EXPIRY]
-        if self.sender.rto_deadline is not None:
+        if self.sender.rto_deadline < math.inf:
             assert timers.count(self._expiry_at) == 1
             assert self._expiry_at <= self.sender.rto_deadline
         last_time, last_count = time, len(timers)
