@@ -78,9 +78,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load_spec(args: argparse.Namespace) -> ExperimentSpec:
     path = Path(args.config)
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path} is not UTF-8: byte {exc.start}") from None
     return load_config(text, args.override)
 
 

@@ -193,10 +193,12 @@ def load_config(text: str, overrides: Iterable[str] = ()) -> ExperimentSpec:
         raw, where = mapping[key]
         items = _split_list(raw, where, key) if is_list else [raw]
         values = tuple(_parse_value(v, where, key, kind, minimum, strict, maximum) for v in items)
-        for i, value in enumerate(values):
-            if value in values[:i]:
+        seen = set()
+        for value in values:
+            if value in seen:
                 shown = value.value if kind is Flavor else value
                 raise ConfigError(f"{where}: {key} lists {shown} more than once")
+            seen.add(value)
         fields[key] = values if is_list else values[0]
     spec = ExperimentSpec(**fields)
 

@@ -107,20 +107,18 @@ class ScriptedDrops:
 _DATA = SegmentKind.DATA
 _CHANNEL_FREE = EventKind.CHANNEL_FREE
 _SEGMENT_ARRIVAL = EventKind.SEGMENT_ARRIVAL
-_SEND, _RETX, _DELIVER = TraceKind.SEND, TraceKind.RETX, TraceKind.DELIVER
+_SEND, _RETX = TraceKind.SEND, TraceKind.RETX
 _DROP_QUEUE, _DROP_WIRELESS = TraceKind.DROP_QUEUE, TraceKind.DROP_WIRELESS
 
 
 class _Link:
-    """Runtime state of one directed link; caches the model's per-segment
-    parameters. ``next`` is the link a segment takes after this one, None
-    at the end of its route. ``loss``, a LossProcess or ScriptedDrops, loses
-    no transmission before its ``next_instant`` and ``decide``s the rest."""
+    """Runtime state of one directed link; ``model`` is the LinkModel every
+    link of the chain shares. ``next`` is the link a segment takes after
+    this one, None at the end of its route. ``loss``, a LossProcess or
+    ScriptedDrops, loses no transmission before its ``next_instant`` and
+    ``decide``s the rest."""
 
-    __slots__ = (
-        "hop", "model", "queue", "group", "loss", "next",
-        "queue_capacity", "bandwidth_bps", "prop_delay_s",
-    )
+    __slots__ = ("hop", "model", "queue", "group", "loss", "next")
 
     def __init__(self, hop, model, group, loss):
         self.hop = hop
@@ -131,9 +129,6 @@ class _Link:
         # queue[0] is on the air or waiting in the group's FIFO; an empty
         # queue means the link is idle
         self.queue: deque[Segment] = deque()
-        self.queue_capacity = model.queue_capacity
-        self.bandwidth_bps = model.bandwidth_bps
-        self.prop_delay_s = model.prop_delay_s
 
 
 class _Group:
@@ -151,9 +146,10 @@ class MeshNetwork:
     """Event-driven transport fabric over a ChainTopology.
 
     Owns link queues, channel arbitration and the error model; a
-    SEGMENT_ARRIVAL event carries the link its segment takes next.
+    SEGMENT_ARRIVAL event carries the link its segment takes next, None
+    at the end of its route.
     It is the only writer of the in-flight count ``carried``: ``forward``
-    adds a segment, and ``_retire`` records its delivery or drop and
+    adds a segment, and ``retire`` records its delivery or drop and
     removes it, raising ``ContractError`` if nothing is in flight.
     """
 
@@ -192,16 +188,7 @@ class MeshNetwork:
                 link.next = after
         self._data_head, self._ack_head = data[0], ack[0]
 
-    def arrive(self, link: _Link | None, seg: Segment, now: float) -> bool:
-        """A segment crossed a hop. Queue it on ``link``, its next one, or,
-        at the end of its route (None), record the delivery and return True."""
-        if link is not None:
-            self.enqueue(link, seg, now)
-            return False
-        self._retire(_DELIVER, seg, now)
-        return True
-
-    def _retire(self, kind: TraceKind, seg: Segment, now: float) -> None:
+    def retire(self, kind: TraceKind, seg: Segment, now: float) -> None:
         """Record a segment's delivery or drop and stop counting it."""
         if self.carried <= 0:
             raise ContractError(f"{kind.value} of {seg.kind.value} {seg.seq} not in flight")
@@ -221,8 +208,8 @@ class MeshNetwork:
         A link that was idle takes the group's channel if it is free, else
         waits for it in FIFO order."""
         queue = link.queue
-        if len(queue) >= link.queue_capacity:
-            self._retire(_DROP_QUEUE, seg, now)
+        if len(queue) >= link.model.queue_capacity:
+            self.retire(_DROP_QUEUE, seg, now)
             return
         queue.append(seg)
         if len(queue) == 1:
@@ -240,15 +227,16 @@ class MeshNetwork:
                 f"hop {link.hop} starts sending while group {group.index} is held"
             )
         group.busy_link = link
-        tx_time = seg.size_bytes * 8.0 / link.bandwidth_bps
+        model = link.model
+        tx_time = seg.size_bytes * 8.0 / model.bandwidth_bps
         end = now + tx_time
         loss = link.loss
         dropped = loss.next_instant < end and loss.decide(seg, now, tx_time)
         self.events.push(end, _CHANNEL_FREE, link)
         if dropped:
-            self._retire(_DROP_WIRELESS, seg, now)
+            self.retire(_DROP_WIRELESS, seg, now)
         else:
-            self.events.push(end + link.prop_delay_s, _SEGMENT_ARRIVAL, (link.next, seg))
+            self.events.push(end + model.prop_delay_s, _SEGMENT_ARRIVAL, (link.next, seg))
 
     def on_channel_free(self, link: _Link, now: float) -> None:
         """A transmission on this link just ended; hand the channel on."""

@@ -24,14 +24,14 @@ from .endpoint import (
     SegmentKind,
     SenderEndpoint,
 )
-from .engine import EventKind, EventQueue, RunTrace
+from .engine import EventKind, EventQueue, RunTrace, TraceKind
 from .mesh import ChainTopology, MeshNetwork
 
 
 # bound once for the per-event path; see the note in mesh.py
 _SEGMENT_ARRIVAL, _CHANNEL_FREE = EventKind.SEGMENT_ARRIVAL, EventKind.CHANNEL_FREE
 _TIMER_EXPIRY, _APP_TICK = EventKind.TIMER_EXPIRY, EventKind.APP_TICK
-_DATA = SegmentKind.DATA
+_DATA, _DELIVER = SegmentKind.DATA, TraceKind.DELIVER
 
 
 class MeshWorld:
@@ -68,11 +68,14 @@ class MeshWorld:
         if kind is _SEGMENT_ARRIVAL:
             link, seg = payload
             net = self.net
-            if net.arrive(link, seg, time):
-                if seg.kind is _DATA:
-                    net.forward(self.receiver.on_data(seg, time), time)
-                else:
-                    self._react(time, seg)
+            if link is not None:  # relayed onto its next hop
+                net.enqueue(link, seg, time)
+                return
+            net.retire(_DELIVER, seg, time)
+            if seg.kind is _DATA:
+                net.forward(self.receiver.on_data(seg, time), time)
+            else:
+                self._react(time, seg)
         elif kind is _CHANNEL_FREE:
             self.net.on_channel_free(payload, time)
         elif kind is _TIMER_EXPIRY:

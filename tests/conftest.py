@@ -98,7 +98,7 @@ def transmissions(monkeypatch):
 
     def recorded(net, link, now):
         start(net, link, now)
-        end = now + link.queue[0].size_bytes * 8.0 / link.bandwidth_bps
+        end = now + link.queue[0].size_bytes * 8.0 / link.model.bandwidth_bps
         logs[net].append((link.group.index, now, end))
 
     monkeypatch.setattr(MeshNetwork, "_start_transmission", recorded)

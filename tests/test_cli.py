@@ -10,6 +10,7 @@ import pytest
 
 from meshtcp import cc, cli
 from meshtcp.cli import main
+from meshtcp.engine import TraceKind
 from meshtcp.errors import ContractError
 from meshtcp.mesh import MeshNetwork
 
@@ -55,6 +56,28 @@ def test_validate_unknown_flavor_exits_2(tmp_path, capsys):
 
 def test_validate_missing_file_exits_2(tmp_path):
     assert main(["validate", "--config", str(tmp_path / "absent.cfg")]) == 2
+
+
+def test_validate_undecodable_config_exits_2_naming_the_file(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_bytes(b"# \xff\n" + GOOD.encode())
+    assert main(["validate", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"configuration error: config {cfg} is not UTF-8: byte 2\n"
+
+
+def test_validate_reads_a_utf8_config_whatever_the_locale(tmp_path):
+    # a C locale without UTF-8 mode would decode the file as ASCII
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_bytes(("# café\n" + GOOD).encode("utf-8"))
+    env = {
+        **os.environ, "PYTHONPATH": str(REPO / "src"),
+        "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0",
+    }
+    result = subprocess.run(
+        [sys.executable, "-m", "meshtcp.cli", "validate", "--config", str(cfg)],
+        env=env, capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr
 
 
 def test_run_writes_results_csv(tmp_path):
@@ -418,15 +441,14 @@ def test_channel_misuse_exits_1(tmp_path, capsys, monkeypatch, attr, broken, mes
 def test_double_retire_exits_1_naming_the_sweep_point(tmp_path, capsys, monkeypatch):
     # a network that retires each delivered segment twice un-counts segments
     # it no longer carries; the in-flight count refuses to go below zero
-    arrive = MeshNetwork.arrive
+    retire = MeshNetwork.retire
 
-    def arrive_twice(self, link, seg, now):
-        delivered = arrive(self, link, seg, now)
-        if delivered:
-            arrive(self, link, seg, now)
-        return delivered
+    def retire_deliveries_twice(self, kind, seg, now):
+        retire(self, kind, seg, now)
+        if kind is TraceKind.DELIVER:
+            retire(self, kind, seg, now)
 
-    monkeypatch.setattr(MeshNetwork, "arrive", arrive_twice)
+    monkeypatch.setattr(MeshNetwork, "retire", retire_deliveries_twice)
     cfg = write(tmp_path, GOOD)
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err

@@ -1,6 +1,7 @@
 import math
 import pickle
 import re
+import time
 from pathlib import Path
 
 import pytest
@@ -89,6 +90,17 @@ class TestLoadConfig:
         # a repeat would run its sweep points twice and count them twice
         text, lineno = config_with(key, raw)
         with pytest.raises(ConfigError, match=f"line {lineno}: {key} lists {shown} more"):
+            load_config(text)
+
+    def test_a_long_seed_list_is_checked_for_repeats_in_one_pass(self):
+        # the repeat check must be linear: a pairwise one takes about 10 s here
+        seeds = ",".join(map(str, range(1, 40_001)))
+        text, lineno = config_with("seeds", seeds)
+        start = time.perf_counter()
+        assert len(load_config(text).seeds) == 40_000
+        assert time.perf_counter() - start < 2.0
+        text, _ = config_with("seeds", seeds + ",7")
+        with pytest.raises(ConfigError, match=f"^line {lineno}: seeds lists 7 more than once$"):
             load_config(text)
 
     def test_negative_zero_reads_as_zero(self):
@@ -284,15 +296,14 @@ class TestSeedFreePoints:
 
     def test_an_error_in_a_shared_world_names_every_flavor_it_carries(self, monkeypatch):
         # retiring each delivery twice fails on the first one, before any split
-        arrive = mesh.MeshNetwork.arrive
+        retire = mesh.MeshNetwork.retire
 
-        def arrive_twice(self, link, seg, now):
-            delivered = arrive(self, link, seg, now)
-            if delivered:
-                arrive(self, link, seg, now)
-            return delivered
+        def retire_deliveries_twice(self, kind, seg, now):
+            retire(self, kind, seg, now)
+            if kind is TraceKind.DELIVER:
+                retire(self, kind, seg, now)
 
-        monkeypatch.setattr(mesh.MeshNetwork, "arrive", arrive_twice)
+        monkeypatch.setattr(mesh.MeshNetwork, "retire", retire_deliveries_twice)
         spec = load_config(SMALL, ["hops=1", "seeds=1"])
         with pytest.raises(ContractError, match=(
             r"^combination flavor=reno,sac hops=1 loss_rate=0.5 seed=1 aborted: "

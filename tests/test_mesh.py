@@ -107,13 +107,14 @@ class TestRoutes:
         net.forward(ack, 0.0)
         assert list(link_of(net, 1, 2).queue) == [data]
         assert list(link_of(net, 4, 3).queue) == [ack]
-        assert not net.arrive(link_of(net, 1, 2).next, data, 0.01)
+        net.enqueue(link_of(net, 1, 2).next, data, 0.01)
         assert list(link_of(net, 2, 3).queue) == [data]
-        assert not net.arrive(link_of(net, 4, 3).next, ack, 0.01)
+        net.enqueue(link_of(net, 4, 3).next, ack, 0.01)
         assert list(link_of(net, 3, 2).queue) == [ack]
         assert not link_of(net, 2, 1).queue and not link_of(net, 3, 4).queue
-        assert net.arrive(link_of(net, 3, 4).next, data, 0.02)
-        assert net.arrive(link_of(net, 2, 1).next, ack, 0.02)
+        assert link_of(net, 3, 4).next is None and link_of(net, 2, 1).next is None
+        net.retire(TraceKind.DELIVER, data, 0.02)
+        net.retire(TraceKind.DELIVER, ack, 0.02)
         delivered = [(r.seq, r.value) for r in trace.records if r.kind is TraceKind.DELIVER]
         assert delivered == [(0, "data"), (1, "ack")]
         assert net.carried == 0

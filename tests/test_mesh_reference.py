@@ -111,8 +111,9 @@ def reference(
 
 
 class StubWorld:
-    """Originates the schedule and passes arrivals and channel releases to
-    the network; no endpoint answers anything."""
+    """Originates the schedule, queues a relayed segment on its next link,
+    retires a delivered one and passes channel releases to the network; no
+    endpoint answers anything."""
 
     def __init__(self, topology, schedule, seed):
         self.events = EventQueue()
@@ -125,7 +126,11 @@ class StubWorld:
         if kind is EventKind.APP_TICK:
             self.net.forward(payload, time)
         elif kind is EventKind.SEGMENT_ARRIVAL:
-            self.net.arrive(*payload, time)
+            link, seg = payload
+            if link is not None:
+                self.net.enqueue(link, seg, time)
+            else:
+                self.net.retire(TraceKind.DELIVER, seg, time)
         else:
             self.net.on_channel_free(payload, time)
 

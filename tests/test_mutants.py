@@ -153,15 +153,15 @@ CATALOGUE = [
     Mutant(
         "on_air_segment_holds_no_slot",
         MeshNetwork.enqueue,
-        "if len(queue) >= link.queue_capacity:",
-        "if len(queue) > link.queue_capacity:",
+        "if len(queue) >= link.model.queue_capacity:",
+        "if len(queue) > link.model.queue_capacity:",
         check_examples,
     ),
     Mutant(
         "propagation_delay_added_twice",
         MeshNetwork._start_transmission,
-        "end + link.prop_delay_s,",
-        "end + 2 * link.prop_delay_s,",
+        "end + model.prop_delay_s,",
+        "end + 2 * model.prop_delay_s,",
         check_examples,
     ),
     Mutant(

@@ -16,7 +16,7 @@ from conftest import (
 from meshtcp.cc import Flavor
 from meshtcp.endpoint import ReceiverEndpoint, RttEstimator, SenderEndpoint
 from meshtcp.engine import EventKind, TraceKind, run_until
-from meshtcp.mesh import ChainTopology, DropDirective, LinkModel
+from meshtcp.mesh import ChainTopology, DropDirective, LinkModel, _Link
 from meshtcp.metrics import summarize
 from meshtcp.world import MeshWorld
 
@@ -49,6 +49,12 @@ def test_each_constructor_takes_exactly_its_declared_options():
     assert MeshWorld.__slots__ == (
         "events", "trace", "net", "_expiry_at", "sender", "receiver", "forks",
     )
+
+
+def test_each_link_holds_only_its_own_state():
+    # the per-link census: the link parameters live once, in the shared
+    # model, and a new per-link slot is a declared edit here
+    assert _Link.__slots__ == ("hop", "model", "queue", "group", "loss", "next")
 
 
 def test_lossless_run_clean_metrics():
